@@ -1,22 +1,26 @@
 //! Indexed vs linear per-query hot path at deployment scale.
 //!
 //! Benchmarks the two lookups a MobiQuery period performs, each in its
-//! pre-optimization linear form and its spatial-grid form, at 1k and 10k
-//! nodes (constant density):
+//! pre-optimization linear form and its indexed form, at 1k and 10k nodes
+//! (constant density):
 //!
 //! * `nearest_backbone` — collector / proxy-attach selection: linear scan
 //!   over every backbone node vs the backbone grid's expanding-ring search;
 //! * `query_install` — flood-tree build plus parent assignment for every
 //!   sleeping node in the query area: per-node scan over the whole tree vs
-//!   grid candidates filtered through the scratch's dense in-tree marks.
+//!   a lookup over the tree's members indexed by position.
 //!
-//! Both variants produce identical assignments (asserted once per fixture);
-//! only the lookup strategy differs.
+//! Parent assignment alone is also timed in three flavours: the linear scan,
+//! the all-nodes grid walk filtered on tree membership (the indexed form
+//! before the members got their own index) and the member index.
+//!
+//! Every variant produces identical assignments (asserted once per
+//! fixture); only the lookup strategy differs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wsn_geom::{Point, Rect, SpatialGrid};
-use wsn_net::{FloodScratch, NeighborTable, NodeId};
+use wsn_geom::{Point, Rect, SpatialGrid, StripIndex};
+use wsn_net::{FloodScratch, FloodTree, NeighborTable, NodeId};
 use wsn_sim::SimRng;
 
 /// Paper-default radio range and query radius.
@@ -111,36 +115,64 @@ fn install_linear(f: &Fixture) -> (Option<NodeId>, usize) {
 }
 
 /// One query installation, indexed flavour: backbone-grid collector lookup,
-/// scratch-buffer tree build, and grid-plus-in-tree-marks parent assignment
-/// (what `install_query` does now).
-fn install_grid(f: &Fixture, scratch: &mut FloodScratch) -> (Option<NodeId>, usize) {
+/// scratch-buffer tree build, and parent assignment over the tree's members
+/// indexed by position (what `install_query` does now).
+fn install_indexed(
+    f: &Fixture,
+    scratch: &mut FloodScratch,
+    relays: &mut StripIndex,
+) -> (Option<NodeId>, usize) {
     let collector = f.backbone_grid.nearest(f.pickup).map(|(i, _)| NodeId(i));
     let root = collector.expect("fixture has backbone nodes");
     let relay = QUERY_RADIUS + COMM_RANGE;
     let tree = scratch.build(root, &f.neighbors, |n| {
         f.is_backbone[n.index()] && f.positions[n.index()].distance_to(f.pickup) <= relay
     });
-    let mut assigned = 0;
-    for &node in &f.sleeping_in_area {
-        let pos = f.positions[node.index()];
-        let parent = f
-            .all_grid
-            .nearest_filtered(pos, |i| scratch.in_last_tree(i))
-            .filter(|&(_, ppos)| ppos.distance_to(pos) <= COMM_RANGE);
-        if parent.is_some() {
-            assigned += 1;
-        }
-    }
+    let assigned = assign_indexed(f, &tree, relays);
     scratch.recycle(tree);
     (collector, assigned)
+}
+
+/// Parent assignment over the all-nodes grid, filtered on tree membership.
+fn assign_grid(f: &Fixture, tree: &FloodTree) -> usize {
+    f.sleeping_in_area
+        .iter()
+        .filter(|node| {
+            let pos = f.positions[node.index()];
+            f.all_grid
+                .nearest_filtered(pos, |i| tree.contains(NodeId(i)))
+                .is_some_and(|(_, ppos)| ppos.distance_to(pos) <= COMM_RANGE)
+        })
+        .count()
+}
+
+/// Parent assignment over the tree's members indexed by position.
+fn assign_indexed(f: &Fixture, tree: &FloodTree, relays: &mut StripIndex) -> usize {
+    relays.rebuild(
+        tree.order()
+            .iter()
+            .map(|n| (n.index(), f.positions[n.index()])),
+    );
+    f.sleeping_in_area
+        .iter()
+        .filter(|node| {
+            relays
+                .nearest_within(f.positions[node.index()], COMM_RANGE)
+                .is_some()
+        })
+        .count()
 }
 
 fn bench_scales(c: &mut Criterion) {
     for nodes in [1_000usize, 10_000] {
         let f = fixture(nodes, 7);
         let mut scratch = FloodScratch::new();
+        let mut relays = StripIndex::new();
         // Both flavours must agree before their timings mean anything.
-        assert_eq!(install_linear(&f), install_grid(&f, &mut scratch));
+        assert_eq!(
+            install_linear(&f),
+            install_indexed(&f, &mut scratch, &mut relays)
+        );
 
         let mut group = c.benchmark_group(&format!("scale_{nodes}"));
         group.sample_size(20);
@@ -153,17 +185,21 @@ fn bench_scales(c: &mut Criterion) {
         group.bench_function(format!("query_install_linear_{nodes}"), |b| {
             b.iter(|| black_box(install_linear(&f)))
         });
-        group.bench_function(format!("query_install_grid_{nodes}"), |b| {
-            b.iter(|| black_box(install_grid(&f, &mut scratch)))
+        group.bench_function(format!("query_install_indexed_{nodes}"), |b| {
+            b.iter(|| black_box(install_indexed(&f, &mut scratch, &mut relays)))
         });
 
         // Parent assignment alone (tree prebuilt): the O(sleeping × tree)
-        // scan vs the grid walk over in-tree marks.
+        // scan vs the filtered grid walk vs the member index.
         let relay = QUERY_RADIUS + COMM_RANGE;
         let root = f.backbone_grid.nearest(f.pickup).map(|(i, _)| NodeId(i));
         let tree = scratch.build(root.unwrap(), &f.neighbors, |n| {
             f.is_backbone[n.index()] && f.positions[n.index()].distance_to(f.pickup) <= relay
         });
+        assert_eq!(
+            assign_grid(&f, &tree),
+            assign_indexed(&f, &tree, &mut relays)
+        );
         group.bench_function(format!("parent_assign_linear_{nodes}"), |b| {
             b.iter(|| {
                 let mut assigned = 0;
@@ -187,20 +223,10 @@ fn bench_scales(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("parent_assign_grid_{nodes}"), |b| {
-            b.iter(|| {
-                let mut assigned = 0;
-                for &node in &f.sleeping_in_area {
-                    let pos = f.positions[node.index()];
-                    let parent = f
-                        .all_grid
-                        .nearest_filtered(pos, |i| scratch.in_last_tree(i))
-                        .filter(|&(_, ppos)| ppos.distance_to(pos) <= COMM_RANGE);
-                    if parent.is_some() {
-                        assigned += 1;
-                    }
-                }
-                black_box(assigned)
-            })
+            b.iter(|| black_box(assign_grid(&f, &tree)))
+        });
+        group.bench_function(format!("parent_assign_indexed_{nodes}"), |b| {
+            b.iter(|| black_box(assign_indexed(&f, &tree, &mut relays)))
         });
         scratch.recycle(tree);
         group.finish();

@@ -30,7 +30,7 @@ use crate::sim::multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
 use crate::sim::store::NodeStore;
 use std::collections::HashMap;
 use std::time::Instant;
-use wsn_geom::{Circle, Point, SpatialGrid};
+use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
 use wsn_metrics::{summarize_users, ChurnBatch, FaultBatch, QueryLog, QueryRecord};
 use wsn_net::{
     Channel, FaultConfig, FaultPlan, FloodScratch, FloodTree, NeighborTable, NodeId, NodeRole,
@@ -61,6 +61,29 @@ struct ActiveQuery {
     /// Cache handle in [`TreeSharing::Shared`] mode, `None` in naive mode
     /// (the tree then lives in `naive_trees`).
     handle: Option<TreeHandle>,
+}
+
+/// Recycled buffers for scoring one query: the nodes in the user's actual
+/// area and the query tree's members indexed for relay lookups. A serial
+/// owner reuses one across boundaries, so the warm loop allocates nothing.
+#[derive(Debug, Default)]
+struct ScoreScratch {
+    /// `(node, position)` of every node in the area, ascending by node.
+    nodes_in_area: Vec<(NodeId, Point)>,
+    relays: StripIndex,
+}
+
+/// Indexes `tree`'s members at their slots' current positions: exactly the
+/// nodes a walk of the all-nodes grid filtered on tree membership could
+/// return (a churn batch refills every slot it frees before anything is
+/// scored, so every slot is in the grid), so the relay lookup scans the
+/// tree instead of the deployment.
+fn index_relays(relays: &mut StripIndex, tree: &FloodTree, store: &NodeStore) {
+    relays.rebuild(
+        tree.order()
+            .iter()
+            .map(|n| (n.index(), store.position(n.index()))),
+    );
 }
 
 /// The optional behaviours of one [`SteppedSim`] run. They compose: a run
@@ -381,7 +404,7 @@ impl MultiUserWorld {
                             &self.channel,
                             &self.scenario,
                             &self.all_nodes_grid,
-                            self.store.positions(),
+                            &self.store,
                             &self.plan,
                         )
                     };
@@ -408,7 +431,7 @@ impl MultiUserWorld {
                         &self.channel,
                         &self.scenario,
                         &self.all_nodes_grid,
-                        self.store.positions(),
+                        &self.store,
                         &self.plan,
                     );
                     self.node_wake_seconds_naive += cost;
@@ -432,6 +455,9 @@ impl MultiUserWorld {
     /// Wake-up cost of the tree for `key`, computed once per distinct key and
     /// then served from the memo (tree content is a pure function of the key,
     /// so the first computation stands for every later install of the key).
+    /// Every duty-cycled node in the key's area with an in-tree relay in
+    /// range pays one buffered setup reception plus the nominal wake-up it
+    /// takes to forward its reading.
     ///
     /// Takes the tree by reference — the caller resolves its handle first —
     /// so no `Option<TreeHandle>` juggling (and no dead-handle `expect`)
@@ -444,7 +470,7 @@ impl MultiUserWorld {
         channel: &Channel,
         scenario: &Scenario,
         all_nodes_grid: &SpatialGrid,
-        positions: &[Point],
+        store: &NodeStore,
         plan: &PowerPlan,
     ) -> f64 {
         if let Some(&cost) = tree_cost.get(&key) {
@@ -455,20 +481,15 @@ impl MultiUserWorld {
             .as_secs_f64();
         let area = Circle::new(key.center(), scenario.query.radius_m);
         let comm_range = scenario.radio.comm_range_m;
+        let mut relays = StripIndex::new();
+        index_relays(&mut relays, tree, store);
         let mut cost = 0.0;
         for idx in all_nodes_grid.query_circle(area) {
-            let node = NodeId(idx);
-            if plan.is_backbone(node) {
-                continue;
-            }
-            let pos = positions[idx];
-            let has_parent = all_nodes_grid
-                .nearest_filtered(pos, |i| tree.contains(NodeId(i)))
-                .map(|(_, parent_pos)| parent_pos.distance_to(pos) <= comm_range)
-                .unwrap_or(false);
-            if has_parent {
-                // One buffered setup reception plus the nominal wake-up the
-                // node pays to take and forward its reading.
+            if !plan.is_backbone(NodeId(idx))
+                && relays
+                    .nearest_within(store.position(idx), comm_range)
+                    .is_some()
+            {
                 cost += setup_airtime + 0.010;
             }
         }
@@ -476,27 +497,44 @@ impl MultiUserWorld {
         cost
     }
 
+    /// The per-reading loss probability of period `k`: contention among
+    /// every user active in `k`. It is the same for every query of the
+    /// period, so a boundary computes it once, not once per result.
+    fn loss_probability(&self, k: u64) -> f64 {
+        let concurrency = self.query_set.active_users(k);
+        self.scenario
+            .mac
+            .loss_probability(concurrency.saturating_sub(1))
+    }
+
     /// Scores query `(user, k)` at its deadline — the read-only half of a
-    /// resolve. `nodes_in_area` is caller-provided recycled scratch (cleared
-    /// here), so the steady-state serial loop performs no heap allocation,
-    /// and because this takes `&self` only, a period's scores can be computed
-    /// for many users in parallel (every RNG draw comes from the dedicated
-    /// per-`(user, k)` stream, so scoring order is immaterial).
+    /// resolve. `loss_p` is the period's [`Self::loss_probability`].
+    /// `scratch` is caller-provided and recycled (cleared here), so the
+    /// steady-state serial loop performs no heap allocation, and because this
+    /// takes `&self` only, a period's scores can be computed for many users
+    /// in parallel (every RNG draw comes from the dedicated per-`(user, k)`
+    /// stream, so scoring order is immaterial).
     fn score_query(
         &self,
         user: u32,
         k: u64,
-        nodes_in_area: &mut Vec<NodeId>,
+        loss_p: f64,
+        scratch: &mut ScoreScratch,
     ) -> Result<QueryRecord, ConfigError> {
         let deadline = self.deadline(k);
         let uq = &self.query_set.users()[user as usize];
         let actual = uq.motion.position_at(deadline);
         let area = Circle::new(actual, self.scenario.query.radius_m);
+        let nodes_in_area = &mut scratch.nodes_in_area;
         nodes_in_area.clear();
-        nodes_in_area.extend(self.all_nodes_grid.query_circle(area).map(NodeId));
+        nodes_in_area.extend(
+            self.all_nodes_grid
+                .query_range_with_pos(area.center, area.radius)
+                .map(|(i, p)| (NodeId(i), p)),
+        );
         // Sort so every scoring draw below happens in one deterministic order
         // whatever the grid's internal iteration order.
-        nodes_in_area.sort_unstable();
+        nodes_in_area.sort_unstable_by_key(|&(node, _)| node);
 
         let Some(aq) = self.active.get(&(user, k)) else {
             return Ok(QueryRecord::missed(k, deadline, nodes_in_area.len()));
@@ -505,37 +543,18 @@ impl MultiUserWorld {
             self.scenario.seed,
             &[QUERY_STREAM, user as u64, k],
         ));
-        let concurrency = self.query_set.active_users(k);
-        let loss_p = self
-            .scenario
-            .mac
-            .loss_probability(concurrency.saturating_sub(1));
         let tree = match aq.handle {
             Some(handle) => self.cache.tree(handle).map_err(cache_error)?,
             None => &self.naive_trees[&(user, k)],
         };
-        let contributing = Self::count_contributing(
-            tree,
-            nodes_in_area,
-            aq,
-            deadline,
-            loss_p,
-            &mut rng,
-            self.store.positions(),
-            &self.all_nodes_grid,
-            &self.plan,
-            &self.schedule,
-            &self.channel,
-            &self.scenario,
-            self.fault.as_ref(),
-            k,
-        );
+        index_relays(&mut scratch.relays, tree, &self.store);
+        let contributing = self.count_contributing(tree, scratch, aq, loss_p, &mut rng, k);
         Ok(QueryRecord {
             seq: k,
             deadline,
             delivered_at: Some(deadline),
             contributing_nodes: contributing,
-            nodes_in_area: nodes_in_area.len(),
+            nodes_in_area: scratch.nodes_in_area.len(),
         })
     }
 
@@ -563,9 +582,10 @@ impl MultiUserWorld {
         Ok(())
     }
 
-    /// Scores one query against its installed tree. Deterministic given the
-    /// tree *content* — both sharing modes build bit-identical trees, iterate
-    /// the same sorted node list and draw from the same per-query stream, so
+    /// Scores one query against its installed tree, whose members
+    /// `scratch.relays` indexes. Deterministic given the tree *content* —
+    /// both sharing modes build bit-identical trees, iterate the same sorted
+    /// `scratch.nodes_in_area` and draw from the same per-query stream, so
     /// they count the same contributors.
     ///
     /// Under fault injection, contributions are additionally lost to faults
@@ -577,33 +597,32 @@ impl MultiUserWorld {
     /// state precomputed serially at the boundary — no RNG — so they cannot
     /// perturb any draw stream: at fault rate 0 none of them ever fires and
     /// the count is bit-identical to a fault-free run.
-    #[allow(clippy::too_many_arguments)] // split borrows of the world's fields
     fn count_contributing(
+        &self,
         tree: &FloodTree,
-        nodes_in_area: &[NodeId],
+        scratch: &ScoreScratch,
         aq: &ActiveQuery,
-        deadline: SimTime,
         loss_p: f64,
         rng: &mut SimRng,
-        positions: &[Point],
-        all_nodes_grid: &SpatialGrid,
-        plan: &PowerPlan,
-        schedule: &SleepSchedule,
-        channel: &Channel,
-        scenario: &Scenario,
-        fault: Option<&FaultState>,
         k: u64,
     ) -> usize {
+        let (scenario, plan, schedule) = (&self.scenario, &self.plan, &self.schedule);
+        let fault = self.fault.as_ref();
+        let deadline = self.deadline(k);
         let period_s = scenario.query.period.as_secs_f64();
         let deadline_s = deadline.as_secs_f64();
-        let hop_s = channel
+        let hop_s = self
+            .channel
             .tx_duration(scenario.messages.setup_bytes)
             .as_secs_f64()
             + 0.001;
         let comm_range = scenario.radio.comm_range_m;
         let window_s = schedule.active_window().as_secs_f64();
+        // Every duty-cycled node wakes at the first active window after the
+        // install reached the area.
+        let wake_s = schedule.next_awake_instant(aq.installed_at).as_secs_f64();
         let mut contributing = 0;
-        for &node in nodes_in_area {
+        for &(node, pos) in &scratch.nodes_in_area {
             if plan.is_backbone(node) {
                 // Backbone: reached by the setup flood if in the tree and the
                 // flood's per-hop latency fits the one-period install lead.
@@ -616,7 +635,7 @@ impl MultiUserWorld {
                     // (or a crashed relay above it) contributes nothing.
                     if f.is_crashed[node.index()]
                         || f.plan.link_bad(node.index())
-                        || f.plan.blacked_out(k, positions[node.index()])
+                        || f.plan.blacked_out(k, pos)
                         || f.severed(tree, node)
                     {
                         continue;
@@ -626,25 +645,18 @@ impl MultiUserWorld {
                     contributing += 1;
                 }
             } else {
-                // Duty-cycled: needs an in-tree relay in range and an active
-                // window (plus delivery jitter) before the deadline.
-                let pos = positions[node.index()];
+                // Duty-cycled: needs its nearest in-tree relay in range and
+                // an active window (plus delivery jitter) before the deadline.
                 if let Some(f) = fault {
                     if f.plan.link_bad(node.index()) || f.plan.blacked_out(k, pos) {
                         continue;
                     }
                 }
-                let Some((relay, relay_pos)) =
-                    all_nodes_grid.nearest_filtered(pos, |i| tree.contains(NodeId(i)))
-                else {
+                let Some((relay, _)) = scratch.relays.nearest_within(pos, comm_range) else {
                     continue;
                 };
-                if relay_pos.distance_to(pos) > comm_range {
-                    continue;
-                }
-                let wake = schedule.next_awake_instant(aq.installed_at);
                 let jitter = rng.gen_range_f64(0.0, window_s * 0.5);
-                let delivered = SimTime::from_secs_f64(wake.as_secs_f64() + jitter);
+                let delivered = SimTime::from_secs_f64(wake_s + jitter);
                 if let Some(f) = fault {
                     // A reading delivered after its node or relay crashed —
                     // or relayed through a severed path — is lost.
@@ -897,7 +909,7 @@ impl MultiUserWorld {
                                     &self.channel,
                                     &self.scenario,
                                     &self.all_nodes_grid,
-                                    self.store.positions(),
+                                    &self.store,
                                     &self.plan,
                                 )
                             };
@@ -1005,7 +1017,7 @@ impl MultiUserWorld {
             &self.channel,
             &self.scenario,
             &self.all_nodes_grid,
-            self.store.positions(),
+            &self.store,
             &self.plan,
         );
         self.node_wake_seconds += cost;
@@ -1057,9 +1069,9 @@ pub struct SteppedSim {
     events_processed: u64,
     /// Worker threads sharding per-user resolution inside one boundary.
     jobs: usize,
-    /// Recycled `nodes_in_area` buffer for the serial resolve path — reused
-    /// across boundaries so the warm steady state allocates nothing.
-    resolve_scratch: Vec<NodeId>,
+    /// Recycled scoring buffers for the serial resolve path — reused across
+    /// boundaries so the warm steady state allocates nothing.
+    resolve_scratch: ScoreScratch,
 }
 
 impl SteppedSim {
@@ -1199,7 +1211,7 @@ impl SteppedSim {
             next_boundary: 0,
             events_processed: 0,
             jobs: 1,
-            resolve_scratch: Vec::new(),
+            resolve_scratch: ScoreScratch::default(),
         })
     }
 
@@ -1412,6 +1424,7 @@ impl SteppedSim {
             self.events_processed += 1;
         }
         if b >= 1 {
+            let loss_p = self.world.loss_probability(b);
             if self.jobs > 1 && self.world.query_set.active_users(b) >= 2 {
                 // Sharded path: the shared trees for this boundary are all
                 // installed, so per-user scoring is independent read-only
@@ -1422,7 +1435,7 @@ impl SteppedSim {
                     .collect();
                 let world = &self.world;
                 let records = pool::run_indexed(self.jobs, active.clone(), |_, user| {
-                    world.score_query(user, b, &mut Vec::new())
+                    world.score_query(user, b, loss_p, &mut ScoreScratch::default())
                 });
                 for (user, record) in active.into_iter().zip(records) {
                     self.world.apply_resolve(user, b, record?)?;
@@ -1437,7 +1450,9 @@ impl SteppedSim {
                     if !self.world.query_set.users()[index].active_in(b) {
                         continue;
                     }
-                    let record = self.world.score_query(index as u32, b, &mut scratch)?;
+                    let record = self
+                        .world
+                        .score_query(index as u32, b, loss_p, &mut scratch)?;
                     self.world.apply_resolve(index as u32, b, record)?;
                     self.events_processed += 1;
                 }

@@ -23,7 +23,7 @@ use crate::sim::event::SimEvent;
 use crate::sim::state::QueryState;
 use std::cell::Cell;
 use std::collections::HashMap;
-use wsn_geom::{Circle, Point, SpatialGrid};
+use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
 use wsn_metrics::{QueryLog, QueryRecord};
 use wsn_mobility::{MotionProfile, UserMotion};
 use wsn_net::routing::{route_greedy, RouteError};
@@ -72,6 +72,9 @@ pub struct SimWorld {
     /// Reusable flood-tree working state: after a few query periods, tree
     /// construction runs entirely out of recycled buffers.
     pub(crate) flood_scratch: FloodScratch,
+    /// The members of the tree being installed, indexed for parent lookups;
+    /// rebuilt into the same buffer at every install.
+    relays: StripIndex,
     pub(crate) channel: Channel,
     pub(crate) rng: SimRng,
     pub(crate) motion: UserMotion,
@@ -153,6 +156,7 @@ impl SimWorld {
             all_nodes_grid,
             backbone_grid,
             flood_scratch: FloodScratch::new(),
+            relays: StripIndex::new(),
             channel,
             rng,
             motion,
@@ -537,17 +541,22 @@ impl SimWorld {
         state.setup_arrival.insert(collector, now);
         state.setup_started = true;
 
-        // Assign every duty-cycled node in the (predicted) area a parent from
-        // the tree, if one is within communication range. The candidate walk
-        // is an expanding-ring grid search filtered by the scratch's dense
-        // in-tree marks (valid until the next tree build) instead of a scan
-        // over the whole tree per sleeping node: the nearest in-tree node is
-        // the would-be parent, and if even that one is out of range, no
-        // in-tree node is. (Exact distance ties now resolve to the smallest
-        // id rather than the BFS-earlier tree node — distinguishable only
-        // for coincident/symmetric positions, which random deployments never
-        // produce.)
+        // Assign every duty-cycled node in the (predicted) area a parent: its
+        // nearest tree member, if that one is within communication range —
+        // the relay rule the stepped engine scores with. The lookup walks
+        // the tree's own members, indexed by position, so it never touches
+        // the rest of the deployment. (Exact distance ties resolve to the
+        // smallest id rather than the BFS-earlier tree node — distinguishable
+        // only for coincident/symmetric positions, which random deployments
+        // never produce.)
         let comm_range = self.scenario.radio.comm_range_m;
+        self.relays.rebuild(
+            state
+                .tree
+                .order()
+                .iter()
+                .map(|n| (n.index(), self.positions[n.index()])),
+        );
         let mut sleeping_in_area = self.take_vec();
         sleeping_in_area.extend(
             self.all_nodes_grid
@@ -555,16 +564,9 @@ impl SimWorld {
                 .map(NodeId)
                 .filter(|&n| !self.plan.is_backbone(n)),
         );
-        let scratch = &self.flood_scratch;
         for &node in &sleeping_in_area {
-            let pos = self.position(node);
-            let parent = self
-                .all_nodes_grid
-                .nearest_filtered(pos, |index| scratch.in_last_tree(index))
-                .filter(|&(_, parent_pos)| parent_pos.distance_to(pos) <= comm_range)
-                .map(|(index, _)| NodeId(index));
-            if let Some(parent) = parent {
-                state.sleeping_parent.insert(node, parent);
+            if let Some((parent, _)) = self.relays.nearest_within(self.position(node), comm_range) {
+                state.sleeping_parent.insert(node, NodeId(parent));
             }
         }
         self.recycle_vec(sleeping_in_area);

@@ -2,8 +2,9 @@
 //!
 //! Two-dimensional geometry primitives used throughout the MobiQuery
 //! reproduction: points, vectors, circles (query areas and radio ranges),
-//! rectangles (deployment regions), line segments (user paths) and a uniform
-//! spatial grid used for fast neighbour queries over sensor deployments.
+//! rectangles (deployment regions), line segments (user paths), a uniform
+//! spatial grid used for fast neighbour queries over sensor deployments and
+//! a strip index for nearest-within-range lookups over small point sets.
 //!
 //! All quantities are in metres unless stated otherwise. The types are small
 //! `Copy` value types implementing the common traits recommended by the Rust
@@ -26,6 +27,7 @@ mod lattice;
 mod point;
 mod rect;
 mod segment;
+mod strip;
 mod vector;
 
 pub use circle::Circle;
@@ -34,6 +36,7 @@ pub use lattice::{DenseRaster, Lattice};
 pub use point::Point;
 pub use rect::Rect;
 pub use segment::Segment;
+pub use strip::StripIndex;
 pub use vector::Vector;
 
 /// The epsilon added to squared-distance comparisons against a squared

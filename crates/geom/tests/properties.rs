@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry primitives.
 
 use proptest::prelude::*;
-use wsn_geom::{Circle, Point, Rect, Segment, SpatialGrid, Vector};
+use wsn_geom::{Circle, Point, Rect, Segment, SpatialGrid, StripIndex, Vector};
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1.0e4..1.0e4
@@ -183,6 +183,27 @@ proptest! {
         let keep = |id: usize| id % keep_mod == 0;
         let got = grid.nearest_filtered(target, keep).map(|(id, _)| id);
         prop_assert_eq!(got, brute_force_nearest(&pts, target, keep));
+    }
+
+    #[test]
+    fn strip_nearest_within_matches_brute_force(
+        pts in proptest::collection::vec((finite_coord(), finite_coord()), 0..80),
+        target in arb_point(),
+        range in 1.0f64..5.0e3,
+        keep_mod in 1usize..5,
+    ) {
+        let keep = |id: usize| id % keep_mod == 0;
+        let mut strip = StripIndex::new();
+        strip.rebuild(
+            pts.iter()
+                .enumerate()
+                .filter(|&(i, _)| keep(i))
+                .map(|(i, &(x, y))| (i, Point::new(x, y))),
+        );
+        let expected = brute_force_nearest(&pts, target, keep)
+            .filter(|&i| Point::new(pts[i].0, pts[i].1).distance_to(target) <= range);
+        let got = strip.nearest_within(target, range).map(|(id, _)| id);
+        prop_assert_eq!(got, expected);
     }
 }
 

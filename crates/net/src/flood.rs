@@ -187,14 +187,6 @@ impl FloodScratch {
         self.pool.push(tree);
     }
 
-    /// Returns `true` when `node_index` was reached by the most recent
-    /// [`build`](Self::build). Valid until the next build; used as the dense
-    /// in-tree bitset for sleeping-node parent assignment without touching
-    /// the tree's lookup table.
-    pub fn in_last_tree(&self, node_index: usize) -> bool {
-        self.mark.get(node_index).copied() == Some(self.epoch)
-    }
-
     /// Builds the BFS flood tree rooted at `root` over the subgraph induced
     /// by the nodes for which `member` returns `true`, reusing this scratch's
     /// buffers. Semantics are identical to [`FloodTree::build`].
@@ -358,13 +350,13 @@ mod tests {
         let table = line_table(6);
         let mut scratch = FloodScratch::new();
         let a = scratch.build(NodeId(0), &table, |n| n.index() < 3);
-        assert!(scratch.in_last_tree(2));
-        assert!(!scratch.in_last_tree(4));
+        assert!(a.contains(NodeId(2)));
+        assert!(!a.contains(NodeId(4)));
         scratch.recycle(a);
         // The next build reuses the recycled buffers and resets the marks.
         let b = scratch.build(NodeId(5), &table, |n| n.index() >= 3);
-        assert!(scratch.in_last_tree(4));
-        assert!(!scratch.in_last_tree(2));
+        assert!(b.contains(NodeId(4)));
+        assert!(!b.contains(NodeId(2)));
         assert_eq!(b.root(), NodeId(5));
         assert_eq!(b.len(), 3);
         assert_eq!(b.parent_of(NodeId(3)), Some(NodeId(4)));

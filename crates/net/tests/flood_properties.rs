@@ -1,14 +1,16 @@
-//! Property-based tests for flood-tree construction.
+//! Property-based tests for flood-tree construction and relay lookup.
 //!
 //! The dense, scratch-buffer [`FloodTree`] build replaced an earlier
 //! `HashMap`-based implementation; these properties pin the equivalence: a
 //! reference BFS over hash maps must agree with both the convenience
 //! constructor and a long-lived, buffer-recycling [`FloodScratch`] on every
-//! parent, hop count and the full discovery order.
+//! parent, hop count and the full discovery order. Relay lookups over a
+//! tree's indexed members must agree with the deployment-wide grid walk
+//! they replaced.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
-use wsn_geom::{Point, Rect};
+use wsn_geom::{Point, Rect, SpatialGrid, StripIndex};
 use wsn_net::{FloodScratch, FloodTree, NeighborTable, NodeId};
 
 /// The pre-optimization reference implementation: BFS over `HashMap`s.
@@ -119,11 +121,53 @@ proptest! {
             assert_tree_matches_reference(
                 &from_scratch, root, coords.len(), &parent, &hops, &order,
             );
-            // The in-tree marks must describe exactly this build's tree.
-            for n in 0..coords.len() {
-                prop_assert_eq!(scratch.in_last_tree(n), parent.contains_key(&NodeId(n)));
-            }
             previous = Some(from_scratch);
+        }
+    }
+
+    /// Indexing a tree's members gives every probe point the relay a walk of
+    /// the all-nodes grid filtered on tree membership gives it: the same
+    /// nearest member, the same smallest-id winner of an exact tie, and the
+    /// same `None` when the nearest member is out of range.
+    #[test]
+    fn member_index_relay_matches_the_filtered_grid_walk(
+        cells in proptest::collection::vec((0usize..16, 0usize..16), 2..60),
+        root_pick in 0usize..60,
+        member_mod in 1usize..4,
+        range_pick in 0usize..4,
+        free_range in 1.0f64..200.0,
+    ) {
+        // Nodes on a 30 m lattice and probes on a 15 m one make duplicate
+        // positions, exactly equidistant members and members at exactly the
+        // range common, so every tie-break and boundary case is exercised.
+        let coords: Vec<(f64, f64)> = cells
+            .iter()
+            .map(|&(cx, cy)| (cx as f64 * 30.0, cy as f64 * 30.0))
+            .collect();
+        let (positions, table) = deployment(&coords);
+        let root = NodeId(root_pick % coords.len());
+        let tree = FloodTree::build(root, &table, |n| n.index() % member_mod != 1);
+        let mut grid = SpatialGrid::new(Rect::square(450.0), 105.0).unwrap();
+        for (i, &p) in positions.iter().enumerate() {
+            grid.insert(i, p);
+        }
+        let mut relays = StripIndex::new();
+        relays.rebuild(tree.order().iter().map(|n| (n.index(), positions[n.index()])));
+        let range = [30.0, 60.0, 105.0, free_range][range_pick];
+        for qx in 0..31 {
+            for qy in 0..31 {
+                let probe = Point::new(qx as f64 * 15.0, qy as f64 * 15.0);
+                let walked = grid
+                    .nearest_filtered(probe, |i| tree.contains(NodeId(i)))
+                    .filter(|&(_, p)| p.distance_to(probe) <= range);
+                prop_assert_eq!(
+                    relays.nearest_within(probe, range),
+                    walked,
+                    "relay of {:?} within {}",
+                    probe,
+                    range
+                );
+            }
         }
     }
 }
