@@ -24,6 +24,12 @@ run cargo test -q
 # Every other member's unit/property/doc tests (the facade just ran).
 run cargo test -q --workspace --exclude mobiquery-repro
 
+# The churn equivalence proptests get 8x the shim's default 128 cases: the
+# incremental backbone repair against a full re-election, and the patched
+# neighbour table against a rebuild.
+run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test repair_equivalence
+run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equivalence
+
 # Benches must keep compiling (clippy lints them, but only --no-run proves
 # the harness links). The raster-vs-reference election bench is named
 # explicitly so a manifest slip can't silently drop it from the suite.

@@ -27,8 +27,9 @@ pub struct ChurnConfig {
     /// boundary. Must be finite and strictly positive.
     pub rate: f64,
     /// When `true`, every batch's incremental repair is checked bit-identical
-    /// against a full re-election (CI uses this; large-scale benches turn it
-    /// off because the reference election is the thing being avoided).
+    /// against a full re-election, and the patched backbone neighbour table
+    /// against one built from scratch (CI uses this; large-scale benches turn
+    /// it off because the reference election is the thing being avoided).
     pub verify: bool,
 }
 

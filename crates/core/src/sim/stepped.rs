@@ -684,17 +684,18 @@ impl MultiUserWorld {
     /// the same number of joins (deterministically recycling those slots, so
     /// the population and the slot count stay fixed); the repair then
     /// promotes/demotes only the perturbed nodes, the backbone grid is
-    /// patched from the flip log, the neighbour table is rebuilt over the
-    /// new backbone and the topology epoch is bumped so no tree built before
-    /// the batch is ever shared after it. An empty batch
-    /// (`floor(rate × alive) = 0`) changes no topology: it is still logged,
-    /// but the table and the epoch stay as they are, so standing trees keep
-    /// being handed over instead of rebuilt.
+    /// patched from the flip log, the neighbour table is patched around the
+    /// dead backbone slots and the flipped ones, and the topology epoch is
+    /// bumped so no tree built before the batch is ever shared after it. An
+    /// empty batch (`floor(rate × alive) = 0`) changes no topology: it is
+    /// still logged, but the table and the epoch stay as they are, so
+    /// standing trees keep being handed over instead of rebuilt.
     ///
     /// # Errors
     ///
     /// With verification on, returns a [`ConfigError`] when the repaired
-    /// roles are not bit-identical to a full priority re-election.
+    /// roles are not bit-identical to a full priority re-election, or the
+    /// patched neighbour table differs from one built from scratch.
     fn apply_churn_batch(&mut self, boundary: u64) -> Result<(), ConfigError> {
         let Some(mut churn) = self.churn.take() else {
             return Ok(());
@@ -712,6 +713,9 @@ impl MultiUserWorld {
             ChurnBatchPlan::generate(self.scenario.seed, boundary, churn.config.rate, &alive);
         let deaths = plan.deaths.len();
         let mut rng = plan.rng;
+        // Slots that left or joined the backbone: the neighbour table is
+        // patched around exactly these.
+        let mut changed = Vec::new();
         for &s in &plan.deaths {
             let node = NodeId(s);
             let pos = self.store.position(s);
@@ -719,6 +723,7 @@ impl MultiUserWorld {
             let role = self.plan.role(node);
             if role.is_backbone() {
                 self.backbone_grid.remove(s);
+                changed.push(s);
             }
             churn.backbone.note_death(pos, role);
             self.plan.set_role(node, NodeRole::DutyCycled);
@@ -732,7 +737,7 @@ impl MultiUserWorld {
             let p = self.store.position(s);
             self.plan.set_role(NodeId(s), NodeRole::DutyCycled);
             self.all_nodes_grid.insert(s, p);
-            churn.backbone.note_join(p);
+            churn.backbone.note_join((self.store.priorities()[s], s), p);
         }
         let apply_grid_ms = apply_start.elapsed().as_secs_f64() * 1e3;
 
@@ -753,17 +758,10 @@ impl MultiUserWorld {
             } else {
                 self.backbone_grid.remove(s);
             }
+            changed.push(s);
         }
         if deaths > 0 {
-            let comm_range = self.scenario.radio.comm_range_m;
-            let neighbors = {
-                let store = &self.store;
-                let roles = self.plan.roles();
-                NeighborTable::build_among(store.positions(), region, comm_range, |i| {
-                    store.is_alive(i) && roles[i].is_backbone()
-                })
-            };
-            self.neighbors = neighbors;
+            self.neighbors.patch(&self.backbone_grid, &changed);
             churn.epoch += 1;
         }
         // Per-boundary residual-energy accounting: backbone radios stay on,
@@ -793,6 +791,17 @@ impl MultiUserWorld {
             if reference.as_slice() != self.plan.roles() {
                 return Err(ConfigError::new(format!(
                     "incremental repair diverged from full re-election at boundary {boundary}"
+                )));
+            }
+            let rebuilt = NeighborTable::build_among(
+                self.store.positions(),
+                region,
+                self.scenario.radio.comm_range_m,
+                |i| reference[i].is_backbone(),
+            );
+            if rebuilt != self.neighbors {
+                return Err(ConfigError::new(format!(
+                    "patched neighbour table diverged from a rebuild at boundary {boundary}"
                 )));
             }
             Some(true)
@@ -1757,6 +1766,43 @@ mod tests {
             "a 10% rate on 80 nodes must actually churn"
         );
         assert_eq!(sim.alive_count(), sim.scenario().node_count);
+    }
+
+    #[test]
+    fn light_churn_verifies_the_spliced_neighbour_table() {
+        // Two deaths per batch on 320 nodes (the small scenario's density on
+        // four times the area) change too few of the ~100 backbone slots
+        // for `NeighborTable::patch` to fall back to a rebuild, so it
+        // splices, and `verify: true` compares every spliced table with a
+        // rebuild. A batch changes at most `deaths + promoted + demoted`
+        // backbone slots, so that sum at most an eighth of the members
+        // proves the batch spliced.
+        let scenario = small_scenario(14)
+            .with_node_count(320)
+            .with_region_side(600.0);
+        let set = QuerySet::generate(&scenario, 3);
+        let churn = ChurnConfig {
+            rate: 0.008,
+            verify: true,
+        };
+        let mut sim = SteppedSim::with_churn(scenario, set, TreeSharing::Shared, churn).unwrap();
+        let mut spliced = 0;
+        while !sim.is_finished() {
+            sim.step_period().unwrap();
+            let Some(batch) = sim.churn_log().last() else {
+                continue;
+            };
+            let flips = batch.promoted + batch.demoted;
+            let members = sim.backbone_slots().len();
+            if flips > 0 && (batch.deaths + flips) * 8 <= members {
+                spliced += 1;
+            }
+        }
+        let log = sim.churn_log();
+        assert!(log
+            .iter()
+            .all(|b| b.deaths == 2 && b.verified == Some(true)));
+        assert!(spliced >= 10, "only {spliced} batches provably spliced");
     }
 
     #[test]

@@ -207,22 +207,23 @@ impl CoverageRaster {
         false
     }
 
-    /// Iterates `(sample point, coverage count)` over every lattice point the
-    /// sensing disk at `center` covers, or `None` when the disk misses the
-    /// lattice entirely. The incremental repair walks this to decide, point
-    /// by point, whether a candidate's disk is already covered (count fast
-    /// path) or needs a grid re-query.
-    pub(crate) fn disk_points(
+    /// Iterates `(y, column xs, coverage counts)` over every lattice row the
+    /// sensing disk at `center` covers — the row's y coordinate, then the x
+    /// coordinates and counts of its covered columns, in step — or `None`
+    /// when the disk misses the lattice entirely. The incremental repair
+    /// walks this to settle whole rows by their smallest count, looking
+    /// further only at the points of rows that fall short.
+    pub(crate) fn disk_rows(
         &self,
         center: Point,
-    ) -> Option<impl Iterator<Item = (Point, u32)> + '_> {
+    ) -> Option<impl Iterator<Item = (f64, &[f64], &[u32])> + '_> {
         let spans = DiskSpans::over(&self.xs, &self.ys, center, self.r2e, self.sensing_range)?;
-        Some(spans.flat_map(move |(iy, lo, hi)| {
-            let y = self.ys[iy];
-            self.counts.row(iy)[lo..=hi]
-                .iter()
-                .enumerate()
-                .map(move |(off, &c)| (Point::new(self.xs[lo + off], y), c))
+        Some(spans.map(move |(iy, lo, hi)| {
+            (
+                self.ys[iy],
+                &self.xs[lo..=hi],
+                &self.counts.row(iy)[lo..=hi],
+            )
         }))
     }
 
@@ -254,12 +255,12 @@ impl CoverageRaster {
 /// Tracks which lattice cells' coverage changed across a churn batch: the
 /// dirty region of the incremental backbone repair.
 ///
-/// Every death, join or role flip marks the disk of the affected node; the
-/// repair then restricts re-election to nodes whose sensing disk touches a
-/// dirty cell ([`DirtyRegion::touches`]) — the precise "re-run the election
-/// only over lattice cells whose coverage actually changed" filter. Marks
-/// are counted per cell (`u8`, saturating) so overlapping events stack, and
-/// [`DirtyRegion::clear`] resets the whole tracker between batches.
+/// Every death or join marks the disk of the affected node; the repair then
+/// keeps only the seeded nodes whose sensing disk touches a dirty cell
+/// ([`DirtyRegion::touches`]) — "re-run the election only over lattice cells
+/// whose coverage actually changed". Marks are counted per cell (`u8`,
+/// saturating) so overlapping events stack, and [`DirtyRegion::clear`]
+/// resets the tracker between batches.
 ///
 /// Uses the same lattice, disk-span walker and shared coverage predicate as
 /// [`CoverageRaster`], so "the cells a node's death would decrement" and
@@ -652,6 +653,38 @@ mod tests {
         assert_eq!(d.dirty_cells(), once, "re-marking adds no new dirty cells");
         d.mark_disk(Point::new(60.0, 50.0));
         assert!(d.dirty_cells() > once, "a shifted disk dirties new cells");
+    }
+
+    #[test]
+    fn clear_zeroes_every_mark() {
+        // Overlapping and repeated disks (stacked marks), one clipped at the
+        // region edge and one missing the lattice entirely.
+        let region = Rect::square(200.0);
+        let mut d = DirtyRegion::new(region, 50.0, 5.0);
+        let centers = [
+            Point::new(60.0, 60.0),
+            Point::new(80.0, 70.0),
+            Point::new(80.0, 70.0),
+            Point::new(195.0, 10.0),
+            Point::new(1100.0, 900.0),
+        ];
+        for &c in &centers {
+            d.mark_disk(c);
+        }
+        assert!(d.dirty_cells() > 0);
+        d.clear();
+        assert_eq!(d.dirty_cells(), 0);
+        let lat = *d.marks.lattice();
+        for iy in 0..lat.rows() {
+            for ix in 0..lat.cols() {
+                assert_eq!(d.marks.get(ix, iy), 0, "mark left at ({ix}, {iy})");
+            }
+        }
+        // The cleared tracker counts fresh marks from zero again.
+        d.mark_disk(centers[0]);
+        let mut once = DirtyRegion::new(region, 50.0, 5.0);
+        once.mark_disk(centers[0]);
+        assert_eq!(d.dirty_cells(), once.dirty_cells());
     }
 
     #[test]

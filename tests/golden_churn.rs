@@ -10,6 +10,11 @@
 //! from-scratch election, so these bytes also certify that repair ≡
 //! re-election held for the pinned schedule.
 //!
+//! One column is a work counter, not an outcome: `evaluated` counts the
+//! repair's worklist pops, so a change to how narrowly the repair seeds its
+//! worklist moves it while the roles, flips, backbone digest and success
+//! stay put.
+//!
 //! To update the snapshot after a *deliberate* behaviour change:
 //!
 //! ```text
