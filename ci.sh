@@ -52,6 +52,13 @@ run cargo run --release -q --bin repro -- --quick --format json --jobs 1 \
 run cargo run --release -q --bin repro -- --quick --format json --jobs 4 \
     --out target/repro-jobs4.json fig4
 run cmp target/repro-jobs1.json target/repro-jobs4.json
+# fig7 runs the predictor path, where a newer prefetch generation replaces
+# standing query trees while the old trees' events are still in flight.
+run cargo run --release -q --bin repro -- --quick --format json --jobs 1 \
+    --out target/repro-fig7-jobs1.json fig7
+run cargo run --release -q --bin repro -- --quick --format json --jobs 4 \
+    --out target/repro-fig7-jobs4.json fig7
+run cmp target/repro-fig7-jobs1.json target/repro-fig7-jobs4.json
 
 # Same gate for the multi-user multiplexing path at a 64-user fleet: every
 # trial already cross-checks shared trees against the naive one-tree-per-user

@@ -125,3 +125,39 @@ pub enum SimEvent {
         k: u64,
     },
 }
+
+impl SimEvent {
+    /// The names of the event kinds, indexed by [`SimEvent::kind`].
+    pub const KINDS: [&'static str; 12] = [
+        "ProfileDelivered",
+        "PrefetchForward",
+        "PrefetchHop",
+        "SetupBroadcast",
+        "SetupArrive",
+        "SleepingDeliver",
+        "LeafSend",
+        "DataSend",
+        "DataArrive",
+        "AggregateSend",
+        "QueryDeadline",
+        "NpLaunch",
+    ];
+
+    /// This event's kind, as an index into [`SimEvent::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            SimEvent::ProfileDelivered(_) => 0,
+            SimEvent::PrefetchForward { .. } => 1,
+            SimEvent::PrefetchHop { .. } => 2,
+            SimEvent::SetupBroadcast { .. } => 3,
+            SimEvent::SetupArrive { .. } => 4,
+            SimEvent::SleepingDeliver { .. } => 5,
+            SimEvent::LeafSend { .. } => 6,
+            SimEvent::DataSend { .. } => 7,
+            SimEvent::DataArrive { .. } => 8,
+            SimEvent::AggregateSend { .. } => 9,
+            SimEvent::QueryDeadline { .. } => 10,
+            SimEvent::NpLaunch { .. } => 11,
+        }
+    }
+}

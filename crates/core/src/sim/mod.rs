@@ -25,7 +25,6 @@ pub use churn::{ChurnBatchPlan, ChurnConfig};
 pub use event::SimEvent;
 pub use multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
 pub use output::SimulationOutput;
-pub use state::QueryState;
 pub use stepped::{SimOptions, SteppedSim};
 pub use store::{priority_for, NodeStore};
 pub use world::SimWorld;
@@ -187,12 +186,14 @@ impl Simulation {
     pub fn run(mut self) -> SimulationOutput {
         let horizon = SimTime::from_secs_f64(self.scenario.query.lifetime.as_secs_f64() + 1.0);
         self.engine.run_until(horizon);
-        let events_processed = self.engine.events_processed();
-        let world = self.engine.into_world();
-        Self::build_output(world, events_processed)
+        Self::build_output(self.engine)
     }
 
-    fn build_output(world: SimWorld, events_processed: u64) -> SimulationOutput {
+    fn build_output(engine: Engine<SimWorld>) -> SimulationOutput {
+        let events_processed = engine.events_processed();
+        let peak_pending = engine.queue().peak_len();
+        let overflow_pops = engine.queue().overflow_pops();
+        let world = engine.into_world();
         let scenario = &world.scenario;
         let duration_s = scenario.query.lifetime.as_secs_f64();
         let schedule = scenario.sleep_schedule();
@@ -244,6 +245,9 @@ impl Simulation {
             max_prefetch_length: world.max_prefetch_len,
             mean_prefetch_length,
             events_processed,
+            events_by_kind: world.events_by_kind,
+            peak_pending,
+            overflow_pops,
             query_log: world.log,
         }
     }
@@ -281,6 +285,31 @@ mod tests {
         assert!(out.trees_built > 0);
         assert!(out.events_processed > 100);
         assert!(out.backbone_count > 0 && out.backbone_count < out.node_count);
+    }
+
+    #[test]
+    fn event_counts_per_kind_sum_to_events_processed() {
+        // Greedy prefetching with the predictor: every event kind but the NP
+        // broadcast occurs, and replaced generations add stale events.
+        let scenario = small_scenario(Scheme::Greedy, 9.0, 4)
+            .with_predictor(8.0, 5.0)
+            .with_motion_change_interval(20.0);
+        let out = Simulation::new(scenario).unwrap().run();
+        assert_eq!(out.events_by_kind.iter().sum::<u64>(), out.events_processed);
+        let count = |name: &str| {
+            let kind = SimEvent::KINDS.iter().position(|&n| n == name).unwrap();
+            out.events_by_kind[kind]
+        };
+        assert_eq!(count("QueryDeadline"), out.query_log.len() as u64);
+        assert_eq!(count("NpLaunch"), 0);
+        for name in SimEvent::KINDS.iter().filter(|&&n| n != "NpLaunch") {
+            assert!(count(name) > 0, "no {name} event in a greedy run");
+        }
+        assert!(
+            out.peak_pending >= out.query_log.len(),
+            "every deadline is seeded up front"
+        );
+        assert!(out.overflow_pops > 0 && out.overflow_pops < out.events_processed);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The results of one simulation run.
 
 use crate::config::Scheme;
+use crate::sim::SimEvent;
 use wsn_metrics::QueryLog;
 
 /// Aggregated results of a single MobiQuery simulation run.
@@ -39,6 +40,14 @@ pub struct SimulationOutput {
     pub mean_prefetch_length: f64,
     /// Total number of simulation events processed.
     pub events_processed: u64,
+    /// Events processed per kind, indexed like [`SimEvent::KINDS`]; sums to
+    /// `events_processed`.
+    pub events_by_kind: [u64; SimEvent::KINDS.len()],
+    /// The most events pending in the engine's queue at once.
+    pub peak_pending: usize,
+    /// Pops the calendar queue served from its overflow heap, i.e. events
+    /// scheduled further ahead than the wheel's horizon at the time.
+    pub overflow_pops: u64,
 }
 
 impl SimulationOutput {

@@ -22,7 +22,6 @@ use crate::prefetch::PrefetchTiming;
 use crate::sim::event::SimEvent;
 use crate::sim::state::QueryState;
 use std::cell::Cell;
-use std::collections::HashMap;
 use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
 use wsn_metrics::{QueryLog, QueryRecord};
 use wsn_mobility::{MotionProfile, UserMotion};
@@ -85,7 +84,10 @@ pub struct SimWorld {
     pickup_cursor: Cell<usize>,
     pub(crate) active_profile: Option<usize>,
     pub(crate) generation: u64,
-    pub(crate) queries: HashMap<u64, QueryState>,
+    /// Per-query state by `k`, `None` before the first install of `k` and
+    /// after its deadline. Grows on the first install of each `k`, so a
+    /// built but not yet run simulation holds none of it.
+    queries: Vec<Option<QueryState>>,
     pub(crate) timing: PrefetchTiming,
     pub(crate) collection: CollectionTiming,
     pub(crate) schedule: SleepSchedule,
@@ -96,8 +98,11 @@ pub struct SimWorld {
     pub(crate) prefetch_len_samples: Vec<usize>,
     pub(crate) max_prefetch_len: usize,
     /// Number of buffered-frame deliveries offered to each power-save active
-    /// window (keyed by window index). Used by the PSM window-capacity model.
-    pub(crate) window_offered: HashMap<u64, u32>,
+    /// window, indexed by window (one counter per sleep period of the run,
+    /// grown on the first offer). Used by the PSM window-capacity model.
+    window_offered: Vec<u32>,
+    /// Events handled per kind, indexed like [`SimEvent::KINDS`].
+    pub(crate) events_by_kind: [u64; SimEvent::KINDS.len()],
     /// Recycled `Vec<NodeId>` buffers for the per-message vectors the event
     /// loop used to allocate fresh — prefetch hop paths, data-frame
     /// contribution lists, broadcast fan-out and area scans. Vectors return
@@ -164,7 +169,7 @@ impl SimWorld {
             pickup_cursor: Cell::new(0),
             active_profile: None,
             generation: 0,
-            queries: HashMap::new(),
+            queries: Vec::new(),
             timing,
             collection,
             schedule,
@@ -174,7 +179,8 @@ impl SimWorld {
             trees_built: 0,
             prefetch_len_samples: Vec::new(),
             max_prefetch_len: 0,
-            window_offered: HashMap::new(),
+            window_offered: Vec::new(),
+            events_by_kind: [0; SimEvent::KINDS.len()],
             vec_pool: Vec::new(),
             vec_pool_reuses: 0,
         }
@@ -202,17 +208,19 @@ impl SimWorld {
     }
 
     /// Index of the power-save active window containing (or starting at) `t`.
-    fn window_index(&self, t: SimTime) -> u64 {
-        t.as_micros() / self.schedule.period().as_micros().max(1)
+    fn window_index(&self, t: SimTime) -> usize {
+        let window = t.as_micros() / self.schedule.period().as_micros().max(1);
+        usize::try_from(window).expect("window indices of a run fit in usize")
     }
 
     /// Registers one buffered-frame delivery attempt offered to the window
-    /// containing `t` and returns the resulting offered count.
-    fn offer_to_window(&mut self, t: SimTime) -> u32 {
+    /// containing `t`.
+    fn offer_to_window(&mut self, t: SimTime) {
         let idx = self.window_index(t);
-        let entry = self.window_offered.entry(idx).or_insert(0);
-        *entry += 1;
-        *entry
+        if self.window_offered.len() <= idx {
+            self.window_offered.resize(idx + 1, 0);
+        }
+        self.window_offered[idx] += 1;
     }
 
     /// The probability that a buffered-frame delivery fails purely because its
@@ -222,7 +230,7 @@ impl SimWorld {
     fn window_overload_loss(&self, now: SimTime) -> f64 {
         let offered = self
             .window_offered
-            .get(&self.window_index(now))
+            .get(self.window_index(now))
             .copied()
             .unwrap_or(0);
         let capacity = self.scenario.psm_window_capacity.max(1);
@@ -235,6 +243,15 @@ impl SimWorld {
 
     fn position(&self, node: NodeId) -> Point {
         self.positions[node.index()]
+    }
+
+    /// The state of query `k`, if it is installed.
+    fn query(&self, k: u64) -> Option<&QueryState> {
+        self.queries.get(query_index(k))?.as_ref()
+    }
+
+    fn query_mut(&mut self, k: u64) -> Option<&mut QueryState> {
+        self.queries.get_mut(query_index(k))?.as_mut()
     }
 
     /// The backbone node closest to `p`, if any backbone exists.
@@ -495,7 +512,7 @@ impl SimWorld {
         // whether this particular query area still needs to be (re)built.
         self.schedule_next_forward(now, generation, k, collector, queue);
 
-        if let Some(existing) = self.queries.get(&k) {
+        if let Some(existing) = self.query(k) {
             if existing.generation >= generation {
                 return;
             }
@@ -537,10 +554,6 @@ impl SimWorld {
             plan.is_backbone(n) && positions[n.index()].distance_to(pickup) <= relay_radius
         });
 
-        let mut state = QueryState::new(k, generation, pickup, collector, now, tree);
-        state.setup_arrival.insert(collector, now);
-        state.setup_started = true;
-
         // Assign every duty-cycled node in the (predicted) area a parent: its
         // nearest tree member, if that one is within communication range —
         // the relay rule the stepped engine scores with. The lookup walks
@@ -551,9 +564,7 @@ impl SimWorld {
         // never produce.)
         let comm_range = self.scenario.radio.comm_range_m;
         self.relays.rebuild(
-            state
-                .tree
-                .order()
+            tree.order()
                 .iter()
                 .map(|n| (n.index(), self.positions[n.index()])),
         );
@@ -564,15 +575,21 @@ impl SimWorld {
                 .map(NodeId)
                 .filter(|&n| !self.plan.is_backbone(n)),
         );
+        let mut sleepers = Vec::with_capacity(sleeping_in_area.len());
         for &node in &sleeping_in_area {
             if let Some((parent, _)) = self.relays.nearest_within(self.position(node), comm_range) {
-                state.sleeping_parent.insert(node, NodeId(parent));
+                sleepers.push((node, NodeId(parent)));
             }
         }
         self.recycle_vec(sleeping_in_area);
+        let state = QueryState::new(generation, collector, now, tree, sleepers);
 
         self.trees_built += 1;
-        if let Some(stale) = self.queries.insert(k, state) {
+        let i = query_index(k);
+        if self.queries.len() <= i {
+            self.queries.resize_with(i + 1, || None);
+        }
+        if let Some(stale) = self.queries[i].replace(state) {
             // A newer generation replaced this query's tree; reuse its
             // buffers for the next build.
             self.flood_scratch.recycle(stale.tree);
@@ -603,19 +620,12 @@ impl SimWorld {
         attempt: u32,
         queue: &mut EventQueue<SimEvent>,
     ) {
-        if !self.queries.contains_key(&k) || now >= self.deadline(k) {
+        if self.query(k).is_none() || now >= self.deadline(k) {
             return;
         }
         let mut pending = self.take_vec();
-        let state = self.queries.get(&k).expect("checked above");
-        pending.extend(
-            state
-                .tree
-                .children_of(node)
-                .iter()
-                .copied()
-                .filter(|child| !state.has_setup(*child)),
-        );
+        let state = self.query(k).expect("checked above");
+        pending.extend(state.children_awaiting_setup(node));
         if pending.is_empty() {
             self.recycle_vec(pending);
             return;
@@ -659,18 +669,18 @@ impl SimWorld {
         queue: &mut EventQueue<SimEvent>,
     ) {
         let deadline = self.deadline(k);
-        let Some(state) = self.queries.get_mut(&k) else {
+        let Some(state) = self.query_mut(k) else {
             return;
         };
-        if state.has_setup(node) || now >= deadline {
+        if now >= deadline || !state.record_setup(node, now) {
             return;
         }
-        state.setup_arrival.insert(node, now);
-        let collector_pos = self.positions[state.collector.index()];
+        let collector = state.collector;
+        let collector_pos = self.positions[collector.index()];
         let du = self
             .collection
             .sub_deadline(k, self.positions[node.index()].distance_to(collector_pos));
-        let is_collector = node == state.collector;
+        let is_collector = node == collector;
         // Relay the flood onward and arm this node's aggregation timeout.
         queue.schedule_at(
             now + Duration::from_millis(1),
@@ -695,25 +705,17 @@ impl SimWorld {
         parent: NodeId,
         queue: &mut EventQueue<SimEvent>,
     ) {
-        if !self.queries.contains_key(&k) {
+        if self.query(k).is_none() {
             return;
         }
         let mut targets = self.take_vec();
-        let state = self.queries.get(&k).expect("checked above");
-        targets.extend(
-            state
-                .sleeping_parent
-                .iter()
-                .filter(|(node, p)| **p == parent && !state.sleeping_ready.contains_key(node))
-                .map(|(node, _)| *node),
-        );
+        let state = self.query(k).expect("checked above");
+        // In ascending id order, which fixes the order of the RNG draws below.
+        targets.extend(state.waiting_sleepers_of(parent));
         if targets.is_empty() {
             self.recycle_vec(targets);
             return;
         }
-        // Hash-map iteration order is unspecified; sort so that the RNG draws
-        // below happen in a deterministic order and runs are reproducible.
-        targets.sort_unstable();
         let window = self.schedule.active_window().as_secs_f64();
         for &node in &targets {
             // PSM buffering: the frame can only be handed over while the
@@ -747,15 +749,16 @@ impl SimWorld {
     ) {
         let deadline = self.deadline(k);
         let earliest_reading = self.earliest_reading(k);
-        let Some(state) = self.queries.get(&k) else {
+        let Some(state) = self.query(k) else {
             return;
         };
-        if state.sleeping_ready.contains_key(&node) || now >= deadline {
+        let Some(sleeper) = state.sleeper(node) else {
+            return;
+        };
+        if state.is_ready(sleeper) || now >= deadline {
             return;
         }
-        let Some(&parent) = state.sleeping_parent.get(&node) else {
-            return;
-        };
+        let parent = state.relay(sleeper);
         let setup_bytes = self.scenario.messages.setup_bytes;
         let outcome = self
             .channel
@@ -779,7 +782,7 @@ impl SimWorld {
             // does not collapse into a single collision burst.
             let reading_time = earliest_reading.max(arrival);
             let collector_pos = {
-                let state = self.queries.get(&k).expect("state present");
+                let state = self.query(k).expect("state present");
                 self.positions[state.collector.index()]
             };
             let parent_du = self
@@ -792,8 +795,8 @@ impl SimWorld {
             let jitter = Duration::from_secs_f64(
                 self.rng.gen_range_f64(0.0, (slack * 0.5).clamp(1e-4, 0.25)),
             );
-            let state = self.queries.get_mut(&k).expect("state present");
-            state.sleeping_ready.insert(node, arrival);
+            let state = self.query_mut(k).expect("state present");
+            state.mark_ready(sleeper, arrival);
             let send_time = reading_time + jitter;
             if send_time < deadline {
                 queue.schedule_at(send_time, SimEvent::LeafSend { k, node });
@@ -839,12 +842,13 @@ impl SimWorld {
         node: NodeId,
         queue: &mut EventQueue<SimEvent>,
     ) {
-        let Some(state) = self.queries.get(&k) else {
+        let Some(state) = self.query(k) else {
             return;
         };
-        let Some(&parent) = state.sleeping_parent.get(&node) else {
+        let Some(sleeper) = state.sleeper(node) else {
             return;
         };
+        let parent = state.relay(sleeper);
         if now >= self.deadline(k) {
             return;
         }
@@ -919,19 +923,14 @@ impl SimWorld {
         contributions: Vec<NodeId>,
     ) {
         let deadline = self.deadline(k);
-        if let Some(state) = self.queries.get_mut(&k) {
+        if let Some(state) = self.query_mut(k) {
             if node == state.collector {
                 if now <= deadline {
-                    state
-                        .collector_received
-                        .extend(contributions.iter().copied());
+                    state.deliver_to_collector(&contributions);
                 }
-            } else if !state.sent.contains(&node) {
-                state.accumulate(node, contributions.iter().copied());
+            } else {
+                state.accumulate(node, &contributions);
             }
-            // Contributions arriving at an interior node after it already
-            // forwarded its aggregate are lost — exactly the cost of the
-            // timeout scheme the paper describes.
         }
         self.recycle_vec(contributions);
     }
@@ -945,38 +944,32 @@ impl SimWorld {
     ) {
         let deadline = self.deadline(k);
         let earliest_reading = self.earliest_reading(k);
-        let Some(state) = self.queries.get_mut(&k) else {
-            return;
-        };
-        if state.sent.contains(&node) || now > deadline {
+        if now > deadline || self.query(k).is_none() {
             return;
         }
-        state.sent.insert(node);
-        let mut set = state.take_accumulated(node);
+        let mut contributions = self.take_vec();
+        let state = self.query_mut(k).expect("checked above");
+        if !state.take_aggregate(node, &mut contributions) {
+            self.recycle_vec(contributions);
+            return;
+        }
         // The node's own reading: available once both its setup arrived and
         // the freshness window opened.
-        if let Some(&setup_at) = state.setup_arrival.get(&node) {
+        if let Some(setup_at) = state.setup_time(node) {
             if earliest_reading.max(setup_at) <= now {
-                set.insert(node);
+                contributions.push(node);
             }
         }
-        if set.is_empty() {
+        if contributions.is_empty() {
+            self.recycle_vec(contributions);
             return;
         }
-        let parent = state.tree.parent_of(node);
-        let collector = state.collector;
-        let mut contributions = self.take_vec();
-        contributions.extend(set.iter().copied());
         contributions.sort_unstable();
-        match parent {
+        contributions.dedup();
+        match state.tree.parent_of(node) {
             None => {
-                // This is the collector (or an orphan): deliver locally.
-                if node == collector && now <= deadline {
-                    let state = self.queries.get_mut(&k).expect("state present");
-                    state
-                        .collector_received
-                        .extend(contributions.iter().copied());
-                }
+                // The collector: deliver locally.
+                state.deliver_to_collector(&contributions);
                 self.recycle_vec(contributions);
             }
             Some(parent) => self.send_data(now, k, node, parent, contributions, 0, queue),
@@ -995,24 +988,27 @@ impl SimWorld {
         nodes_in_area.extend(self.all_nodes_grid.query_circle(area).map(NodeId));
 
         // Sample the prefetch length (trees standing for future queries).
-        let ahead = self.queries.keys().filter(|&&j| j > k).count();
+        let ahead = self
+            .queries
+            .iter()
+            .skip(query_index(k) + 1)
+            .filter(|q| q.is_some())
+            .count();
         self.prefetch_len_samples.push(ahead);
         self.max_prefetch_len = self.max_prefetch_len.max(ahead);
 
-        let record = match self.queries.remove(&k) {
+        let state = self.queries.get_mut(query_index(k)).and_then(Option::take);
+        let record = match state {
             None => QueryRecord::missed(k, deadline, nodes_in_area.len()),
             Some(mut state) => {
                 // The collector adds its own fresh reading as it hands the
                 // result to the user.
-                if let Some(&setup_at) = state.setup_arrival.get(&state.collector) {
+                if let Some(setup_at) = state.setup_time(state.collector) {
                     if self.earliest_reading(k).max(setup_at) <= now {
-                        state.collector_received.insert(state.collector);
+                        state.deliver_to_collector(&[state.collector]);
                     }
                 }
-                let contributing = nodes_in_area
-                    .iter()
-                    .filter(|n| state.collector_received.contains(n))
-                    .count();
+                let contributing = state.contributing(&nodes_in_area);
                 let record = QueryRecord {
                     seq: k,
                     deadline,
@@ -1042,10 +1038,16 @@ impl SimWorld {
     }
 }
 
+/// Index of query `k` in [`SimWorld::queries`].
+fn query_index(k: u64) -> usize {
+    usize::try_from(k).expect("query numbers of a run fit in usize")
+}
+
 impl World for SimWorld {
     type Event = SimEvent;
 
     fn handle(&mut self, now: SimTime, event: SimEvent, queue: &mut EventQueue<SimEvent>) {
+        self.events_by_kind[event.kind()] += 1;
         match event {
             SimEvent::ProfileDelivered(index) => self.handle_profile_delivered(now, index, queue),
             SimEvent::PrefetchForward {

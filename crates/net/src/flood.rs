@@ -88,8 +88,10 @@ impl FloodTree {
         &self.order
     }
 
-    /// The slot (BFS discovery index) of `node`, if reached.
-    fn slot_of(&self, node: NodeId) -> Option<usize> {
+    /// The slot of `node` (its index in BFS discovery order, root = 0), if
+    /// reached. Slots are dense in `0..len()`, so per-member state can live
+    /// in plain columns indexed by slot.
+    pub fn slot(&self, node: NodeId) -> Option<usize> {
         self.slots
             .binary_search_by_key(&node, |&(n, _)| n)
             .ok()
@@ -98,12 +100,12 @@ impl FloodTree {
 
     /// Returns `true` when `node` was reached by the flood.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.slot_of(node).is_some()
+        self.slot(node).is_some()
     }
 
     /// The parent of `node`, or `None` for the root or unreached nodes.
     pub fn parent_of(&self, node: NodeId) -> Option<NodeId> {
-        let slot = self.slot_of(node)?;
+        let slot = self.slot(node)?;
         match self.parent_slot[slot] {
             NO_PARENT => None,
             p => Some(self.order[p as usize]),
@@ -112,7 +114,7 @@ impl FloodTree {
 
     /// Hop distance of `node` from the root, if reached.
     pub fn depth_of(&self, node: NodeId) -> Option<u32> {
-        self.slot_of(node).map(|slot| self.hop[slot])
+        self.slot(node).map(|slot| self.hop[slot])
     }
 
     /// The maximum hop distance of any reached node (the tree's depth).
@@ -127,20 +129,26 @@ impl FloodTree {
     ///
     /// Unreached nodes have no children.
     pub fn children_of(&self, node: NodeId) -> &[NodeId] {
-        match self.slot_of(node) {
+        match self.slot(node) {
             None => &[],
-            Some(slot) => {
-                let lo = self.children_start[slot] as usize;
-                let hi = self.children_start[slot + 1] as usize;
-                &self.order[lo..hi]
-            }
+            Some(slot) => &self.order[self.child_slots(slot)],
         }
+    }
+
+    /// The slots of the children of the member at `slot`: a BFS parent
+    /// discovers all its children consecutively, so they are one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is not below [`len`](Self::len).
+    pub fn child_slots(&self, slot: usize) -> std::ops::Range<usize> {
+        self.children_start[slot] as usize..self.children_start[slot + 1] as usize
     }
 
     /// The path from `node` up to the root (inclusive of both), or `None`
     /// when the node was not reached.
     pub fn path_to_root(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut slot = self.slot_of(node)?;
+        let mut slot = self.slot(node)?;
         let mut path = vec![self.order[slot]];
         while self.parent_slot[slot] != NO_PARENT {
             slot = self.parent_slot[slot] as usize;
@@ -258,6 +266,19 @@ mod tests {
         assert_eq!(tree.depth_of(NodeId(5)), Some(5));
         assert_eq!(tree.order()[0], NodeId(0));
         assert_eq!(tree.root(), NodeId(0));
+    }
+
+    #[test]
+    fn slots_index_the_bfs_order() {
+        let table = line_table(5);
+        let tree = FloodTree::build(NodeId(2), &table, |n| n != NodeId(4));
+        assert_eq!(tree.slot(NodeId(2)), Some(0));
+        for (i, &n) in tree.order().iter().enumerate() {
+            assert_eq!(tree.slot(n), Some(i));
+            let children: Vec<NodeId> = tree.child_slots(i).map(|c| tree.order()[c]).collect();
+            assert_eq!(children, tree.children_of(n));
+        }
+        assert_eq!(tree.slot(NodeId(4)), None);
     }
 
     #[test]

@@ -117,6 +117,10 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
+    /// Most events pending at once (a high-water mark: `clear` keeps it).
+    peak_len: usize,
+    /// Pops served by the overflow heap rather than the wheel.
+    overflow_pops: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -138,6 +142,8 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
+            peak_len: 0,
+            overflow_pops: 0,
         }
     }
 
@@ -149,6 +155,17 @@ impl<E> EventQueue<E> {
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// The most events that were ever pending at once.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// How many pops were served by the overflow heap: events scheduled
+    /// beyond the wheel's horizon (one revolution from "now") at the time.
+    pub fn overflow_pops(&self) -> u64 {
+        self.overflow_pops
     }
 
     /// Returns `true` when no events are pending.
@@ -172,6 +189,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
         if self.wheel_len + 1 > self.buckets.len() * MAX_LOAD {
             self.grow();
         }
@@ -219,6 +237,7 @@ impl<E> EventQueue<E> {
         self.len -= 1;
         if take_overflow {
             // The wheel's cached minimum is untouched: no slot moved.
+            self.overflow_pops += 1;
             let event = self.overflow.pop().expect("peeked above");
             debug_assert!(event.time >= self.now, "event queue time went backwards");
             self.now = event.time;
@@ -505,6 +524,25 @@ mod tests {
         // A cleared wheel keeps working (and keeps its bucket capacity).
         q.schedule_at(SimTime::from_secs(9), 9);
         assert_eq!(q.pop().unwrap().event, 9);
+    }
+
+    #[test]
+    fn peak_len_and_overflow_pops_count_what_happened() {
+        let mut q = EventQueue::new();
+        for i in 0..3 {
+            q.schedule_at(SimTime::from_millis(i), i);
+        }
+        q.pop();
+        q.schedule_at(SimTime::from_millis(5), 5);
+        assert_eq!(q.peak_len(), 3, "never more than three pending at once");
+        // Far past one revolution of the 16-day wheel (~0.26 s): overflow.
+        q.schedule_at(SimTime::from_secs(1_000), 1_000);
+        assert_eq!(q.peak_len(), 4);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, [1, 2, 5, 1_000]);
+        assert_eq!(q.overflow_pops(), 1);
+        q.clear();
+        assert_eq!(q.peak_len(), 4, "clearing keeps the high-water mark");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! The seed is chosen so that the MQ-JIT predictor run also meets the rarest
 //! case of that path: a replaced tree's setup message reaching a node outside
-//! the tree that replaced it (twice in that run; a few seeds in a hundred
-//! have it at all). The engine must still relay and time out such a node
-//! once, as it does for a member.
+//! the tree that replaced it (twice in that run; of seeds 1–150, only this
+//! one has it under MQ-JIT). The engine must still relay and time out such
+//! a node once, as it does for a member.
 //!
 //! Each run pins its event, frame and tree counts, the largest prefetch
 //! length, the exact bits of the mean sleeping-node power and an FNV-1a
