@@ -24,11 +24,13 @@ run cargo test -q
 # Every other member's unit/property/doc tests (the facade just ran).
 run cargo test -q --workspace --exclude mobiquery-repro
 
-# The churn equivalence proptests get 8x the shim's default 128 cases: the
-# incremental backbone repair against a full re-election, and the patched
-# neighbour table against a rebuild.
+# The equivalence proptests get 8x the shim's default 128 cases: the
+# incremental backbone repair against a full re-election, the patched
+# neighbour table against a rebuild, and the calendar event queue against
+# its BTreeMap model (the queue's only reference check).
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test repair_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equivalence
+run env PROPTEST_CASES=1024 cargo test -q -p wsn-sim --test properties
 
 # Benches must keep compiling (clippy lints them, but only --no-run proves
 # the harness links). The raster-vs-reference election bench is named
@@ -36,7 +38,6 @@ run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equiv
 run cargo bench --no-run -q
 run cargo bench --no-run -q -p mobiquery-bench --bench ccp_election
 run cargo bench --no-run -q -p mobiquery-bench --bench tree_sharing
-run cargo bench --no-run -q -p mobiquery-bench --bench event_queue
 
 # The examples and the CLI must stay runnable, not just compilable.
 for ex in quickstart firefighter rescue_robot duty_cycle_tuning parallel_sweep; do
@@ -121,19 +122,18 @@ run cmp target/load-jobs1.json target/load-jobs4.json
 run cargo run --release -q --bin repro -- --quick --users 100 \
     --bench target/BENCH_repro.json --scale 1000,2000 all
 
-# bench/v8 sanity: schema, host metadata, per-phase setup breakdown, the
-# raster-election regression bound, the event-loop section (calendar-vs-
-# heap hold model, events/sec throughput, steady_allocs_per_period == 0,
-# and on the committed full sweep the multiuser serial hot loop and 20k
-# run beating the bench/v6 snapshot), the multi-user tree economy (shared
-# cache strictly beating one-tree-per-user at 100+ user fleets), the churn
-# section (incremental repair beating full re-election at scale under
-# light churn), the service load section and the resilience ladder
-# (recovery-on strictly beating recovery-off on mean delivery at every
-# nonzero loss), enforced by the script shared with the hosted workflow —
-# on both the fresh run and the committed snapshot. The markdown renderer
-# the workflow feeds $GITHUB_STEP_SUMMARY with must keep accepting both
-# documents too.
+# bench/v9 sanity: schema, host metadata, per-phase setup breakdown, the
+# raster-election regression bound, the event loop (events/sec throughput,
+# steady_allocs_per_period == 0, and on the committed full sweep the
+# multiuser serial hot loop and 20k run beating the bench/v6 snapshot),
+# the multi-user tree economy (shared cache strictly beating one-tree-per-
+# user at 100+ user fleets), the churn section (incremental repair beating
+# full re-election at scale under light churn), the service load section
+# and the resilience ladder (recovery-on strictly beating recovery-off on
+# mean delivery at every nonzero loss), enforced by the script shared with
+# the hosted workflow — on both the fresh run and the committed snapshot.
+# The markdown renderer the workflow feeds $GITHUB_STEP_SUMMARY with must
+# keep accepting both documents too.
 run python3 scripts/check_bench.py target/BENCH_repro.json
 run python3 scripts/check_bench.py BENCH_repro.json
 run python3 scripts/bench_summary.py "fresh quick run" target/BENCH_repro.json >/dev/null

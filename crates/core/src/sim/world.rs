@@ -21,7 +21,6 @@ use crate::config::{Scenario, Scheme};
 use crate::prefetch::PrefetchTiming;
 use crate::sim::event::SimEvent;
 use crate::sim::state::QueryState;
-use std::cell::Cell;
 use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
 use wsn_metrics::{QueryLog, QueryRecord};
 use wsn_mobility::{MotionProfile, UserMotion};
@@ -78,10 +77,6 @@ pub struct SimWorld {
     pub(crate) rng: SimRng,
     pub(crate) motion: UserMotion,
     pub(crate) profiles: Vec<MotionProfile>,
-    /// Cursor into `profiles` remembering the last profile found to be in
-    /// force; profiles arrive sorted by `effective_from`, so pickup
-    /// prediction resumes from here instead of rescanning the whole history.
-    pickup_cursor: Cell<usize>,
     pub(crate) active_profile: Option<usize>,
     pub(crate) generation: u64,
     /// Per-query state by `k`, `None` before the first install of `k` and
@@ -166,7 +161,6 @@ impl SimWorld {
             rng,
             motion,
             profiles,
-            pickup_cursor: Cell::new(0),
             active_profile: None,
             generation: 0,
             queries: Vec::new(),
@@ -288,26 +282,12 @@ impl SimWorld {
     /// Index of the delivered profile in force at `deadline`: among indices
     /// `0..=last`, the one with the latest `effective_from` not exceeding the
     /// deadline (ties resolve to the highest index), or `last` when none
-    /// qualifies yet.
-    ///
-    /// Profiles are delivered sorted by `effective_from` (asserted in
-    /// [`SimWorld::new`]), so instead of rescanning the whole history on
-    /// every call a cursor resumes from the previously found profile and
-    /// walks at most a few entries in either direction — amortised O(1) over
-    /// a run's monotone-ish deadline sequence.
+    /// qualifies yet. Profiles are delivered sorted by `effective_from`
+    /// (asserted in [`SimWorld::new`]), so a binary search finds it.
     fn profile_in_force(&self, last: usize, deadline: SimTime) -> usize {
-        let mut c = self.pickup_cursor.get().min(last);
-        while c < last && self.profiles[c + 1].effective_from <= deadline {
-            c += 1;
-        }
-        while c > 0 && self.profiles[c].effective_from > deadline {
-            c -= 1;
-        }
-        self.pickup_cursor.set(c);
-        if self.profiles[c].effective_from <= deadline {
-            c
-        } else {
-            last
+        match self.profiles[..=last].partition_point(|p| p.effective_from <= deadline) {
+            0 => last,
+            in_force => in_force - 1,
         }
     }
 

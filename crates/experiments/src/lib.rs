@@ -22,7 +22,6 @@
 
 pub mod analysis_tables;
 pub mod churn;
-pub mod eventq;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;

@@ -123,23 +123,6 @@ impl<W: World> Engine<W> {
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
-
-    /// Processes exactly one pending event, if any. Returns `true` when an
-    /// event was processed. Useful for lock-step debugging and tests.
-    pub fn step(&mut self) -> bool {
-        if self.processed >= self.event_budget {
-            return false;
-        }
-        match self.queue.pop() {
-            None => false,
-            Some(scheduled) => {
-                self.processed += 1;
-                self.world
-                    .handle(scheduled.time, scheduled.event, &mut self.queue);
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,17 +211,6 @@ mod tests {
         let outcome = engine.run_to_completion();
         assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
         assert_eq!(engine.events_processed(), 3);
-    }
-
-    #[test]
-    fn step_processes_one_event() {
-        let mut engine = Engine::new(Recorder::default());
-        engine.queue_mut().schedule_at(SimTime::ZERO, Ev::Mark(1));
-        engine.queue_mut().schedule_at(SimTime::ZERO, Ev::Mark(2));
-        assert!(engine.step());
-        assert_eq!(engine.world().seen.len(), 1);
-        assert!(engine.step());
-        assert!(!engine.step());
     }
 
     #[test]

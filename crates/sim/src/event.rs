@@ -1,24 +1,15 @@
-//! The pending-event queue.
-//!
-//! Two implementations share one contract (pop order is the total order
-//! `(time, seq)`, i.e. time order with FIFO tie-breaking):
-//!
-//! - [`EventQueue`] — a calendar queue (timing wheel), the textbook
-//!   discrete-event scheduler: O(1) amortized insert/pop over bucketed
-//!   time bands, and **allocation-free in steady state** (buckets retain
-//!   their capacity, the bucket array only ever grows).
-//! - [`HeapEventQueue`] — the original `BinaryHeap` scheduler, kept as the
-//!   equality-asserted reference (property tests and the `event_queue`
-//!   criterion bench drive both and assert identical pop sequences).
-//!
-//! Because both orders are the same total order, swapping the calendar queue
-//! in changes no simulation output — golden fixtures stay byte-identical.
+//! The pending-event queue: a calendar queue (timing wheel), the textbook
+//! discrete-event scheduler. Pop order is the total order `(time, seq)`,
+//! i.e. time order with FIFO tie-breaking; insert and pop are O(1)
+//! amortized over bucketed time bands, and the queue is **allocation-free
+//! in steady state** (buckets retain their capacity, the bucket array only
+//! ever grows).
 
 use crate::time::{Duration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An event scheduled for execution, as stored in the queues.
+/// An event scheduled for execution, as stored in the queue.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
@@ -116,8 +107,7 @@ pub struct EventQueue<E> {
     shift: u32,
     now: SimTime,
     next_seq: u64,
-    scheduled_total: u64,
-    /// Most events pending at once (a high-water mark: `clear` keeps it).
+    /// Most events pending at once (a high-water mark).
     peak_len: usize,
     /// Pops served by the overflow heap rather than the wheel.
     overflow_pops: u64,
@@ -141,7 +131,6 @@ impl<E> EventQueue<E> {
             shift: INITIAL_SHIFT,
             now: SimTime::ZERO,
             next_seq: 0,
-            scheduled_total: 0,
             peak_len: 0,
             overflow_pops: 0,
         }
@@ -173,11 +162,6 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// Schedules `event` at absolute time `time`.
     ///
     /// Times in the past are clamped to "now": protocol code frequently
@@ -187,7 +171,6 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         if self.wheel_len + 1 > self.buckets.len() * MAX_LOAD {
@@ -250,19 +233,6 @@ impl<E> EventQueue<E> {
         self.now = time;
         self.next = self.find_next();
         Some(event)
-    }
-
-    /// Removes all pending events without changing the clock. Buckets and the
-    /// overflow heap keep their capacity, so refilling after a clear
-    /// allocates nothing.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.len = 0;
-        self.wheel_len = 0;
-        self.next = None;
     }
 
     fn bucket_of(&self, time: SimTime) -> usize {
@@ -372,88 +342,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap` scheduler, kept as the equality-asserted
-/// reference for the calendar-queue [`EventQueue`]. Same API, same pop order
-/// (`(time, seq)` total order); O(log n) insert/pop and it allocates as the
-/// heap grows.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    now: SimTime,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// The current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events currently pending.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Schedules `event` at absolute time `time` (past times clamp to now).
-    pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        let time = time.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(ScheduledEvent { time, seq, event });
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
-    /// Time of the next pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Removes and returns the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let next = self.heap.pop()?;
-        debug_assert!(next.time >= self.now, "event queue time went backwards");
-        self.now = next.time;
-        Some(next)
-    }
-
-    /// Removes all pending events without changing the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,22 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule_at(SimTime::from_secs(i), i);
-        }
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.scheduled_total(), 5);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 5);
-        // A cleared wheel keeps working (and keeps its bucket capacity).
-        q.schedule_at(SimTime::from_secs(9), 9);
-        assert_eq!(q.pop().unwrap().event, 9);
-    }
-
-    #[test]
     fn peak_len_and_overflow_pops_count_what_happened() {
         let mut q = EventQueue::new();
         for i in 0..3 {
@@ -541,8 +413,6 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, [1, 2, 5, 1_000]);
         assert_eq!(q.overflow_pops(), 1);
-        q.clear();
-        assert_eq!(q.peak_len(), 4, "clearing keeps the high-water mark");
     }
 
     #[test]
@@ -574,43 +444,5 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(500_000_000)));
         assert_eq!(q.pop().unwrap().event, "farther");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_matches_heap_reference() {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for round in 0..200 {
-            for _ in 0..(step() % 8) {
-                let t = SimTime::from_micros(step() % 50_000_000);
-                cal.schedule_at(t, round);
-                heap.schedule_at(t, round);
-            }
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            for _ in 0..(step() % 6) {
-                let (a, b) = (cal.pop(), heap.pop());
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                    }
-                    other => panic!("queues diverged: {other:?}"),
-                }
-                assert_eq!(cal.now(), heap.now());
-                assert_eq!(cal.len(), heap.len());
-            }
-        }
-        while let Some(a) = cal.pop() {
-            let b = heap.pop().expect("heap ended early");
-            assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-        }
-        assert!(heap.pop().is_none());
     }
 }

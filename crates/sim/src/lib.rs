@@ -59,6 +59,6 @@ pub mod stats;
 mod time;
 
 pub use engine::{Engine, RunOutcome, World};
-pub use event::{EventQueue, HeapEventQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use rng::{mix_seed, SimRng};
 pub use time::{Duration, SimTime};

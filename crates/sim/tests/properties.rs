@@ -1,7 +1,42 @@
 //! Property-based tests for the discrete-event engine.
 
 use proptest::prelude::*;
-use wsn_sim::{Duration, Engine, EventQueue, HeapEventQueue, SimRng, SimTime, World};
+use std::collections::BTreeMap;
+use wsn_sim::{Duration, Engine, EventQueue, SimRng, SimTime, World};
+
+/// The event queue's contract, written as plainly as possible: pending
+/// events keyed by `(time, seq)`, so the next event is `pop_first`; times
+/// before the clock clamp to it, and popping advances it.
+#[derive(Debug, Default)]
+struct ModelQueue {
+    pending: BTreeMap<(SimTime, u64), u64>,
+    now: SimTime,
+    next_seq: u64,
+    /// High-water mark of `pending.len()`.
+    peak: usize,
+    /// Events popped so far.
+    pops: u64,
+}
+
+impl ModelQueue {
+    fn schedule_at(&mut self, time: SimTime, event: u64) {
+        self.pending
+            .insert((time.max(self.now), self.next_seq), event);
+        self.next_seq += 1;
+        self.peak = self.peak.max(self.pending.len());
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let ((time, seq), event) = self.pending.pop_first()?;
+        self.now = time;
+        self.pops += 1;
+        Some((time, seq, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.keys().next().map(|&(time, _)| time)
+    }
+}
 
 /// A world that records the times of every event it sees.
 #[derive(Debug, Default)]
@@ -72,60 +107,73 @@ proptest! {
         prop_assert!(engine.world().times.len() >= before);
     }
 
-    /// The calendar queue pops in exactly the order of the retired
-    /// `BinaryHeap` reference across random interleavings of schedules and
-    /// pops — including heavy ties (FIFO stability), far-future outliers
-    /// (more than a wheel revolution ahead) and past times that clamp to now.
+    /// The calendar queue behaves exactly like [`ModelQueue`] across random
+    /// interleavings of schedules and pops: the same events in the same
+    /// order at the same clock, with the same pending count, next time and
+    /// high-water mark after every step. The mix covers heavy ties (FIFO
+    /// stability, in the wheel and in the overflow heap), times the clock
+    /// has already passed (the clamp), relative schedules and far-future
+    /// outliers (more than a wheel revolution ahead).
     #[test]
-    fn calendar_queue_matches_heap_reference(ops in proptest::collection::vec(any::<u64>(), 1..400)) {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+    fn event_queue_matches_the_model(ops in proptest::collection::vec(any::<u64>(), 1..400)) {
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = ModelQueue::default();
         for (i, &op) in ops.iter().enumerate() {
-            match op % 5 {
-                // Dense band: lots of collisions within a few wheel days.
+            let payload = i as u64;
+            match op % 6 {
+                // Dense band on a 50 µs grid: many exact ties, and once the
+                // clock has entered the band, many times already past.
                 0 | 1 => {
-                    let t = SimTime::from_micros((op >> 3) % 100_000);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
+                    let t = SimTime::from_micros((op >> 3) % 2_000 * 50);
+                    queue.schedule_at(t, payload);
+                    model.schedule_at(t, payload);
                 }
                 // Exact tie at a fixed instant: FIFO order must hold.
                 2 => {
                     let t = SimTime::from_secs(7);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
+                    queue.schedule_at(t, payload);
+                    model.schedule_at(t, payload);
                 }
-                // Far future: beyond one revolution of the initial wheel.
+                // Relative to the clock, as the simulation schedules.
                 3 => {
-                    let t = SimTime::from_secs(1_000 + (op >> 3) % 1_000_000_000);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
+                    let delay = Duration::from_micros((op >> 3) % 50_000);
+                    queue.schedule_in(delay, payload);
+                    model.schedule_at(model.now.saturating_add(delay), payload);
                 }
-                // Pop: both queues must agree on the event and the clock.
+                // Far future: beyond one revolution of the wheel.
+                4 => {
+                    let t = SimTime::from_secs(1_000 + (op >> 3) % 1_000_000_000);
+                    queue.schedule_at(t, payload);
+                    model.schedule_at(t, payload);
+                }
                 _ => {
-                    match (cal.pop(), heap.pop()) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                        }
-                        (a, b) => prop_assert!(false, "queues diverged: {:?} vs {:?}", a, b),
-                    }
-                    prop_assert_eq!(cal.now(), heap.now());
+                    let got = queue.pop().map(|ev| (ev.time, ev.seq, ev.event));
+                    prop_assert_eq!(got, model.pop(), "op {} popped something else", i);
                 }
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(queue.now(), model.now);
+            prop_assert_eq!(queue.peek_time(), model.peek_time());
+            prop_assert_eq!(queue.len(), model.pending.len());
+            prop_assert_eq!(queue.is_empty(), model.pending.is_empty());
+            prop_assert_eq!(queue.peak_len(), model.peak);
+            prop_assert!(
+                queue.overflow_pops() <= model.pops,
+                "{} overflow pops out of {} pops", queue.overflow_pops(), model.pops
+            );
         }
         // Drain both: the tails must be identical too.
         loop {
-            match (cal.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                }
-                (a, b) => prop_assert!(false, "queues diverged while draining: {:?} vs {:?}", a, b),
+            let got = queue.pop().map(|ev| (ev.time, ev.seq, ev.event));
+            let want = model.pop();
+            prop_assert_eq!(got, want, "the drain popped something else");
+            prop_assert_eq!(queue.now(), model.now);
+            prop_assert_eq!(queue.len(), model.pending.len());
+            prop_assert!(queue.overflow_pops() <= model.pops);
+            if want.is_none() {
+                break;
             }
         }
-        prop_assert_eq!(cal.scheduled_total(), heap.scheduled_total());
+        prop_assert_eq!(queue.peak_len(), model.peak);
     }
 
     /// The RNG produces identical streams for identical seeds and stays in range.

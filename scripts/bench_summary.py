@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a mobiquery-repro/bench/v8 document as GitHub-flavored markdown.
+"""Render a mobiquery-repro/bench/v9 document as GitHub-flavored markdown.
 
 Used by .github/workflows/ci.yml to append both the fresh bench run and the
 committed BENCH_repro.json trajectory to $GITHUB_STEP_SUMMARY:
@@ -40,26 +40,13 @@ def figures_table(doc):
     return table(["target", "serial ms", "parallel ms", "speedup"], rows)
 
 
-def event_queue_table(doc):
-    rows = [
-        [
-            e["hold"],
-            e["events"],
-            e["calendar_ns_per_op"],
-            e["heap_ns_per_op"],
-            e["speedup"],
-        ]
-        for e in doc.get("event_queue", [])
-    ]
-    body = table(
-        ["hold", "events", "calendar ns/op", "heap ns/op", "speedup"], rows
+def steady_allocs_line(doc):
+    if "steady_allocs_per_period" not in doc:
+        return ""
+    return (
+        f"Steady-state heap allocations per period: "
+        f"**{doc['steady_allocs_per_period']}**\n"
     )
-    if body and "steady_allocs_per_period" in doc:
-        body += (
-            f"\nSteady-state heap allocations per period: "
-            f"**{doc['steady_allocs_per_period']}**\n"
-        )
-    return body
 
 
 def scale_table(doc):
@@ -220,8 +207,8 @@ def render(title, doc):
         f"`{doc.get('schema', '?')}` — mode {doc.get('mode', '?')}, "
         f"{doc.get('host_cores', '?')} host cores, "
         f"{doc.get('parallel_jobs', '?')} parallel jobs\n",
+        steady_allocs_line(doc),
         section("Per-target serial vs parallel", figures_table(doc)),
-        section("Event loop: calendar queue vs heap", event_queue_table(doc)),
         section("Scale sweep", scale_table(doc)),
         section("Multi-user tree economy", multiuser_table(doc)),
         section("Churn: incremental repair vs full re-election", churn_table(doc)),

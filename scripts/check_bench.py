@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanity-check a mobiquery-repro/bench/v8 document.
+"""Sanity-check a mobiquery-repro/bench/v9 document.
 
 Shared by ci.sh and .github/workflows/ci.yml so the schema contract and the
 committed baseline figures live in exactly one place. Asserts:
@@ -23,9 +23,8 @@ committed baseline figures live in exactly one place. Asserts:
   and — at large deployments under light churn, where repair is the whole
   point — a mean per-batch repair cost at least REPAIR_ADVANTAGE times
   below one full election;
-* the event-loop section (v7): the calendar-queue-vs-heap hold
-  model with both timings positive, `steady_allocs_per_period` exactly
-  zero (the counting-allocator figure the zero_alloc test enforces), the
+* the event loop (v7): `steady_allocs_per_period` exactly zero (the
+  counting-allocator figure the zero_alloc test enforces), the
   `events_per_sec` throughput fields, and — when a document carries the
   full committed sweep (250-user fleet / 20k-node entry) — the multiuser
   serial hot loop and the 20k run no slower than the last bench/v6
@@ -249,21 +248,6 @@ def check_service(doc):
 
 
 def check_event_loop(doc):
-    entries = doc.get("event_queue")
-    assert entries, "the event_queue hold-model comparison is missing"
-    for entry in entries:
-        hold = entry.get("hold", 0)
-        label = f"event_queue/hold={hold}"
-        assert hold >= 1, f"{label}: malformed hold size"
-        assert entry.get("events", 0) >= 1, f"{label}: no events driven"
-        # The traces are equality-asserted in-process before timing, so the
-        # document only needs both timings to exist and be sane.
-        assert entry.get("calendar_ns_per_op", 0) > 0, (
-            f"{label}: calendar timing missing or non-positive"
-        )
-        assert entry.get("heap_ns_per_op", 0) > 0, (
-            f"{label}: heap reference timing missing or non-positive"
-        )
     allocs = doc.get("steady_allocs_per_period")
     assert allocs == 0, (
         f"steady state allocated {allocs} times per period; the warm loop "
@@ -316,7 +300,7 @@ def check_resilience(doc):
 
 
 def check_doc(doc):
-    assert doc["schema"] == "mobiquery-repro/bench/v8", doc["schema"]
+    assert doc["schema"] == "mobiquery-repro/bench/v9", doc["schema"]
     assert doc.get("host_cores", 0) >= 1, "host_cores missing from bench header"
     assert doc.get("users", 0) >= 1, "users missing from bench header"
     check_event_loop(doc)
@@ -332,7 +316,7 @@ def main(path):
         doc = json.load(f)
     check_doc(doc)
     print(
-        "bench/v8 setup breakdown + event loop + multiuser tree economy + "
+        "bench/v9 setup breakdown + event loop + multiuser tree economy + "
         "churn repair + service load + resilience recovery dominance OK"
     )
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench.py, the bench/v8 schema gate.
+"""Unit tests for check_bench.py, the bench/v9 schema gate.
 
 Run from the repository root (the CI lint job does exactly this):
 
@@ -18,18 +18,9 @@ import check_bench
 def valid_doc():
     """The smallest document every check in check_bench.py accepts."""
     return {
-        "schema": "mobiquery-repro/bench/v8",
+        "schema": "mobiquery-repro/bench/v9",
         "host_cores": 4,
         "users": 8,
-        "event_queue": [
-            {
-                "hold": 64,
-                "events": 20000,
-                "calendar_ns_per_op": 12.0,
-                "heap_ns_per_op": 22.0,
-                "speedup": 1.83,
-            }
-        ],
         "steady_allocs_per_period": 0,
         "scale": [
             {
@@ -147,7 +138,7 @@ class CheckDocTest(unittest.TestCase):
 
     def test_wrong_schema_rejected(self):
         self.assert_rejected(
-            lambda d: d.update(schema="mobiquery-repro/bench/v7"), "v7"
+            lambda d: d.update(schema="mobiquery-repro/bench/v8"), "v8"
         )
 
     def test_missing_header_fields_rejected(self):
@@ -156,18 +147,6 @@ class CheckDocTest(unittest.TestCase):
 
 
 class CheckEventLoopTest(CheckDocTest):
-    def test_missing_event_queue_section_rejected(self):
-        self.assert_rejected(lambda d: d.pop("event_queue"), "event_queue")
-        self.assert_rejected(lambda d: d.update(event_queue=[]), "event_queue")
-
-    def test_missing_scheduler_timings_rejected(self):
-        self.assert_rejected(
-            lambda d: d["event_queue"][0].pop("calendar_ns_per_op"), "calendar"
-        )
-        self.assert_rejected(
-            lambda d: d["event_queue"][0].update(heap_ns_per_op=0.0), "heap"
-        )
-
     def test_nonzero_steady_allocations_rejected(self):
         # The whole point of the zero-alloc PR: "small" is not zero.
         self.assert_rejected(

@@ -20,7 +20,7 @@ use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, TreeSharing};
 use mobiquery_experiments::runner::trial_seed;
 use mobiquery_experiments::{
-    analysis_tables, churn, eventq, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
+    analysis_tables, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
     ExperimentConfig,
 };
 use mobiquery_service::load::run_load;
@@ -537,13 +537,7 @@ fn bench_json(
             config.base_seed,
         ),
     };
-    // The scheduler micro-comparison and the zero-alloc proof are
-    // scale-independent fixtures, sized down in quick mode only to keep the
-    // smoke fast; the committed (full) trajectory uses the fixed sizes.
-    let event_queue = eventq::bench_compare(
-        if config.quick { 20_000 } else { 200_000 },
-        config.base_seed,
-    );
+    // The zero-alloc proof is a scale-independent fixture.
     let steady_allocs = steady_allocs_per_period();
     eprintln!("steady state: {steady_allocs} allocations per warm period");
     // The fixed reference load of the bench trajectory: 4 queries/s for 40
@@ -569,7 +563,7 @@ fn bench_json(
     );
     Some(
         JsonValue::object()
-            .with("schema", "mobiquery-repro/bench/v8")
+            .with("schema", "mobiquery-repro/bench/v9")
             .with("mode", if config.quick { "quick" } else { "full" })
             .with("runs", config.runs)
             .with("users", config.users)
@@ -579,7 +573,6 @@ fn bench_json(
             .with("host_cores", pool::available_jobs())
             .with("parallel_jobs", config.jobs)
             .with("figures", figures)
-            .with("event_queue", event_queue)
             .with("steady_allocs_per_period", steady_allocs)
             .with("scale", scale)
             .with("multiuser", multiuser)

@@ -1,13 +1,14 @@
 //! Steady-state fixture for the zero-allocation proof.
 //!
-//! The stepped engine's warm loop is designed to allocate nothing: hop-path
-//! and scratch vectors are pooled, tree buffers are recycled through the
-//! cache, logs are pre-reserved at admission, and the calendar queue never
-//! shrinks its wheel. Proving that needs a run whose *workload* is also
-//! steady: this module builds one — full-window users on a deployment whose
-//! query radius equals the region side, so every install snaps to the single
-//! quantized-lattice cell and no new `TreeKey` (hence no fresh flood tree or
-//! cost memo entry) can appear after the first boundary.
+//! The stepped engine's warm loop is designed to allocate nothing: tree
+//! buffers are recycled through the cache, the resolve scratch (area nodes,
+//! relay index) is reused across boundaries, logs are pre-reserved at
+//! admission, and hash maps keep their capacity. Proving that needs a run
+//! whose *workload* is also steady: this module builds one — full-window
+//! users on a deployment whose query radius equals the region side, so every
+//! install snaps to the single quantized-lattice cell and no new `TreeKey`
+//! (hence no fresh flood tree or cost memo entry) can appear after the first
+//! boundary.
 //!
 //! Two call sites drive it with a counting `#[global_allocator]` of their
 //! own (global allocators are per-binary): the `zero_alloc` integration test,
@@ -20,8 +21,8 @@ use mobiquery::sim::{QuerySet, SteppedSim, TreeSharing, UserQuery};
 use wsn_mobility::fleet_member;
 
 /// Boundaries stepped before measuring. The first boundary builds the one
-/// shared tree and every pool; a few more let hash maps and the calendar
-/// wheel reach their high-water marks.
+/// shared tree and every pool; a few more let hash maps and scratch buffers
+/// reach their high-water marks.
 pub const WARM_BOUNDARIES: u64 = 8;
 
 /// The probe scenario: small deployment, query radius = region side.

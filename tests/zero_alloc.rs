@@ -1,9 +1,10 @@
 //! Zero-allocation steady state, proven by a counting global allocator.
 //!
-//! The stepped engine recycles every per-period buffer: hop-path vectors and
-//! per-event scratch in the worlds, tree buffers through `TreeCache` /
-//! `FloodScratch`, the resolve's `nodes_in_area` scratch on `SteppedSim`,
-//! pre-reserved query logs, and a calendar queue whose wheel never shrinks.
+//! The stepped engine recycles every per-period buffer: flood-tree buffers
+//! through `TreeCache` / `FloodScratch`, the resolve scratch on `SteppedSim`
+//! (the nodes in the scored area and the relay index over the tree's
+//! members), query logs pre-reserved at admission, and hash maps (standing
+//! queries, memoised tree costs) that keep their capacity once warm.
 //! This test steps a steady workload (see `mobiquery_repro::steady`) with a
 //! counting `#[global_allocator]` installed and asserts the warm loop's
 //! heap-allocation delta is exactly zero per period boundary — not "small",
