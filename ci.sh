@@ -32,13 +32,6 @@ run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test repair_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-sim --test properties
 
-# Benches must keep compiling (clippy lints them, but only --no-run proves
-# the harness links). The raster-vs-reference election bench is named
-# explicitly so a manifest slip can't silently drop it from the suite.
-run cargo bench --no-run -q
-run cargo bench --no-run -q -p mobiquery-bench --bench ccp_election
-run cargo bench --no-run -q -p mobiquery-bench --bench tree_sharing
-
 # The examples and the CLI must stay runnable, not just compilable.
 for ex in quickstart firefighter rescue_robot duty_cycle_tuning parallel_sweep; do
     run cargo run --release -q --example "$ex" >/dev/null
@@ -122,7 +115,7 @@ run cmp target/load-jobs1.json target/load-jobs4.json
 run cargo run --release -q --bin repro -- --quick --users 100 \
     --bench target/BENCH_repro.json --scale 1000,2000 all
 
-# bench/v9 sanity: schema, host metadata, per-phase setup breakdown, the
+# bench/v10 sanity: schema, host metadata, per-phase setup breakdown, the
 # raster-election regression bound, the event loop (events/sec throughput,
 # steady_allocs_per_period == 0, and on the committed full sweep the
 # multiuser serial hot loop and 20k run beating the bench/v6 snapshot),

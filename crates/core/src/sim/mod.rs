@@ -59,13 +59,6 @@ pub struct SetupBreakdown {
     pub plan_ms: f64,
 }
 
-impl SetupBreakdown {
-    /// Total setup wall-clock across all phases.
-    pub fn total_ms(&self) -> f64 {
-        self.neighbor_ms + self.ccp_ms + self.plan_ms
-    }
-}
-
 /// A fully constructed simulation, ready to run.
 #[derive(Debug)]
 pub struct Simulation {

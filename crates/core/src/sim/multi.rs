@@ -19,8 +19,9 @@
 //! scoring draws come from per-query streams
 //! `mix_seed(seed, [QUERY_STREAM, user, k])`, and contention depends only on
 //! the (pure) count of concurrently active users — so shared and naive runs
-//! produce byte-identical per-user [`QueryLog`]s, which
-//! `tree_cache_equivalence` proptests and the `tree_sharing` bench assert.
+//! produce byte-identical per-user [`QueryLog`]s, which the
+//! `tree_cache_equivalence` proptests and every multi-user experiment trial
+//! (`run_equivalent_pair` in `mobiquery-experiments`) assert.
 //!
 //! The period machinery lives in [`super::stepped::SteppedSim`]; a batch
 //! trial is `SteppedSim::new(scenario, QuerySet::generate(..), sharing)`

@@ -1285,11 +1285,6 @@ impl SteppedSim {
         self.world.fault.as_ref().map_or(&[], |f| f.log.as_slice())
     }
 
-    /// The fault config in force, when fault injection is enabled.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.world.fault.as_ref().map(|f| f.plan.config())
-    }
-
     /// Number of live nodes right now (equals the scenario's node count in a
     /// static run and — by deaths == joins — in churn runs too).
     pub fn alive_count(&self) -> usize {

@@ -5,8 +5,8 @@
 //! Section 5.
 //!
 //! Each `figN` module exposes a `run(&ExperimentConfig)` function returning
-//! the corresponding table or series; the `repro` binary prints them, the
-//! Criterion benches time them, and the integration tests assert the
+//! the corresponding table or series; the `repro` binary prints them,
+//! `repro --bench` times them, and the integration tests assert the
 //! qualitative shapes (who wins, how trends go) that the paper reports.
 //!
 //! Experiments come in two sizes:
@@ -15,7 +15,7 @@
 //!   runs, several topologies per point); minutes of CPU per figure.
 //! * **quick** — a scaled-down variant (fewer nodes, shorter runs, fewer
 //!   parameter points) that preserves the qualitative comparisons; used by
-//!   benches and CI.
+//!   the tests and CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +34,6 @@ pub mod scale;
 
 use mobiquery::config::Scenario;
 use mobiquery::sim::{Simulation, SimulationOutput};
-use runner::TrialPlan;
-use wsn_sim::stats::Summary;
 
 /// Controls how heavy each experiment is and how many worker threads run it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +66,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// The scaled-down configuration used by benches and CI.
+    /// The scaled-down configuration used by the tests and CI.
     pub fn quick() -> Self {
         ExperimentConfig {
             quick: true,
@@ -126,29 +124,9 @@ pub fn run_scenario(scenario: Scenario) -> SimulationOutput {
         .run()
 }
 
-/// Runs `config.runs` independent repetitions of `scenario` (differing only
-/// in seed) and returns the summary of the value extracted by `metric`.
-///
-/// This is a one-point [`TrialPlan`]: the replicates fan out over
-/// `config.jobs` workers and the seeds are `runner::trial_seed(base_seed, 0,
-/// r)`. Figure sweeps should build a full plan instead so *all* their trials
-/// share one fan-out.
-pub fn run_replicated(
-    config: &ExperimentConfig,
-    scenario: &Scenario,
-    metric: impl Fn(&SimulationOutput) -> f64 + Sync,
-) -> Summary {
-    let mut plan = TrialPlan::new();
-    plan.push_point(config, scenario.clone());
-    plan.run_summaries(config.jobs, metric)
-        .pop()
-        .expect("one point in, one summary out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobiquery::config::Scheme;
 
     #[test]
     fn quick_config_shrinks_the_scenario() {
@@ -156,21 +134,5 @@ mod tests {
         let full = ExperimentConfig::full().base_scenario();
         assert!(quick.node_count < full.node_count);
         assert!(quick.motion.duration < full.motion.duration);
-    }
-
-    #[test]
-    fn replicated_runs_average_the_metric() {
-        let config = ExperimentConfig {
-            runs: 2,
-            base_seed: 7,
-            ..ExperimentConfig::quick()
-        };
-        let scenario = config
-            .base_scenario()
-            .with_duration_secs(30.0)
-            .with_scheme(Scheme::JustInTime);
-        let summary = run_replicated(&config, &scenario, |o| o.mean_fidelity);
-        assert_eq!(summary.count(), 2);
-        assert!(summary.mean() > 0.0 && summary.mean() <= 1.0);
     }
 }

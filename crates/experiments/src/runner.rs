@@ -148,8 +148,7 @@ impl TrialPlan {
         grouped
     }
 
-    /// Runs every trial and summarises a single scalar `metric` per point:
-    /// the parallel successor of the old serial `run_replicated` loop.
+    /// Runs every trial and summarises a single scalar `metric` per point.
     pub fn run_summaries(
         self,
         jobs: usize,

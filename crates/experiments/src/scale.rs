@@ -1,32 +1,23 @@
 //! The `--scale` sweep: does the per-query hot path stay flat as the
 //! deployment grows from hundreds to tens of thousands of nodes?
 //!
-//! Two measurements per deployment size, at constant node density (the
-//! paper's 200 nodes per 450 m × 450 m field):
+//! Per deployment size, at constant node density (the paper's 200 nodes per
+//! 450 m × 450 m field), the end-to-end wall-clock of a full simulation run
+//! (setup and event loop timed separately, with setup further broken down
+//! into `neighbor_ms` / `ccp_ms` / `plan_ms`) for both the just-in-time
+//! prefetching scheme and the No-Prefetching baseline — the numbers the
+//! spatial-index and coverage-raster work are meant to keep from growing
+//! superlinearly.
 //!
-//! * **End-to-end wall-clock** of a full simulation run (setup and event
-//!   loop timed separately, with setup further broken down into
-//!   `neighbor_ms` / `ccp_ms` / `plan_ms`) for both the just-in-time
-//!   prefetching scheme and the No-Prefetching baseline — the numbers the
-//!   spatial-index and coverage-raster work are meant to keep from growing
-//!   superlinearly.
-//! * **A nearest-backbone micro-comparison**: the same lookup served by a
-//!   linear scan over every backbone node (the pre-index implementation)
-//!   versus the backbone [`SpatialGrid`]'s expanding-ring search, reported
-//!   as ns/lookup and a speedup factor.
-//!
-//! Results feed the `scale` section of the `mobiquery-repro/bench/v3`
+//! Results feed the `scale` section of the `mobiquery-repro/bench/v10`
 //! document (`BENCH_repro.json`). Timings are machine-dependent by nature;
 //! unlike `--format json` output they are a trajectory snapshot, not a
 //! determinism artifact.
 
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::Simulation;
-use std::hint::black_box;
 use std::time::Instant;
-use wsn_geom::{Point, SpatialGrid};
 use wsn_metrics::JsonValue;
-use wsn_sim::SimRng;
 
 /// Density-preserving scenario for a deployment of `nodes` nodes: the region
 /// side grows with √nodes so radio degree, backbone fraction and query-area
@@ -45,9 +36,8 @@ pub fn scale_scenario(nodes: usize, scheme: Scheme, seed: u64) -> Scenario {
 /// setup side broken down into its phases — plus the event count as a sanity
 /// anchor that the run actually did protocol work. The run phase is
 /// best-of-3 (the event loop is deterministic, so repeats do identical work
-/// and the minimum is the least-noisy estimate — same discipline as the
-/// lookup micro-comparison below); setup is timed once, its regression
-/// bound has order-of-magnitude headroom.
+/// and the minimum is the least-noisy estimate); setup is timed once, its
+/// regression bound has order-of-magnitude headroom.
 fn timed_run(nodes: usize, scheme: Scheme, seed: u64) -> JsonValue {
     let scenario = scale_scenario(nodes, scheme, seed);
     let start = Instant::now();
@@ -86,79 +76,19 @@ fn timed_run(nodes: usize, scheme: Scheme, seed: u64) -> JsonValue {
         .with("backbone", out.backbone_count)
 }
 
-/// Synthetic deployment for the lookup micro-comparison: uniform positions
-/// at paper density with every third node in the "backbone" (about the
-/// fraction CCP elects), which is all the lookup primitives care about.
-fn lookup_fixture(nodes: usize, seed: u64) -> (Vec<Point>, Vec<usize>, SpatialGrid, Vec<Point>) {
-    let side = 450.0 * (nodes as f64 / 200.0).sqrt();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let positions: Vec<Point> = (0..nodes)
-        .map(|_| Point::new(rng.gen_range_f64(0.0, side), rng.gen_range_f64(0.0, side)))
-        .collect();
-    let backbone: Vec<usize> = (0..nodes).step_by(3).collect();
-    let region = wsn_geom::Rect::square(side);
-    let mut grid = SpatialGrid::new(region, 105.0).expect("positive cell size");
-    for &i in &backbone {
-        grid.insert(i, positions[i]);
-    }
-    let probes: Vec<Point> = (0..128)
-        .map(|_| Point::new(rng.gen_range_f64(0.0, side), rng.gen_range_f64(0.0, side)))
-        .collect();
-    (positions, backbone, grid, probes)
-}
-
-/// Best-of-3 mean ns per call of `f` over all probes.
-fn time_ns_per_call(probes: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e9 / probes as f64);
-    }
-    best
-}
-
-/// The nearest-backbone lookup, linear scan vs spatial grid, at one scale.
-fn lookup_comparison(nodes: usize, seed: u64) -> JsonValue {
-    let (positions, backbone, grid, probes) = lookup_fixture(nodes, seed);
-    let linear_ns = time_ns_per_call(probes.len(), || {
-        for &p in &probes {
-            let found = backbone
-                .iter()
-                .min_by(|&&a, &&b| {
-                    positions[a]
-                        .distance_sq_to(p)
-                        .total_cmp(&positions[b].distance_sq_to(p))
-                })
-                .copied();
-            black_box(found);
-        }
-    });
-    let grid_ns = time_ns_per_call(probes.len(), || {
-        for &p in &probes {
-            black_box(grid.nearest(p));
-        }
-    });
-    JsonValue::object()
-        .with("linear_ns", round2(linear_ns))
-        .with("grid_ns", round2(grid_ns))
-        .with("speedup", round2(linear_ns / grid_ns.max(1e-9)))
-}
-
 /// Runs the sweep over `scales` deployment sizes and returns the `scale`
-/// array of the bench/v3 document.
+/// array of the bench document.
 pub fn run(scales: &[usize], base_seed: u64) -> JsonValue {
     let mut entries = Vec::new();
     for &nodes in scales {
         let side = 450.0 * (nodes as f64 / 200.0).sqrt();
-        eprintln!("scale {nodes}: running jit + np + lookup micro-compare");
+        eprintln!("scale {nodes}: running jit + np");
         entries.push(
             JsonValue::object()
                 .with("nodes", nodes)
                 .with("region_side_m", round2(side))
                 .with("jit", timed_run(nodes, Scheme::JustInTime, base_seed))
-                .with("np", timed_run(nodes, Scheme::None, base_seed))
-                .with("nearest_backbone", lookup_comparison(nodes, base_seed)),
+                .with("np", timed_run(nodes, Scheme::None, base_seed)),
         );
     }
     JsonValue::Array(entries)
@@ -191,8 +121,7 @@ mod tests {
         let text = entries[0].to_string();
         assert!(text.contains("\"jit\""));
         assert!(text.contains("\"np\""));
-        assert!(text.contains("\"nearest_backbone\""));
-        // The bench/v3 setup breakdown must be present for every scheme.
+        // The setup breakdown must be present for every scheme.
         for field in ["\"setup\"", "\"neighbor_ms\"", "\"ccp_ms\"", "\"plan_ms\""] {
             assert_eq!(
                 text.matches(field).count(),

@@ -114,12 +114,6 @@ impl Channel {
         }
     }
 
-    /// Current contention level near `position` (number of in-flight
-    /// transmissions within interference range).
-    pub fn contention_at(&self, position: Point, now: SimTime) -> usize {
-        self.contention.contenders(position, now)
-    }
-
     /// Total frames sent through this channel.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent

@@ -204,8 +204,10 @@ pub(crate) fn elect_backbone_priority_with_raster(
 /// `(priority, slot)` order, but every eligibility check re-runs a grid
 /// range query per sample point of the candidate's disk.
 ///
-/// Kept as the executable specification of the election: the `ccp_election`
-/// criterion bench and the equivalence property tests pin
+/// Kept as the executable specification of the election: the equivalence
+/// property test (`raster_election_matches_reference` in
+/// `tests/ccp_equivalence.rs`) and the unit test
+/// `raster_election_is_bit_identical_to_reference` pin
 /// [`elect_backbone_priority`]'s output byte-for-byte against this function
 /// across seeds, densities and coverage degrees.
 ///

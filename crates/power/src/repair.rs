@@ -235,12 +235,6 @@ impl RepairableBackbone {
         self.events.push(Event::Join { pos, key });
     }
 
-    /// Number of churn events recorded since the last repair that can flip
-    /// a role: the joins and the backbone deaths.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Re-elects the nodes the recorded events can flip, applying role
     /// changes to `roles` in place. After this call the backbone membership
     /// is bit-identical to [`elect_backbone_priority`] over the current alive

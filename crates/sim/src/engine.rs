@@ -66,11 +66,6 @@ impl<W: World> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the world (e.g. to inspect or adjust state between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the engine and returns the world.
     pub fn into_world(self) -> W {
         self.world

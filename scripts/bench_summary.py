@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a mobiquery-repro/bench/v9 document as GitHub-flavored markdown.
+"""Render a mobiquery-repro/bench/v10 document as GitHub-flavored markdown.
 
 Used by .github/workflows/ci.yml to append both the fresh bench run and the
 committed BENCH_repro.json trajectory to $GITHUB_STEP_SUMMARY:
@@ -61,7 +61,6 @@ def scale_table(doc):
                 jit["run_ms"],
                 f"{jit.get('events_per_sec', 0) / 1e6:.2f}M",
                 np["run_ms"],
-                e["nearest_backbone"]["speedup"],
             ]
         )
     return table(
@@ -72,7 +71,6 @@ def scale_table(doc):
             "jit run ms",
             "events/s",
             "np run ms",
-            "grid speedup",
         ],
         rows,
     )

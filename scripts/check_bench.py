@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanity-check a mobiquery-repro/bench/v9 document.
+"""Sanity-check a mobiquery-repro/bench/v10 document.
 
 Shared by ci.sh and .github/workflows/ci.yml so the schema contract and the
 committed baseline figures live in exactly one place. Asserts:
@@ -300,7 +300,7 @@ def check_resilience(doc):
 
 
 def check_doc(doc):
-    assert doc["schema"] == "mobiquery-repro/bench/v9", doc["schema"]
+    assert doc["schema"] == "mobiquery-repro/bench/v10", doc["schema"]
     assert doc.get("host_cores", 0) >= 1, "host_cores missing from bench header"
     assert doc.get("users", 0) >= 1, "users missing from bench header"
     check_event_loop(doc)
@@ -316,7 +316,7 @@ def main(path):
         doc = json.load(f)
     check_doc(doc)
     print(
-        "bench/v9 setup breakdown + event loop + multiuser tree economy + "
+        "bench/v10 setup breakdown + event loop + multiuser tree economy + "
         "churn repair + service load + resilience recovery dominance OK"
     )
 

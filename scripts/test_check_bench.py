@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench.py, the bench/v9 schema gate.
+"""Unit tests for check_bench.py, the bench/v10 schema gate.
 
 Run from the repository root (the CI lint job does exactly this):
 
@@ -18,7 +18,7 @@ import check_bench
 def valid_doc():
     """The smallest document every check in check_bench.py accepts."""
     return {
-        "schema": "mobiquery-repro/bench/v9",
+        "schema": "mobiquery-repro/bench/v10",
         "host_cores": 4,
         "users": 8,
         "steady_allocs_per_period": 0,
@@ -138,7 +138,7 @@ class CheckDocTest(unittest.TestCase):
 
     def test_wrong_schema_rejected(self):
         self.assert_rejected(
-            lambda d: d.update(schema="mobiquery-repro/bench/v8"), "v8"
+            lambda d: d.update(schema="mobiquery-repro/bench/v9"), "v9"
         )
 
     def test_missing_header_fields_rejected(self):

@@ -563,7 +563,7 @@ fn bench_json(
     );
     Some(
         JsonValue::object()
-            .with("schema", "mobiquery-repro/bench/v9")
+            .with("schema", "mobiquery-repro/bench/v10")
             .with("mode", if config.quick { "quick" } else { "full" })
             .with("runs", config.runs)
             .with("users", config.users)
