@@ -88,22 +88,19 @@ run cargo run --release -q --bin repro -- --quick --scale 2000 \
 run cmp target/resilience-jobs1.json target/resilience-jobs4.json
 run cmp target/resilience-jobs1.json tests/golden/resilience_quick.json
 
-# Service smoke: the long-lived query path must share the same determinism
-# contract as the batch runs — a fixed seed yields byte-identical JSON
-# whatever the worker count. --jobs N now shards each boundary's query
-# resolution across N pool workers *inside* the stepped engine, so the
-# jobs-1-vs-4 cmp is a real equivalence proof of the sharded hot path,
-# not just an argv-shape check.
+# Service smoke: a fixed seed yields byte-identical JSON from run to run.
+# Each run is a fresh process with a fresh hash seed, so a pair that
+# differs means hash iteration order leaked into the output.
 run cargo run --release -q --bin repro -- serve --periods 8 --quick \
-    --jobs 1 --out target/serve-jobs1.json
+    --out target/serve-run1.json
 run cargo run --release -q --bin repro -- serve --periods 8 --quick \
-    --jobs 4 --out target/serve-jobs4.json
-run cmp target/serve-jobs1.json target/serve-jobs4.json
+    --out target/serve-run2.json
+run cmp target/serve-run1.json target/serve-run2.json
 run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
-    --nodes 1000 --jobs 1 --out target/load-jobs1.json
+    --nodes 1000 --out target/load-run1.json
 run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
-    --nodes 1000 --jobs 4 --out target/load-jobs4.json
-run cmp target/load-jobs1.json target/load-jobs4.json
+    --nodes 1000 --out target/load-run2.json
+run cmp target/load-run1.json target/load-run2.json
 
 # Bench trajectory: quick-mode per-figure wall clock (serial vs parallel)
 # plus a small --scale smoke sweep (the committed snapshot carries the full

@@ -13,6 +13,19 @@
 //! tsend(k−1) ≤ (k−1)·Tperiod − Tsleep − 2·Tfresh
 //! ```
 //!
+//! **Which form of Equation 10 this is.** The paper writes the bound as
+//! `(k−1)·Tperiod − Tsleep − Tfresh − 2·Tcomm`, with `Tcomm` a conservative
+//! hop-plus-setup latency. This crate has no `Tcomm`: it budgets `2·Tfresh`
+//! where the paper has `Tfresh + 2·Tcomm` (the two agree when
+//! `Tcomm = Tfresh/2`), and does so in every form derived from the bound —
+//! Equation 8 ([`PrefetchTiming::recv_bound_secs`]), Equation 10
+//! ([`PrefetchTiming::jit_send_bound_secs`]) and Equation 16
+//! ([`crate::analysis::warmup_interval_s`],
+//! [`crate::analysis::zero_warmup_advance_s`]). The code's form is kept
+//! because both engines will run it: the event engine does today, and the
+//! stepped multi-user engine is to take its install instant from the same
+//! [`PrefetchTiming`].
+//!
 //! Greedy prefetching forwards immediately instead; No-Prefetching is the
 //! paper's baseline that broadcasts the query at the start of every period.
 

@@ -37,7 +37,7 @@ use wsn_net::{
     SleepSchedule, TreeCache, TreeCacheError, TreeHandle, TreeKey,
 };
 use wsn_power::{elect_backbone_priority, PowerPlan, RepairableBackbone};
-use wsn_sim::{mix_seed, pool, SimRng, SimTime};
+use wsn_sim::{mix_seed, SimRng, SimTime};
 
 /// Stream tag for per-query scoring draws (loss, wake jitter).
 pub(crate) const QUERY_STREAM: u64 = 0x5EED_0000_0000_0003;
@@ -64,8 +64,9 @@ struct ActiveQuery {
 }
 
 /// Recycled buffers for scoring one query: the nodes in the user's actual
-/// area and the query tree's members indexed for relay lookups. A serial
-/// owner reuses one across boundaries, so the warm loop allocates nothing.
+/// area and the query tree's members indexed for relay lookups.
+/// [`SteppedSim`] reuses one across boundaries, so the warm loop allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct ScoreScratch {
     /// `(node, position)` of every node in the area, ascending by node.
@@ -510,10 +511,11 @@ impl MultiUserWorld {
     /// Scores query `(user, k)` at its deadline — the read-only half of a
     /// resolve. `loss_p` is the period's [`Self::loss_probability`].
     /// `scratch` is caller-provided and recycled (cleared here), so the
-    /// steady-state serial loop performs no heap allocation, and because this
-    /// takes `&self` only, a period's scores can be computed for many users
-    /// in parallel (every RNG draw comes from the dedicated per-`(user, k)`
-    /// stream, so scoring order is immaterial).
+    /// steady-state loop performs no heap allocation. It takes `&self` only,
+    /// so scoring cannot touch the tree cache or the logs: every change a
+    /// resolve makes is [`Self::apply_resolve`]'s. Every RNG draw comes from
+    /// the dedicated per-`(user, k)` stream, so a score does not depend on
+    /// which queries were scored before it.
     fn score_query(
         &self,
         user: u32,
@@ -559,9 +561,8 @@ impl MultiUserWorld {
     }
 
     /// The mutating half of a resolve: retires `(user, k)`'s tree reference
-    /// and logs its record. Always applied serially, in fleet order, whatever
-    /// the scoring parallelism — so cache refcounts and logs evolve exactly
-    /// as in a serial run.
+    /// and logs its record. Applied in fleet order, right after the query is
+    /// scored, so cache refcounts and logs evolve in one fixed order.
     fn apply_resolve(&mut self, user: u32, k: u64, record: QueryRecord) -> Result<(), ConfigError> {
         if let Some(aq) = self.active.remove(&(user, k)) {
             match aq.handle {
@@ -1076,9 +1077,7 @@ pub struct SteppedSim {
     world: MultiUserWorld,
     next_boundary: u64,
     events_processed: u64,
-    /// Worker threads sharding per-user resolution inside one boundary.
-    jobs: usize,
-    /// Recycled scoring buffers for the serial resolve path — reused across
+    /// Recycled scoring buffers for the resolve loop — reused across
     /// boundaries so the warm steady state allocates nothing.
     resolve_scratch: ScoreScratch,
 }
@@ -1219,31 +1218,8 @@ impl SteppedSim {
             world,
             next_boundary: 0,
             events_processed: 0,
-            jobs: 1,
             resolve_scratch: ScoreScratch::default(),
         })
-    }
-
-    /// Shards per-user resolution across up to `jobs` [`pool`] workers inside
-    /// each [`SteppedSim::step_period`]. Scoring is read-only and every
-    /// `(user, k)` draws from its own RNG stream, while the mutating apply
-    /// phase always runs serially in fleet order — so logs, cache refcounts
-    /// and every byte of output are identical for any `jobs` value. `0` is
-    /// clamped to `1` (the fully inline path).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// Changes the resolve sharding width mid-run; see [`SteppedSim::with_jobs`].
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// The resolve sharding width currently in effect.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// The query set as it currently stands (admissions included).
@@ -1429,39 +1405,21 @@ impl SteppedSim {
         }
         if b >= 1 {
             let loss_p = self.world.loss_probability(b);
-            if self.jobs > 1 && self.world.query_set.active_users(b) >= 2 {
-                // Sharded path: the shared trees for this boundary are all
-                // installed, so per-user scoring is independent read-only
-                // work. Fan it over the pool, then apply serially in fleet
-                // order — byte-identical to `--jobs 1`.
-                let active: Vec<u32> = (0..self.world.query_set.users().len() as u32)
-                    .filter(|&u| self.world.query_set.users()[u as usize].active_in(b))
-                    .collect();
-                let world = &self.world;
-                let records = pool::run_indexed(self.jobs, active.clone(), |_, user| {
-                    world.score_query(user, b, loss_p, &mut ScoreScratch::default())
-                });
-                for (user, record) in active.into_iter().zip(records) {
-                    self.world.apply_resolve(user, b, record?)?;
-                    self.events_processed += 1;
+            // One recycled scratch buffer, zero allocations once warm. On
+            // error the scratch is dropped, but an erroring step poisons the
+            // world anyway.
+            let mut scratch = std::mem::take(&mut self.resolve_scratch);
+            for index in 0..self.world.query_set.users().len() {
+                if !self.world.query_set.users()[index].active_in(b) {
+                    continue;
                 }
-            } else {
-                // Serial path: one recycled scratch buffer, zero allocations
-                // once warm. On error the scratch is dropped, but an erroring
-                // step poisons the world anyway.
-                let mut scratch = std::mem::take(&mut self.resolve_scratch);
-                for index in 0..self.world.query_set.users().len() {
-                    if !self.world.query_set.users()[index].active_in(b) {
-                        continue;
-                    }
-                    let record = self
-                        .world
-                        .score_query(index as u32, b, loss_p, &mut scratch)?;
-                    self.world.apply_resolve(index as u32, b, record)?;
-                    self.events_processed += 1;
-                }
-                self.resolve_scratch = scratch;
+                let record = self
+                    .world
+                    .score_query(index as u32, b, loss_p, &mut scratch)?;
+                self.world.apply_resolve(index as u32, b, record)?;
+                self.events_processed += 1;
             }
+            self.resolve_scratch = scratch;
         }
         self.world.flush_fault_batch(b);
         self.next_boundary = b + 1;
@@ -1567,31 +1525,6 @@ mod tests {
         let scenario = small_scenario(seed);
         let set = QuerySet::generate(&scenario, users);
         SteppedSim::new(scenario, set, sharing).unwrap()
-    }
-
-    #[test]
-    fn sharded_resolution_is_byte_identical_for_any_jobs() {
-        for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-            let mut serial = stepped(7, 6, sharing);
-            serial.run_to_end().unwrap();
-            let serial_out = serial.finish();
-            for jobs in [2, 4, 9] {
-                let mut sharded = stepped(7, 6, sharing).with_jobs(jobs);
-                assert_eq!(sharded.jobs(), jobs);
-                sharded.run_to_end().unwrap();
-                assert_eq!(
-                    sharded.finish(),
-                    serial_out,
-                    "{sharing:?} diverged at jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn jobs_zero_clamps_to_the_inline_path() {
-        let sim = stepped(3, 2, TreeSharing::Shared).with_jobs(0);
-        assert_eq!(sim.jobs(), 1);
     }
 
     #[test]
@@ -1899,27 +1832,6 @@ mod tests {
                     && b.install_failures == 0
             }));
             assert_eq!(inert.finish(), plain.finish(), "{sharing:?} diverged");
-        }
-    }
-
-    #[test]
-    fn faulted_runs_are_jobs_invariant() {
-        let config = FaultConfig::new(0.25).with_crash_rate(0.03);
-        for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-            let mut serial = faulted(7, 6, sharing, config);
-            serial.run_to_end().unwrap();
-            let serial_log = serial.fault_log().to_vec();
-            let serial_out = serial.finish();
-            for jobs in [2, 4] {
-                let mut sharded = faulted(7, 6, sharing, config).with_jobs(jobs);
-                sharded.run_to_end().unwrap();
-                assert_eq!(sharded.fault_log(), serial_log.as_slice());
-                assert_eq!(
-                    sharded.finish(),
-                    serial_out,
-                    "{sharing:?} diverged at jobs={jobs}"
-                );
-            }
         }
     }
 

@@ -6,10 +6,10 @@
 //! whose every batch is empty, must leave the output byte-identical to the
 //! engine without it in both sharing modes — the golden fixtures stay valid
 //! with those layers compiled in. Second, the fault and churn schedules must
-//! be pure functions of the scenario seed: the same seed yields the same
-//! losses, crashes, retries and batches under any worker count, which is
-//! what lets CI compare `--jobs 1` against `--jobs 4` byte for byte. Both
-//! hold for churn and faults combined in one run, and every run — static or
+//! be pure functions of the scenario seed: the same seed replays the same
+//! losses, crashes, retries and batches, which is what lets CI rerun a
+//! faulted or churned target and compare the output byte for byte. Both hold
+//! for churn and faults combined in one run, and every run — static or
 //! churned — serves the backbone a from-scratch priority election elects.
 
 use mobiquery::config::{Scenario, Scheme};
@@ -34,17 +34,9 @@ struct Run {
     output: String,
 }
 
-fn run(
-    scenario: Scenario,
-    users: usize,
-    sharing: TreeSharing,
-    options: SimOptions,
-    jobs: usize,
-) -> Run {
+fn run(scenario: Scenario, users: usize, sharing: TreeSharing, options: SimOptions) -> Run {
     let set = QuerySet::generate(&scenario, users);
-    let mut sim = SteppedSim::with_options(scenario, set, sharing, options)
-        .expect("valid options")
-        .with_jobs(jobs);
+    let mut sim = SteppedSim::with_options(scenario, set, sharing, options).expect("valid options");
     sim.run_to_end().expect("run completes");
     Run {
         fault_log: format!("{:?}", sim.fault_log()),
@@ -62,7 +54,7 @@ fn run(
 
 fn run_plain(seed: u64, nodes: usize, periods: u64, users: usize, sharing: TreeSharing) -> String {
     let options = SimOptions::default();
-    run(scenario(seed, nodes, periods), users, sharing, options, 1).output
+    run(scenario(seed, nodes, periods), users, sharing, options).output
 }
 
 /// Runs the faulted engine and returns (debug of the fault log, debug of
@@ -74,19 +66,12 @@ fn run_faulted(
     users: usize,
     sharing: TreeSharing,
     fault: FaultConfig,
-    jobs: usize,
 ) -> (String, String) {
     let options = SimOptions {
         faults: Some(fault),
         ..SimOptions::default()
     };
-    let r = run(
-        scenario(seed, nodes, periods),
-        users,
-        sharing,
-        options,
-        jobs,
-    );
+    let r = run(scenario(seed, nodes, periods), users, sharing, options);
     (r.fault_log, r.output)
 }
 
@@ -98,15 +83,8 @@ fn assert_zero_rate_is_inert(seed: u64, nodes: usize, users: usize) -> TestCaseR
     let periods = 10;
     for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
         let plain = run_plain(seed, nodes, periods, users, sharing);
-        let (log, faulted) = run_faulted(
-            seed,
-            nodes,
-            periods,
-            users,
-            sharing,
-            FaultConfig::new(0.0),
-            1,
-        );
+        let (log, faulted) =
+            run_faulted(seed, nodes, periods, users, sharing, FaultConfig::new(0.0));
         prop_assert_eq!(
             &faulted,
             &plain,
@@ -126,37 +104,15 @@ fn assert_schedule_is_seed_deterministic(
     loss: f64,
     burst: f64,
     crash: f64,
-    jobs: usize,
 ) -> TestCaseResult {
     let fault = FaultConfig::new(loss)
         .with_burst(burst)
         .with_crash_rate(crash);
     let (nodes, periods, users) = (70, 10, 3);
-    let serial = run_faulted(seed, nodes, periods, users, TreeSharing::Shared, fault, 1);
-    let again = run_faulted(seed, nodes, periods, users, TreeSharing::Shared, fault, 1);
-    prop_assert_eq!(&again.0, &serial.0, "same seed must replay the schedule");
-    prop_assert_eq!(&again.1, &serial.1, "same seed must replay the output");
-    let sharded = run_faulted(
-        seed,
-        nodes,
-        periods,
-        users,
-        TreeSharing::Shared,
-        fault,
-        jobs,
-    );
-    prop_assert_eq!(
-        &sharded.0,
-        &serial.0,
-        "fault schedule must not depend on jobs={}",
-        jobs
-    );
-    prop_assert_eq!(
-        &sharded.1,
-        &serial.1,
-        "faulted output must not depend on jobs={}",
-        jobs
-    );
+    let first = run_faulted(seed, nodes, periods, users, TreeSharing::Shared, fault);
+    let again = run_faulted(seed, nodes, periods, users, TreeSharing::Shared, fault);
+    prop_assert_eq!(&again.0, &first.0, "same seed must replay the schedule");
+    prop_assert_eq!(&again.1, &first.1, "same seed must replay the output");
     Ok(())
 }
 
@@ -180,7 +136,7 @@ fn assert_empty_churn_is_inert(seed: u64, nodes: usize, users: usize) -> TestCas
     };
     for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
         let plain = run_plain(seed, nodes, periods, users, sharing);
-        let churned = run(scenario(seed, nodes, periods), users, sharing, options, 1);
+        let churned = run(scenario(seed, nodes, periods), users, sharing, options);
         prop_assert_eq!(
             &churned.churn_log,
             &format!(
@@ -210,8 +166,8 @@ fn assert_zero_rate_faults_are_inert_under_churn(seed: u64, rate: f64) -> TestCa
         ..churned
     };
     for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-        let plain = run(scenario(seed, nodes, periods), users, sharing, churned, 1);
-        let inert = run(scenario(seed, nodes, periods), users, sharing, both, 1);
+        let plain = run(scenario(seed, nodes, periods), users, sharing, churned);
+        let inert = run(scenario(seed, nodes, periods), users, sharing, both);
         prop_assert_eq!(&inert.churn_log, &plain.churn_log);
         prop_assert_eq!(
             &inert.output,
@@ -223,7 +179,7 @@ fn assert_zero_rate_faults_are_inert_under_churn(seed: u64, rate: f64) -> TestCa
     Ok(())
 }
 
-fn assert_churned_faulted_runs_are_jobs_invariant(
+fn assert_churned_faulted_runs_are_seed_deterministic(
     seed: u64,
     rate: f64,
     loss: f64,
@@ -234,14 +190,14 @@ fn assert_churned_faulted_runs_are_jobs_invariant(
         faults: Some(FaultConfig::new(loss).with_crash_rate(crash)),
     };
     for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-        let serial = run(scenario(seed, 80, 8), 4, sharing, options, 1);
-        let sharded = run(scenario(seed, 80, 8), 4, sharing, options, 4);
-        prop_assert_eq!(&sharded.fault_log, &serial.fault_log);
-        prop_assert_eq!(&sharded.churn_log, &serial.churn_log);
+        let first = run(scenario(seed, 80, 8), 4, sharing, options);
+        let again = run(scenario(seed, 80, 8), 4, sharing, options);
+        prop_assert_eq!(&again.fault_log, &first.fault_log);
+        prop_assert_eq!(&again.churn_log, &first.churn_log);
         prop_assert_eq!(
-            &sharded.output,
-            &serial.output,
-            "churned + faulted {:?} output must not depend on jobs",
+            &again.output,
+            &first.output,
+            "churned + faulted {:?} output must replay from the seed",
             sharing
         );
     }
@@ -261,16 +217,15 @@ proptest! {
     }
 
     /// The fault schedule and the faulted output are pure functions of the
-    /// seed, independent of the worker count used to shard resolution.
+    /// seed: the same seed replays both.
     #[test]
-    fn fault_schedules_are_seed_deterministic_for_any_jobs(
+    fn fault_schedules_are_seed_deterministic(
         seed in any::<u64>(),
         loss in 0.01f64..0.6,
         burst in 1.0f64..8.0,
         crash in 0.0f64..0.1,
-        jobs in 2usize..7,
     ) {
-        assert_schedule_is_seed_deterministic(seed, loss, burst, crash, jobs)?;
+        assert_schedule_is_seed_deterministic(seed, loss, burst, crash)?;
     }
 
     /// A plain run's backbone is exactly the from-scratch priority
@@ -305,14 +260,14 @@ proptest! {
     }
 
     /// Churn and faults compose in one run, and the combined output is a
-    /// pure function of the seed whatever the worker count.
+    /// pure function of the seed.
     #[test]
-    fn churned_faulted_runs_are_jobs_invariant(
+    fn churned_faulted_runs_are_seed_deterministic(
         seed in any::<u64>(),
         rate in 0.02f64..0.15,
         loss in 0.01f64..0.5,
         crash in 0.0f64..0.1,
     ) {
-        assert_churned_faulted_runs_are_jobs_invariant(seed, rate, loss, crash)?;
+        assert_churned_faulted_runs_are_seed_deterministic(seed, rate, loss, crash)?;
     }
 }

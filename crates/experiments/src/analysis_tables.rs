@@ -15,7 +15,6 @@ use mobiquery::analysis::{
 };
 use wsn_geom::mps_to_mph;
 use wsn_metrics::{JsonValue, Table};
-use wsn_sim::pool;
 
 /// The Section 5.2 storage-cost example as a table.
 pub fn storage_table() -> Table {
@@ -118,29 +117,20 @@ pub fn multiuser_contention_table() -> Table {
     t
 }
 
-/// All analytical tables, in presentation order.
+/// All analytical tables, in presentation order. They are closed forms (no
+/// simulation), so they are built in turn on the calling thread.
 pub fn run() -> Vec<Table> {
-    run_parallel(1)
-}
-
-/// All analytical tables, computed on up to `jobs` workers.
-///
-/// These are closed-form (no simulation), so the fan-out is symbolic at
-/// today's table count — but it keeps the analysis target on the same
-/// execution path as the figure sweeps, and the output is independent of
-/// `jobs` by the pool's input-order guarantee.
-pub fn run_parallel(jobs: usize) -> Vec<Table> {
-    pool::run_indexed(jobs, vec![0, 1, 2, 3], |_, which| match which {
-        0 => storage_table(),
-        1 => contention_table(),
-        2 => multiuser_contention_table(),
-        _ => warmup_table(),
-    })
+    vec![
+        storage_table(),
+        contention_table(),
+        multiuser_contention_table(),
+        warmup_table(),
+    ]
 }
 
 /// All analytical tables rendered as a JSON array, in presentation order.
-pub fn run_json(jobs: usize) -> JsonValue {
-    JsonValue::Array(run_parallel(jobs).iter().map(Table::to_json).collect())
+pub fn run_json() -> JsonValue {
+    JsonValue::Array(run().iter().map(Table::to_json).collect())
 }
 
 #[cfg(test)]

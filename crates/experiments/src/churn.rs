@@ -17,7 +17,7 @@
 
 use crate::runner::trial_seed;
 use crate::scale::scale_scenario;
-use crate::ExperimentConfig;
+use crate::{round2, ExperimentConfig};
 use mobiquery::config::Scheme;
 use mobiquery::sim::{ChurnConfig, QuerySet, SteppedSim, TreeSharing};
 use std::time::Instant;
@@ -267,10 +267,6 @@ pub fn bench_sweep(nodes: usize, rates: &[f64], users: usize, base_seed: u64) ->
         );
     }
     JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 #[cfg(test)]

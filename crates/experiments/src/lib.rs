@@ -111,6 +111,12 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// Rounds `v` to two decimals, the precision the JSON sections report
+/// timings and ratios at.
+pub(crate) fn round2(v: f64) -> f64 {
+    (v * 100.0).round() / 100.0
+}
+
 /// Runs one scenario and returns its output.
 ///
 /// # Panics

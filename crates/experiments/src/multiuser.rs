@@ -10,7 +10,7 @@
 //! style of the `elect_backbone_reference` cross-check.
 
 use crate::runner::trial_seed;
-use crate::ExperimentConfig;
+use crate::{round2, ExperimentConfig};
 use mobiquery::config::Scenario;
 use mobiquery::sim::{MultiUserOutput, QuerySet, SteppedSim, TreeSharing};
 use std::time::Instant;
@@ -306,10 +306,6 @@ pub fn bench_sweep(scenario_for: impl Fn(u64) -> Scenario, users_list: &[usize])
         );
     }
     JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 #[cfg(test)]

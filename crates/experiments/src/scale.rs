@@ -14,6 +14,7 @@
 //! unlike `--format json` output they are a trajectory snapshot, not a
 //! determinism artifact.
 
+use crate::round2;
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::Simulation;
 use std::time::Instant;
@@ -92,10 +93,6 @@ pub fn run(scales: &[usize], base_seed: u64) -> JsonValue {
         );
     }
     JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 #[cfg(test)]

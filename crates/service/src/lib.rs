@@ -216,15 +216,6 @@ impl ServiceSim {
         })
     }
 
-    /// Shards per-boundary query resolution across `jobs` workers inside
-    /// each [`ServiceSim::step_period`]; results are byte-identical for any
-    /// value (see [`SteppedSim::with_jobs`]).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.stepped.set_jobs(jobs);
-        self
-    }
-
     /// Admits a query starting at the next period boundary.
     ///
     /// The spec's lifetime is translated to whole periods and clamped to the

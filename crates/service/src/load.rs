@@ -6,8 +6,8 @@
 //! coordinated omission. The schedule is a pure function of
 //! `(seed, qps, duration)`: exponential inter-arrival gaps (Poisson process)
 //! and uniform lifetimes, all drawn from the dedicated [`LOAD_STREAM`], so
-//! the same invocation produces byte-identical reports across job counts,
-//! platforms and runs.
+//! the same invocation produces byte-identical reports across platforms and
+//! runs.
 //!
 //! Latency is reported in *periods* — the service's natural clock. A query
 //! arriving at `t` and admitted for first period `k` waits `k − t/T` periods
@@ -164,8 +164,6 @@ pub struct LoadOutcome {
 ///
 /// The scenario's duration is overridden to exactly `duration_periods`
 /// periods; its seed drives both the deployment and the arrival schedule.
-/// `jobs` shards each boundary's resolution across pool workers
-/// ([`ServiceSim::with_jobs`]); the outcome is byte-identical for any value.
 /// With `fault` set, the service runs under that seeded fault schedule and
 /// the report's retry/deadline-miss/degraded counters become meaningful.
 ///
@@ -178,7 +176,6 @@ pub fn run_load(
     qps: f64,
     duration_periods: u64,
     sharing: TreeSharing,
-    jobs: usize,
     fault: Option<FaultConfig>,
 ) -> Result<LoadOutcome, ServiceError> {
     if !(qps.is_finite() && qps > 0.0) {
@@ -191,7 +188,7 @@ pub fn run_load(
     let scenario = scenario.with_duration_secs(duration_periods as f64 * period_s);
     let arrivals = arrival_schedule(scenario.seed, qps, duration_periods, period_s);
 
-    let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?.with_jobs(jobs);
+    let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?;
     let mut pending = arrivals.iter().copied().peekable();
     let mut admitted: Vec<Arrival> = Vec::new();
     let mut rejected = 0u64;
@@ -302,7 +299,7 @@ mod tests {
 
     #[test]
     fn load_run_reports_latency_and_success() {
-        let outcome = run_load(small_scenario(42), 1.0, 10, TreeSharing::Shared, 1, None).unwrap();
+        let outcome = run_load(small_scenario(42), 1.0, 10, TreeSharing::Shared, None).unwrap();
         let r = &outcome.report;
         assert_eq!(
             r.submitted + r.rejected,
@@ -324,8 +321,8 @@ mod tests {
 
     #[test]
     fn load_run_is_deterministic() {
-        let a = run_load(small_scenario(7), 2.0, 12, TreeSharing::Shared, 1, None).unwrap();
-        let b = run_load(small_scenario(7), 2.0, 12, TreeSharing::Shared, 4, None).unwrap();
+        let a = run_load(small_scenario(7), 2.0, 12, TreeSharing::Shared, None).unwrap();
+        let b = run_load(small_scenario(7), 2.0, 12, TreeSharing::Shared, None).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             a.report.to_json().to_pretty_string(),
@@ -342,7 +339,6 @@ mod tests {
                 1.0,
                 12,
                 TreeSharing::Shared,
-                1,
                 Some(fault),
             )
             .unwrap()
@@ -356,13 +352,12 @@ mod tests {
             "recovery must not lose periods the bare service delivers"
         );
         // The zero-rate profile is byte-identical to no profile at all.
-        let plain = run_load(small_scenario(42), 1.0, 12, TreeSharing::Shared, 1, None).unwrap();
+        let plain = run_load(small_scenario(42), 1.0, 12, TreeSharing::Shared, None).unwrap();
         let inert = run_load(
             small_scenario(42),
             1.0,
             12,
             TreeSharing::Shared,
-            1,
             Some(FaultConfig::new(0.0)),
         )
         .unwrap();
@@ -371,16 +366,8 @@ mod tests {
 
     #[test]
     fn invalid_load_parameters_are_rejected() {
-        assert!(run_load(small_scenario(1), 0.0, 10, TreeSharing::Shared, 1, None).is_err());
-        assert!(run_load(
-            small_scenario(1),
-            f64::NAN,
-            10,
-            TreeSharing::Shared,
-            1,
-            None
-        )
-        .is_err());
-        assert!(run_load(small_scenario(1), 1.0, 0, TreeSharing::Shared, 1, None).is_err());
+        assert!(run_load(small_scenario(1), 0.0, 10, TreeSharing::Shared, None).is_err());
+        assert!(run_load(small_scenario(1), f64::NAN, 10, TreeSharing::Shared, None).is_err());
+        assert!(run_load(small_scenario(1), 1.0, 0, TreeSharing::Shared, None).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! horizon, step every boundary, and poll after each one — the per-period
 //! results stream out in the same order a long-lived client would see them.
 //! Useful as a smoke of the whole submit → install → resolve → poll path
-//! (CI pins its JSON across job counts) and as the usage example for the
-//! client API.
+//! (CI reruns it in a fresh process and compares the JSON byte for byte) and
+//! as the usage example for the client API.
 
 use crate::{PeriodResult, ServiceError, ServiceSim};
 use mobiquery::config::Scenario;
@@ -69,8 +69,6 @@ impl ServeReport {
 /// deployment, polling after every boundary.
 ///
 /// The scenario's duration is overridden to exactly `periods` periods.
-/// `jobs` shards each boundary's resolution across pool workers
-/// ([`ServiceSim::with_jobs`]); the report is byte-identical for any value.
 /// With `fault` set, the query is served under that seeded fault schedule.
 ///
 /// # Errors
@@ -81,7 +79,6 @@ pub fn run_serve(
     scenario: Scenario,
     periods: u64,
     sharing: TreeSharing,
-    jobs: usize,
     fault: Option<FaultConfig>,
 ) -> Result<ServeReport, ServiceError> {
     if periods == 0 {
@@ -89,7 +86,7 @@ pub fn run_serve(
     }
     let period_s = scenario.query.period.as_secs_f64();
     let scenario = scenario.with_duration_secs(periods as f64 * period_s);
-    let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?.with_jobs(jobs);
+    let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?;
     let id = svc.submit(&scenario.query)?;
     let mut results = Vec::with_capacity(periods as usize);
     while !svc.is_finished() {
@@ -131,7 +128,7 @@ mod tests {
 
     #[test]
     fn serve_streams_one_result_per_period() {
-        let report = run_serve(small_scenario(42), 12, TreeSharing::Shared, 1, None).unwrap();
+        let report = run_serve(small_scenario(42), 12, TreeSharing::Shared, None).unwrap();
         assert_eq!(report.results.len(), 12);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.period, i as u64 + 1, "periods stream in order");
@@ -148,7 +145,7 @@ mod tests {
         use mobiquery::sim::{QuerySet, SteppedSim};
         let periods = 10u64;
         let scenario = small_scenario(9).with_duration_secs(2.0 * periods as f64);
-        let report = run_serve(scenario.clone(), periods, TreeSharing::Shared, 1, None).unwrap();
+        let report = run_serve(scenario.clone(), periods, TreeSharing::Shared, None).unwrap();
         let set = QuerySet::generate(&scenario, 1);
         let mut sim = SteppedSim::new(scenario, set, TreeSharing::Shared).unwrap();
         sim.run_to_end().unwrap();
@@ -163,29 +160,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_is_deterministic_across_jobs() {
-        let a = run_serve(small_scenario(3), 8, TreeSharing::Shared, 1, None).unwrap();
-        let b = run_serve(small_scenario(3), 8, TreeSharing::Shared, 4, None).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            a.to_json().to_pretty_string(),
-            b.to_json().to_pretty_string()
-        );
-    }
-
-    #[test]
     fn zero_periods_is_rejected() {
-        assert!(run_serve(small_scenario(1), 0, TreeSharing::Shared, 1, None).is_err());
+        assert!(run_serve(small_scenario(1), 0, TreeSharing::Shared, None).is_err());
     }
 
     #[test]
     fn inert_fault_profile_serves_identically() {
-        let plain = run_serve(small_scenario(5), 10, TreeSharing::Shared, 1, None).unwrap();
+        let plain = run_serve(small_scenario(5), 10, TreeSharing::Shared, None).unwrap();
         let inert = run_serve(
             small_scenario(5),
             10,
             TreeSharing::Shared,
-            1,
             Some(FaultConfig::new(0.0)),
         )
         .unwrap();
@@ -199,7 +184,6 @@ mod tests {
             small_scenario(5),
             16,
             TreeSharing::Shared,
-            1,
             Some(FaultConfig::new(0.4)),
         )
         .unwrap();

@@ -73,9 +73,9 @@ Options:
                      not combinable with --out/--format
   --scale N1,N2,...  with --bench: also sweep deployment sizes (e.g.
                      1000,2000,5000,10000,20000 at constant density), timing a
-                     full run of both schemes plus an indexed-vs-linear
-                     nearest-backbone micro-comparison per size, recorded in
-                     the bench document's \"scale\" section; the largest size
+                     full run of both schemes per size (setup, split into its
+                     phases, and the event loop), recorded in the bench
+                     document's \"scale\" section; the largest size
                      also hosts the shared-vs-naive multi-user tree sweep in
                      the \"multiuser\" section and the incremental-repair
                      \"churn\" section. With the `churn` target: the deployment
@@ -92,8 +92,9 @@ Runs the long-lived query service on one deployment.
 `serve` submits a single resident query and streams its per-period results;
 `load` drives the service with a deterministic open-loop arrival schedule
 (exponential inter-arrivals, seed-derived) and reports per-query success and
-p50/p99 first-result latency in periods. Both emit deterministic JSON: bytes
-are identical for every `--jobs N` and stable for a fixed seed.
+p50/p99 first-result latency in periods. Both resolve one period boundary at
+a time on the calling thread and emit deterministic JSON: the bytes are stable
+for a fixed seed, from run to run and process to process.
 
 Service options:
   --periods N        (serve) periods to serve, at the scenario's query period
@@ -110,9 +111,6 @@ Service options:
                      (L >= 1, default 4); needs --fault-loss
   --no-recovery      disarm install retries and tree repair under faults
                      (the degradation baseline); needs --fault-loss
-  --jobs N           shard each boundary's query resolution across N pool
-                     workers inside the engine; output is byte-identical for
-                     every N (CI diffs --jobs 1 against --jobs 4)
   --out PATH         write the JSON to PATH instead of stdout
   -h, --help         print this help and exit";
 
@@ -244,7 +242,6 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
     let mut nodes: Option<usize> = None;
     let mut sharing = TreeSharing::Shared;
     let mut quick = false;
-    let mut jobs: usize = 1;
     let mut out_path: Option<String> = None;
     let mut fault_loss: Option<f64> = None;
     let mut fault_burst: Option<f64> = None;
@@ -279,10 +276,6 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 _ => return bad_service_usage(),
             },
             "--no-recovery" => no_recovery = true,
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return bad_service_usage(),
-            },
             "--out" => match args.next() {
                 Some(path) => out_path = Some(path),
                 None => return bad_service_usage(),
@@ -325,7 +318,7 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 eprintln!("repro serve: --periods is required\n");
                 return bad_service_usage();
             };
-            match run_serve(scenario, periods, sharing, jobs, fault) {
+            match run_serve(scenario, periods, sharing, fault) {
                 Ok(report) => report.to_json(),
                 Err(e) => {
                     eprintln!("repro serve: {e}");
@@ -338,7 +331,7 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 eprintln!("repro load: --qps and --duration are required\n");
                 return bad_service_usage();
             };
-            match run_load(scenario, qps, duration, sharing, jobs, fault) {
+            match run_load(scenario, qps, duration, sharing, fault) {
                 Ok(outcome) => outcome.report.to_json(),
                 Err(e) => {
                     eprintln!("repro load: {e}");
@@ -388,7 +381,7 @@ fn target_text(
         "multiuser" => format!("{}\n", multiuser::run(config)),
         "analysis" => {
             let mut s = String::new();
-            for table in analysis_tables::run_parallel(config.jobs) {
+            for table in analysis_tables::run() {
                 s.push_str(&format!("{table}\n"));
             }
             s
@@ -420,7 +413,7 @@ fn target_json(
         "fig7" => fig7::run_json(config),
         "fig8" => fig8::run_json(config),
         "multiuser" => multiuser::run_json(config),
-        "analysis" => analysis_tables::run_json(config.jobs),
+        "analysis" => analysis_tables::run_json(),
         _ => return None,
     };
     Some(out)
@@ -546,7 +539,7 @@ fn bench_json(
     // comparable across bench invocations.
     let service = {
         let scenario = scale::scale_scenario(1000, Scheme::JustInTime, config.base_seed);
-        run_load(scenario, 4.0, 40, TreeSharing::Shared, 1, None)
+        run_load(scenario, 4.0, 40, TreeSharing::Shared, None)
             .expect("the reference service load must run")
             .report
             .to_json()

@@ -27,7 +27,7 @@ fn load_schedule_replayed_as_static_query_set_is_log_identical() {
     for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
         let qps = 2.0;
         let duration = 20u64;
-        let outcome = run_load(scenario(42), qps, duration, sharing, 2, None).unwrap();
+        let outcome = run_load(scenario(42), qps, duration, sharing, None).unwrap();
         assert!(outcome.report.submitted > 0, "load must admit queries");
 
         // The service overrode the scenario duration to the load horizon;
@@ -51,8 +51,8 @@ fn load_schedule_replayed_as_static_query_set_is_log_identical() {
 /// trees.
 #[test]
 fn service_load_shared_equals_naive_per_user() {
-    let shared = run_load(scenario(7), 3.0, 16, TreeSharing::Shared, 1, None).unwrap();
-    let naive = run_load(scenario(7), 3.0, 16, TreeSharing::Naive, 1, None).unwrap();
+    let shared = run_load(scenario(7), 3.0, 16, TreeSharing::Shared, None).unwrap();
+    let naive = run_load(scenario(7), 3.0, 16, TreeSharing::Naive, None).unwrap();
     assert_eq!(shared.output.logs, naive.output.logs);
     assert_eq!(
         shared.report.mean_success_ratio,
@@ -77,14 +77,14 @@ fn load_is_seed_stable_and_seed_sensitive() {
         arrival_schedule(1, 4.0, 40, period_s)
     );
 
-    let a = run_load(scenario(5), 2.0, 12, TreeSharing::Shared, 1, None).unwrap();
-    let b = run_load(scenario(5), 2.0, 12, TreeSharing::Shared, 3, None).unwrap();
+    let a = run_load(scenario(5), 2.0, 12, TreeSharing::Shared, None).unwrap();
+    let b = run_load(scenario(5), 2.0, 12, TreeSharing::Shared, None).unwrap();
     assert_eq!(
         a.report.to_json().to_pretty_string(),
         b.report.to_json().to_pretty_string(),
         "same seed, same bytes"
     );
-    let c = run_load(scenario(6), 2.0, 12, TreeSharing::Shared, 1, None).unwrap();
+    let c = run_load(scenario(6), 2.0, 12, TreeSharing::Shared, None).unwrap();
     assert_ne!(
         a.report, c.report,
         "different deployment seed, different run"
