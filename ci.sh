@@ -24,6 +24,13 @@ run cargo test -q
 # Every other member's unit/property/doc tests (the facade just ran).
 run cargo test -q --workspace --exclude mobiquery-repro
 
+# The benchmark is a package of its own that nothing else compiles: build
+# and test it here, so an API change it depends on breaks CI rather than the
+# benchmark run. Its own target directory keeps it from rebuilding the
+# workspace's artifacts.
+run env CARGO_TARGET_DIR=target/mqbench cargo test -q --offline \
+    --manifest-path mqbench/Cargo.toml
+
 # The equivalence proptests get 8x the shim's default 128 cases: the
 # incremental backbone repair against a full re-election, the patched
 # neighbour table against a rebuild, and the calendar event queue against

@@ -7,12 +7,12 @@
 //! and whichever worker runs the trial, which is what lets CI `cmp` churn
 //! outputs byte-for-byte across `--jobs` counts.
 //!
-//! A batch kills `floor(rate × alive)` distinct live nodes (a partial
-//! Fisher–Yates draw over the ascending live-slot list) and joins the same
-//! number of fresh nodes at uniform positions, keeping the population stable
-//! so arbitrarily long runs stay within the peak slot count. Deaths are
-//! applied before joins, so joiners deterministically recycle the slots the
-//! batch just freed.
+//! A batch kills `floor(rate × n)` distinct nodes of the `n` slots (a
+//! partial Fisher–Yates draw over `0..n`) and joins the same number of fresh
+//! nodes at uniform positions. Deaths are applied before joins, and the
+//! joiners refill exactly the slots the batch just freed, last-drawn first,
+//! so every slot holds a live node between batches and arbitrarily long runs
+//! never grow past the initial slot count.
 
 use crate::error::ConfigError;
 use wsn_sim::{mix_seed, SimRng};
@@ -52,8 +52,7 @@ impl ChurnConfig {
 }
 
 /// One boundary's deaths, as slot indices. Join positions are drawn from the
-/// same stream by the caller (via `NodeStore::spawn_uniform`) after the
-/// deaths are applied.
+/// same stream by the caller after the deaths are applied.
 #[derive(Debug, Clone)]
 pub struct ChurnBatchPlan {
     /// The batch's RNG stream, positioned after the death draw; the caller
@@ -64,19 +63,14 @@ pub struct ChurnBatchPlan {
 }
 
 impl ChurnBatchPlan {
-    /// Plans the batch for `boundary`: draws `floor(rate × alive)` distinct
-    /// victims from `alive_slots` (which must be sorted ascending so the
-    /// draw is independent of how the caller tracks liveness).
-    pub fn generate(seed: u64, boundary: u64, rate: f64, alive_slots: &[usize]) -> Self {
-        debug_assert!(
-            alive_slots.windows(2).all(|w| w[0] <= w[1]),
-            "alive slots must be ascending"
-        );
+    /// Plans the batch for `boundary`: draws `floor(rate × slots)` distinct
+    /// victims from the slots `0..slots`.
+    pub fn generate(seed: u64, boundary: u64, rate: f64, slots: usize) -> Self {
         let mut rng = SimRng::seed_from_u64(mix_seed(seed, &[CHURN_STREAM, boundary]));
-        let count = (rate * alive_slots.len() as f64).floor() as usize;
+        let count = (rate * slots as f64).floor() as usize;
         // Partial Fisher–Yates: after i swaps, pool[..i] is a uniform
         // i-subset in uniform order.
-        let mut pool = alive_slots.to_vec();
+        let mut pool: Vec<usize> = (0..slots).collect();
         for i in 0..count {
             let j = rng.gen_range_usize(i, pool.len());
             pool.swap(i, j);
@@ -105,9 +99,8 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic_and_distinct() {
-        let alive: Vec<usize> = (0..200).collect();
-        let a = ChurnBatchPlan::generate(7, 3, 0.1, &alive);
-        let b = ChurnBatchPlan::generate(7, 3, 0.1, &alive);
+        let a = ChurnBatchPlan::generate(7, 3, 0.1, 200);
+        let b = ChurnBatchPlan::generate(7, 3, 0.1, 200);
         assert_eq!(a.deaths, b.deaths, "same (seed, boundary) same batch");
         assert_eq!(a.deaths.len(), 20, "floor(0.1 × 200)");
         let mut sorted = a.deaths.clone();
@@ -115,14 +108,13 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 20, "victims are distinct");
         assert!(sorted.iter().all(|s| *s < 200));
-        let c = ChurnBatchPlan::generate(7, 4, 0.1, &alive);
+        let c = ChurnBatchPlan::generate(7, 4, 0.1, 200);
         assert_ne!(a.deaths, c.deaths, "each boundary draws its own stream");
     }
 
     #[test]
     fn small_populations_round_down_to_zero() {
-        let alive: Vec<usize> = (0..9).collect();
-        let plan = ChurnBatchPlan::generate(1, 1, 0.1, &alive);
+        let plan = ChurnBatchPlan::generate(1, 1, 0.1, 9);
         assert!(plan.deaths.is_empty(), "floor(0.9) = 0 deaths");
     }
 }

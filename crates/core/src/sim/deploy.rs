@@ -1,33 +1,52 @@
-//! Deployment substrate construction shared by the single- and multi-user
-//! simulations.
+//! The deployment substrate both engines simulate over.
 //!
-//! This is the setup phase of `Simulation::new`, extracted so the stepped
-//! multi-user engine builds the *identical* substrate — same RNG fork order
-//! (placement = fork 1, election = fork 2), same all-nodes spatial grid, same
-//! priority-order CCP backbone, same backbone-only neighbour table — from the
-//! same scenario seed.
+//! [`Deployment::build`] is the setup phase of `Simulation::new` and of the
+//! stepped multi-user engine: the same RNG fork order (placement = fork 1,
+//! election = fork 2), the same all-nodes and backbone spatial grids, the
+//! same priority-order CCP backbone and the same backbone-only neighbour
+//! table, from the same scenario seed. Each engine owns one [`Deployment`]
+//! whole; the rules of Section 4 that both engines apply to it — which
+//! backbone nodes a query tree floods, which in-tree relay serves a
+//! duty-cycled node, which backbone node collects a query — are written
+//! here once.
 
 use crate::config::Scenario;
 use crate::error::ConfigError;
-use crate::sim::store::priority_for;
 use std::time::Instant;
-use wsn_geom::{Point, SpatialGrid};
-use wsn_net::NeighborTable;
+use wsn_geom::{Point, SpatialGrid, StripIndex};
+use wsn_net::{FloodScratch, FloodTree, NeighborTable, NodeId, TreeCache, TreeHandle, TreeKey};
 use wsn_power::{elect_backbone_priority, PowerPlan, RepairableBackbone};
-use wsn_sim::SimRng;
+use wsn_sim::{mix_seed, SimRng};
 
-/// The static substrate of one deployment: node positions, the all-nodes
-/// spatial grid, the backbone neighbour table and the power plan.
+/// Stream tag for per-node election priorities (keyed by uid).
+const PRIORITY_STREAM: u64 = 0x5EED_0000_0000_0004;
+
+/// The election priority of the node with unique id `uid` in a deployment
+/// seeded with `seed` — a pure function, so an incremental repair and a
+/// from-scratch re-election derive identical orderings. The initial node in
+/// slot `s` has uid `s`; a node joining under churn gets a fresh uid, so it
+/// never inherits the priority of the node whose slot it refills.
+pub fn priority_for(seed: u64, uid: u64) -> u64 {
+    mix_seed(seed, &[PRIORITY_STREAM, uid])
+}
+
+/// The substrate of one deployment: node positions, the all-nodes and
+/// backbone spatial grids, the backbone neighbour table and the power plan,
+/// indexed by slot. Static runs never change it; churn rewrites a slot's
+/// position, role and grid entries in place, so the slot count stays fixed.
 #[derive(Debug)]
 pub(crate) struct Deployment {
     pub(crate) positions: Vec<Point>,
     pub(crate) all_nodes_grid: SpatialGrid,
+    /// Backbone nodes only, for nearest-collector lookups.
+    pub(crate) backbone_grid: SpatialGrid,
     pub(crate) neighbors: NeighborTable,
     pub(crate) plan: PowerPlan,
-    /// The election's coverage raster as a churn-repairable backbone, when
-    /// [`Deployment::build`] was asked to keep it.
-    pub(crate) repairable: Option<RepairableBackbone>,
-    /// Wall-clock spent on placement, the spatial grid and the neighbour
+    /// The query radius `Rq`.
+    query_radius_m: f64,
+    /// The communication range `Rc`.
+    comm_range_m: f64,
+    /// Wall-clock spent on placement, the spatial grids and the neighbour
     /// table (a timing observation, not simulation state).
     pub(crate) neighbor_ms: f64,
     /// Wall-clock spent on the CCP backbone election.
@@ -42,14 +61,15 @@ impl Deployment {
     /// order of [`priority_for`]`(seed, node)` — the order churn's
     /// incremental repair replays, so a churned run starts from exactly the
     /// backbone a static run uses. With `keep_repairable` the election's
-    /// coverage raster is kept as a [`RepairableBackbone`]; otherwise it is
-    /// dropped before the neighbour table is built, so static setups never
-    /// hold both at once.
+    /// coverage raster is returned beside the deployment as a
+    /// [`RepairableBackbone`] for churn to take; otherwise it is dropped
+    /// before the neighbour table is built, so static setups never hold both
+    /// at once.
     pub(crate) fn build(
         scenario: &Scenario,
         rng: &mut SimRng,
         keep_repairable: bool,
-    ) -> Result<Self, ConfigError> {
+    ) -> Result<(Self, Option<RepairableBackbone>), ConfigError> {
         let region = scenario.region();
         let phase_start = Instant::now();
         let ms_since = |start: Instant| start.elapsed().as_secs_f64() * 1e3;
@@ -104,34 +124,112 @@ impl Deployment {
         let phase_start = Instant::now();
         let neighbors =
             NeighborTable::build_among(&positions, region, comm_range, |i| roles[i].is_backbone());
-        let neighbor_ms = neighbor_grid_ms + ms_since(phase_start);
-
         let plan = PowerPlan::new(roles, scenario.sleep_schedule());
-        Ok(Deployment {
+        // The backbone only changes under churn, which patches this grid
+        // from its flip log, so one grid serves a whole run.
+        let mut backbone_grid =
+            SpatialGrid::new(region, comm_range).map_err(|e| ConfigError::new(e.to_string()))?;
+        for node in plan.backbone_nodes() {
+            backbone_grid.insert(node.index(), positions[node.index()]);
+        }
+        let neighbor_ms = neighbor_grid_ms + ms_since(phase_start);
+        let deployment = Deployment {
             positions,
             all_nodes_grid,
+            backbone_grid,
             neighbors,
             plan,
-            repairable,
+            query_radius_m: scenario.query.radius_m,
+            comm_range_m: comm_range,
             neighbor_ms,
             ccp_ms,
+        };
+        Ok((deployment, repairable))
+    }
+
+    /// How far from its centre a query tree reaches: `Rq + Rc`, one
+    /// communication range beyond the query area, so that duty-cycled nodes
+    /// at the area's edge still find an in-tree relay. Also the radius every
+    /// [`TreeKey`] carries.
+    pub(crate) fn tree_radius(&self) -> f64 {
+        self.query_radius_m + self.comm_range_m
+    }
+
+    /// The flood-tree area: whether `node` is a backbone node within
+    /// [`Deployment::tree_radius`] of `center` and not marked in `excluded`
+    /// (the crashed slots a fault repair floods around).
+    fn in_tree_area(&self, node: NodeId, center: Point, excluded: Option<&[bool]>) -> bool {
+        self.plan.is_backbone(node)
+            && !excluded.is_some_and(|e| e[node.index()])
+            && self.positions[node.index()].distance_to(center) <= self.tree_radius()
+    }
+
+    /// Builds the BFS flood tree rooted at `root` over the tree area around
+    /// `center`, out of `scratch`'s recycled buffers.
+    pub(crate) fn flood_tree(
+        &self,
+        scratch: &mut FloodScratch,
+        root: NodeId,
+        center: Point,
+        excluded: Option<&[bool]>,
+    ) -> FloodTree {
+        scratch.build(root, &self.neighbors, |n| {
+            self.in_tree_area(n, center, excluded)
         })
     }
 
-    /// A spatial grid over backbone nodes only, for nearest-collector
-    /// lookups. The backbone is static after election, so one grid serves a
-    /// whole run.
-    pub(crate) fn backbone_grid(
-        positions: &[Point],
-        plan: &PowerPlan,
-        scenario: &Scenario,
-    ) -> SpatialGrid {
-        let mut grid = SpatialGrid::new(scenario.region(), scenario.radio.comm_range_m)
-            .expect("validated scenarios have a positive communication range");
-        for node in plan.backbone_nodes() {
-            grid.insert(node.index(), positions[node.index()]);
-        }
-        grid
+    /// Acquires the tree for `key` from `cache`, flooding it from the key's
+    /// root over the tree area around the key's centre if no live tree has
+    /// the key. The boolean is `true` when this call built the tree.
+    pub(crate) fn acquire_tree(
+        &self,
+        cache: &mut TreeCache,
+        key: TreeKey,
+        excluded: Option<&[bool]>,
+    ) -> (TreeHandle, bool) {
+        cache.acquire(key, &self.neighbors, |n| {
+            self.in_tree_area(n, key.center(), excluded)
+        })
+    }
+
+    /// Indexes `tree`'s members at their slots' current positions for relay
+    /// lookups, so a lookup scans the tree instead of the deployment. Under
+    /// churn a batch refills every slot it frees before anything is indexed,
+    /// so every member's position is current.
+    pub(crate) fn index_relays(&self, relays: &mut StripIndex, tree: &FloodTree) {
+        relays.rebuild(
+            tree.order()
+                .iter()
+                .map(|n| (n.index(), self.positions[n.index()])),
+        );
+    }
+
+    /// The duty-cycled nodes within `Rq` of `center` that have an in-tree
+    /// relay within `Rc`, each paired with its nearest one (ties to the
+    /// smallest id), in the all-nodes grid's order. `relays` indexes the
+    /// tree's members ([`Deployment::index_relays`]).
+    pub(crate) fn sleeper_relays<'a>(
+        &'a self,
+        center: Point,
+        relays: &'a StripIndex,
+    ) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+        self.all_nodes_grid
+            .query_range(center, self.query_radius_m)
+            .map(NodeId)
+            .filter(|&n| !self.plan.is_backbone(n))
+            .filter_map(move |n| {
+                relays
+                    .nearest_within(self.positions[n.index()], self.comm_range_m)
+                    .map(|(relay, _)| (n, NodeId(relay)))
+            })
+    }
+
+    /// The backbone node nearest to `p` (ties to the smallest id), skipping
+    /// the slots marked in `excluded`.
+    pub(crate) fn nearest_collector(&self, p: Point, excluded: Option<&[bool]>) -> Option<NodeId> {
+        self.backbone_grid
+            .nearest_filtered(p, |i| !excluded.is_some_and(|e| e[i]))
+            .map(|(i, _)| NodeId(i))
     }
 }
 
@@ -147,11 +245,12 @@ mod tests {
             .with_seed(9);
         let build = || {
             let mut rng = SimRng::seed_from_u64(scenario.seed);
-            Deployment::build(&scenario, &mut rng, false).unwrap()
+            Deployment::build(&scenario, &mut rng, false).unwrap().0
         };
         let (a, b) = (build(), build());
         assert_eq!(a.positions, b.positions);
         assert_eq!(a.plan.roles(), b.plan.roles());
+        assert_eq!(a.backbone_grid.len(), a.plan.backbone_count());
         assert!(a.plan.backbone_count() > 0);
         assert!(a.plan.backbone_count() < scenario.node_count);
     }
@@ -166,9 +265,9 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(scenario.seed);
             Deployment::build(&scenario, &mut rng, keep).unwrap()
         };
-        let (plain, kept) = (build(false), build(true));
-        assert!(plain.repairable.is_none());
-        assert!(kept.repairable.is_some());
+        let ((plain, none), (kept, some)) = (build(false), build(true));
+        assert!(none.is_none());
+        assert!(some.is_some());
         assert_eq!(plain.plan.roles(), kept.plan.roles());
     }
 

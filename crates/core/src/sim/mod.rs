@@ -18,15 +18,14 @@ mod multi;
 mod output;
 mod state;
 mod stepped;
-mod store;
 mod world;
 
 pub use churn::{ChurnBatchPlan, ChurnConfig};
+pub use deploy::priority_for;
 pub use event::SimEvent;
 pub use multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
 pub use output::SimulationOutput;
 pub use stepped::{SimOptions, SteppedSim};
-pub use store::{priority_for, NodeStore};
 pub use world::SimWorld;
 pub use wsn_net::{Blackout, FaultConfig, FaultError, FaultPlan};
 
@@ -34,7 +33,7 @@ use crate::config::{Scenario, Scheme};
 use crate::error::ConfigError;
 use deploy::Deployment;
 use std::time::Instant;
-use wsn_net::{Channel, NodeId, RadioState, SleepSchedule};
+use wsn_net::{NodeId, RadioState, SleepSchedule};
 use wsn_power::EnergyLedger;
 use wsn_sim::{Duration, Engine, SimRng, SimTime};
 
@@ -46,16 +45,16 @@ use wsn_sim::{Duration, Engine, SimRng, SimTime};
 /// setup time actually goes instead of a single opaque `setup_ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SetupBreakdown {
-    /// Node placement, the all-nodes spatial grid, and the backbone
-    /// neighbour table (the table is built just after the election, since it
-    /// only needs backbone adjacency, but its cost is accounted here).
+    /// Node placement, the all-nodes and backbone spatial grids, and the
+    /// backbone neighbour table (the table and the backbone grid are built
+    /// just after the election, since they only need the backbone, but their
+    /// cost is accounted here).
     pub neighbor_ms: f64,
     /// CCP backbone election: the coverage-raster build and the greedy
     /// demotion pass.
     pub ccp_ms: f64,
-    /// Everything downstream of the election: power-plan packaging, mobility
-    /// and motion-profile generation, channel and world assembly, and event
-    /// seeding.
+    /// Everything downstream of the substrate: mobility and motion-profile
+    /// generation, channel and world assembly, and event seeding.
     pub plan_ms: f64,
 }
 
@@ -79,15 +78,8 @@ impl Simulation {
         let ms_since = |start: Instant| start.elapsed().as_secs_f64() * 1e3;
 
         // --- Deployment substrate (shared with the multi-user path) ------
-        let Deployment {
-            positions,
-            all_nodes_grid,
-            neighbors,
-            plan,
-            neighbor_ms,
-            ccp_ms,
-            ..
-        } = Deployment::build(&scenario, &mut rng, false)?;
+        let (deployment, _) = Deployment::build(&scenario, &mut rng, false)?;
+        let (neighbor_ms, ccp_ms) = (deployment.neighbor_ms, deployment.ccp_ms);
         let phase_start = Instant::now();
 
         // --- Mobility and motion profiles --------------------------------
@@ -96,20 +88,9 @@ impl Simulation {
         let mut profile_rng = rng.fork(4);
         let profiles = scenario.profile_source.profiles(&motion, &mut profile_rng);
 
-        // --- Channel and world --------------------------------------------
-        let channel = Channel::new(scenario.radio, scenario.mac);
+        // --- World ---------------------------------------------------------
         let world_rng = rng.fork(5);
-        let world = SimWorld::new(
-            scenario.clone(),
-            positions,
-            neighbors,
-            plan,
-            all_nodes_grid,
-            channel,
-            world_rng,
-            motion,
-            profiles,
-        );
+        let world = SimWorld::new(scenario.clone(), deployment, world_rng, motion, profiles);
 
         let mut engine = Engine::new(world);
         Self::seed_events(&mut engine, &scenario);
@@ -193,9 +174,10 @@ impl Simulation {
 
         // Per-sleeping-node power: the baseline duty-cycle pattern plus the
         // extra activity charged during the run.
-        let mut with_query = EnergyLedger::new(world.positions.len(), scenario.radio.power);
-        let mut baseline = EnergyLedger::new(world.positions.len(), scenario.radio.power);
-        let sleeping: Vec<NodeId> = world.plan.sleeping_nodes().collect();
+        let node_count = world.deployment.positions.len();
+        let mut with_query = EnergyLedger::new(node_count, scenario.radio.power);
+        let mut baseline = EnergyLedger::new(node_count, scenario.radio.power);
+        let sleeping: Vec<NodeId> = world.deployment.plan.sleeping_nodes().collect();
         for &node in &sleeping {
             let (base_idle, base_sleep) = baseline_split(&schedule, duration_s);
             baseline.record(node, RadioState::Idle, Duration::from_secs_f64(base_idle));
@@ -230,8 +212,8 @@ impl Simulation {
             mean_fidelity,
             mean_sleeping_power_w,
             baseline_sleeping_power_w,
-            backbone_count: world.plan.backbone_count(),
-            node_count: world.positions.len(),
+            backbone_count: world.deployment.plan.backbone_count(),
+            node_count,
             frames_sent: world.channel.frames_sent(),
             frames_lost: world.channel.frames_lost(),
             trees_built: world.trees_built,

@@ -9,19 +9,27 @@
 //! [`super::deploy::Deployment`], and multiplexes their per-period query
 //! trees through the reference-counted [`wsn_net::TreeCache`].
 //!
-//! **Sharing is provably result-identical per user.** Both sharing modes
-//! quantise each user's predicted pickup point to a lattice cell of side
-//! `Rq` before building a tree, so a shared tree's construction inputs are
-//! bit-identical to what the naive one-tree-per-user path would use;
+//! **Without crashes, sharing is result-identical per user.** Both sharing
+//! modes quantise each user's predicted pickup point to a lattice cell of
+//! side `Rq` before building a tree, so a shared tree's construction inputs
+//! are bit-identical to what the naive one-tree-per-user path would use;
 //! [`TreeSharing::Naive`] builds every tree afresh through an independent
 //! scratch (never touching the cache) and serves as the reference
 //! implementation, in the style of `elect_backbone_reference`. All random
 //! scoring draws come from per-query streams
 //! `mix_seed(seed, [QUERY_STREAM, user, k])`, and contention depends only on
 //! the (pure) count of concurrently active users — so shared and naive runs
-//! produce byte-identical per-user [`QueryLog`]s, which the
+//! without crashes produce byte-identical per-user [`QueryLog`]s, which the
 //! `tree_cache_equivalence` proptests and every multi-user experiment trial
 //! (`run_equivalent_pair` in `mobiquery-experiments`) assert.
+//!
+//! Crashes break the equality. A tree rebuilt around crash victims at
+//! boundary `b` carries that boundary's epoch, so in shared mode the
+//! installs for period `b + 1` made at the same boundary with the same
+//! collector and cell acquire it — and it still leaves out the victims,
+//! which reboot at `b + 1` — where naive mode floods a fresh tree over
+//! every backbone node. Faulted runs of the two modes therefore differ;
+//! `tests/golden_faulted_modes.rs` pins both.
 //!
 //! The period machinery lives in [`super::stepped::SteppedSim`]; a batch
 //! trial is `SteppedSim::new(scenario, QuerySet::generate(..), sharing)`

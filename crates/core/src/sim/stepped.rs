@@ -25,18 +25,17 @@
 use crate::config::Scenario;
 use crate::error::ConfigError;
 use crate::sim::churn::{ChurnBatchPlan, ChurnConfig};
-use crate::sim::deploy::Deployment;
+use crate::sim::deploy::{priority_for, Deployment};
 use crate::sim::multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
-use crate::sim::store::NodeStore;
 use std::collections::HashMap;
 use std::time::Instant;
-use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
+use wsn_geom::{Circle, Point, StripIndex};
 use wsn_metrics::{summarize_users, ChurnBatch, FaultBatch, QueryLog, QueryRecord};
 use wsn_net::{
     Channel, FaultConfig, FaultPlan, FloodScratch, FloodTree, NeighborTable, NodeId, NodeRole,
     SleepSchedule, TreeCache, TreeCacheError, TreeHandle, TreeKey,
 };
-use wsn_power::{elect_backbone_priority, PowerPlan, RepairableBackbone};
+use wsn_power::{elect_backbone_priority, RepairableBackbone};
 use wsn_sim::{mix_seed, SimRng, SimTime};
 
 /// Stream tag for per-query scoring draws (loss, wake jitter).
@@ -46,7 +45,7 @@ pub(crate) const QUERY_STREAM: u64 = 0x5EED_0000_0000_0003;
 const MAX_INSTALL_RETRIES: u32 = 3;
 /// First retry waits this fraction of a period; each further retry doubles it.
 const INSTALL_BACKOFF_FRAC: f64 = 0.05;
-/// Energy one install retransmission drains from the collector, in joules.
+/// Energy one install retransmission costs the collector, in joules.
 const RETRY_ENERGY_J: f64 = 0.002;
 
 fn cache_error(e: TreeCacheError) -> ConfigError {
@@ -54,13 +53,32 @@ fn cache_error(e: TreeCacheError) -> ConfigError {
 }
 
 /// A query currently standing in the network.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct ActiveQuery {
     center: Point,
     installed_at: SimTime,
-    /// Cache handle in [`TreeSharing::Shared`] mode, `None` in naive mode
-    /// (the tree then lives in `naive_trees`).
-    handle: Option<TreeHandle>,
+    tree: QueryTree,
+}
+
+/// The one tree a standing query holds.
+#[derive(Debug)]
+enum QueryTree {
+    /// A reference-counted handle into the shared [`TreeCache`].
+    Shared(TreeHandle),
+    /// A tree of the query's own: every tree in [`TreeSharing::Naive`] mode,
+    /// and a shared query's fallback after its root crashed. Boxed, so the
+    /// map of standing queries keeps small entries.
+    Naive(Box<FloodTree>),
+}
+
+impl QueryTree {
+    /// The flood tree this reference stands for.
+    fn get<'a>(&'a self, cache: &'a TreeCache) -> Result<&'a FloodTree, ConfigError> {
+        match self {
+            QueryTree::Shared(handle) => cache.tree(*handle).map_err(cache_error),
+            QueryTree::Naive(tree) => Ok(tree),
+        }
+    }
 }
 
 /// Recycled buffers for scoring one query: the nodes in the user's actual
@@ -72,19 +90,6 @@ struct ScoreScratch {
     /// `(node, position)` of every node in the area, ascending by node.
     nodes_in_area: Vec<(NodeId, Point)>,
     relays: StripIndex,
-}
-
-/// Indexes `tree`'s members at their slots' current positions: exactly the
-/// nodes a walk of the all-nodes grid filtered on tree membership could
-/// return (a churn batch refills every slot it frees before anything is
-/// scored, so every slot is in the grid), so the relay lookup scans the
-/// tree instead of the deployment.
-fn index_relays(relays: &mut StripIndex, tree: &FloodTree, store: &NodeStore) {
-    relays.rebuild(
-        tree.order()
-            .iter()
-            .map(|n| (n.index(), store.position(n.index()))),
-    );
 }
 
 /// The optional behaviours of one [`SteppedSim`] run. They compose: a run
@@ -106,21 +111,37 @@ pub struct SimOptions {
     pub faults: Option<FaultConfig>,
 }
 
-/// Everything churn mode adds to the world: the repairable backbone, the
-/// topology epoch (bumped per batch so [`TreeKey`]s from different topologies
-/// never share a cached tree) and the per-batch log.
+/// Everything churn mode adds to the world: the repairable backbone, each
+/// slot's election priority, the topology epoch (bumped per batch so
+/// [`TreeKey`]s from different topologies never share a cached tree) and the
+/// per-batch log.
 #[derive(Debug)]
 struct ChurnState {
     config: ChurnConfig,
     backbone: RepairableBackbone,
+    /// Election priority of the node in each slot: [`priority_for`] of its
+    /// uid. Slot `s` starts with uid `s`; a joiner takes `next_uid`.
+    priority: Vec<u64>,
+    next_uid: u64,
     epoch: u32,
     log: Vec<ChurnBatch>,
 }
 
+impl ChurnState {
+    /// Gives `slot` to a node joining at `pos`: a fresh uid, and the
+    /// priority derived from it — never the priority of the node that left
+    /// the slot — and records the join for the next repair.
+    fn join(&mut self, seed: u64, slot: usize, pos: Point) {
+        self.priority[slot] = priority_for(seed, self.next_uid);
+        self.next_uid += 1;
+        self.backbone.note_join((self.priority[slot], slot), pos);
+    }
+}
+
 /// Everything fault mode adds to the world: the seeded fault schedule, the
-/// faults in force around the current boundary, the recovery epoch (bumped
+/// crashes in force around the current boundary, the recovery epoch (bumped
 /// per crash batch so rebuilt trees never share a poisoned key) and the
-/// per-boundary counters flushed into the fault log.
+/// per-boundary log.
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
@@ -129,28 +150,13 @@ struct FaultState {
     crashed: Vec<(usize, f64)>,
     /// Dense mirror of `crashed` for O(1) membership tests in scoring.
     is_crashed: Vec<bool>,
-    /// Whether the configured blackout covers the current boundary.
-    blackout: bool,
     /// Fault epochs folded into every [`TreeKey`] alongside the churn epoch.
     epoch: u32,
     log: Vec<FaultBatch>,
-    // Per-boundary counters, zeroed by `flush_fault_batch`.
-    attempts: u64,
-    retries: u64,
-    failures: u64,
-    rebuilt: u64,
-    fallbacks: u64,
-    retry_energy_j: f64,
-}
-
-/// What one faulted install attempt sequence resolved to.
-struct InstallOutcome {
-    /// Whether any attempt got through.
-    success: bool,
-    /// Backoff accumulated before the successful attempt, in seconds.
-    delay_s: f64,
-    /// Attempts burned beyond the first (each drains retry energy).
-    extra_attempts: u32,
+    /// The current boundary's record: the faults that struck, and the
+    /// install and repair counters accumulated until
+    /// [`MultiUserWorld::flush_fault_batch`] pushes it onto `log`.
+    pending: FaultBatch,
 }
 
 impl FaultState {
@@ -159,15 +165,9 @@ impl FaultState {
             plan,
             crashed: Vec::new(),
             is_crashed: vec![false; slots],
-            blackout: false,
             epoch: 0,
             log: Vec::new(),
-            attempts: 0,
-            retries: 0,
-            failures: 0,
-            rebuilt: 0,
-            fallbacks: 0,
-            retry_energy_j: 0.0,
+            pending: FaultBatch::default(),
         }
     }
 
@@ -176,9 +176,11 @@ impl FaultState {
     /// blacked out, and otherwise fails with the configured loss probability
     /// drawn from the dedicated per-(user, period) install stream. Recovery
     /// retries up to [`MAX_INSTALL_RETRIES`] times behind exponential
-    /// backoff; without recovery the first loss is final. At loss 0 with no
-    /// forced faults this draws zero random numbers and returns an immediate
-    /// success — the rate-0 byte-identity hinge.
+    /// backoff; without recovery the first loss is final. Returns the
+    /// backoff accumulated before the attempt that got through, in seconds,
+    /// or `None` when every attempt was lost. At loss 0 with no forced
+    /// faults this draws zero random numbers and returns `Some(0.0)` — the
+    /// rate-0 byte-identity hinge.
     fn install_outcome(
         &mut self,
         user: u32,
@@ -187,7 +189,7 @@ impl FaultState {
         collector_pos: Point,
         boundary: u64,
         period_s: f64,
-    ) -> InstallOutcome {
+    ) -> Option<f64> {
         let forced = self.is_crashed[collector]
             || self.plan.link_bad(collector)
             || self.plan.blacked_out(boundary, collector_pos);
@@ -201,25 +203,17 @@ impl FaultState {
         let mut delay_s = 0.0;
         for attempt in 0..attempts {
             if attempt > 0 {
-                self.retries += 1;
-                self.retry_energy_j += RETRY_ENERGY_J;
+                self.pending.retries += 1;
+                self.pending.retry_energy_j += RETRY_ENERGY_J;
                 delay_s += INSTALL_BACKOFF_FRAC * period_s * f64::from(1u32 << (attempt - 1));
             }
-            self.attempts += 1;
+            self.pending.install_attempts += 1;
             if !forced && !rng.gen_bool(loss) {
-                return InstallOutcome {
-                    success: true,
-                    delay_s,
-                    extra_attempts: attempt,
-                };
+                return Some(delay_s);
             }
         }
-        self.failures += 1;
-        InstallOutcome {
-            success: false,
-            delay_s: 0.0,
-            extra_attempts: attempts - 1,
-        }
+        self.pending.install_failures += 1;
+        None
     }
 
     /// The instant `slot` crashed, in seconds, if it crashed this window
@@ -256,20 +250,17 @@ impl FaultState {
 #[derive(Debug)]
 struct MultiUserWorld {
     scenario: Scenario,
-    /// Struct-of-arrays node state (positions, priorities, energy, liveness,
-    /// slot free list). In a static run every slot just stays alive.
-    store: NodeStore,
-    neighbors: NeighborTable,
-    plan: PowerPlan,
-    all_nodes_grid: SpatialGrid,
-    backbone_grid: SpatialGrid,
+    /// The substrate. A static run never changes it; churn rewrites the
+    /// slots a batch kills and refills, in place.
+    deployment: Deployment,
     schedule: SleepSchedule,
     channel: Channel,
     query_set: QuerySet,
     sharing: TreeSharing,
     cache: TreeCache,
     naive_scratch: FloodScratch,
-    naive_trees: HashMap<(u32, u64), FloodTree>,
+    /// Trees built outside the cache: every naive-mode tree, plus shared
+    /// queries' fallbacks after a root crash.
     naive_built: u64,
     active: HashMap<(u32, u64), ActiveQuery>,
     /// Wake-up cost of each distinct tree, memoised by construction key so
@@ -337,12 +328,10 @@ impl MultiUserWorld {
     /// ahead of the deadline (`now = (k-1)·T`). Under fault injection each
     /// install first walks the ack/retry machine: a lost install is retried
     /// behind exponential backoff (recovery on) or abandoned (recovery off),
-    /// retransmissions drain collector energy, and a successful retry's
-    /// backoff delays `installed_at` — pushing duty-cycled wake-ups later,
-    /// the fidelity price of recovery.
+    /// and a successful retry's backoff delays `installed_at` — pushing
+    /// duty-cycled wake-ups later, the fidelity price of recovery.
     fn handle_period_install(&mut self, now: SimTime, k: u64) -> Result<(), ConfigError> {
         let deadline = self.deadline(k);
-        let relay_radius = self.scenario.query.radius_m + self.scenario.radio.comm_range_m;
         let period_s = self.scenario.query.period.as_secs_f64();
         for index in 0..self.query_set.users().len() {
             if !self.query_set.users()[index].active_in(k) {
@@ -354,16 +343,16 @@ impl MultiUserWorld {
                 Self::predicted_pickup(uq, now, deadline)
             };
             let center = self.quantized_center(pickup);
-            let Some(collector) = self.backbone_grid.nearest(center).map(|(i, _)| NodeId(i)) else {
+            let Some(collector) = self.deployment.nearest_collector(center, None) else {
                 continue; // no backbone at all: the resolve records a miss
             };
-            let epoch = self.tree_epoch();
-            let key = TreeKey::new(collector, center, relay_radius).with_epoch(epoch);
+            let key = TreeKey::new(collector, center, self.deployment.tree_radius())
+                .with_epoch(self.tree_epoch());
             self.installs += 1;
 
             let mut installed_at = now;
             if let Some(fault) = &mut self.fault {
-                let collector_pos = self.store.position(collector.index());
+                let collector_pos = self.deployment.positions[collector.index()];
                 let outcome = fault.install_outcome(
                     user,
                     k,
@@ -372,130 +361,89 @@ impl MultiUserWorld {
                     k - 1,
                     period_s,
                 );
-                if outcome.extra_attempts > 0 {
-                    self.store.drain(
-                        collector.index(),
-                        RETRY_ENERGY_J * f64::from(outcome.extra_attempts),
-                    );
-                }
-                if !outcome.success {
+                let Some(delay_s) = outcome else {
                     continue; // no tree stands; the resolve records a miss
-                }
-                if outcome.delay_s > 0.0 {
-                    installed_at = SimTime::from_secs_f64(now.as_secs_f64() + outcome.delay_s);
+                };
+                if delay_s > 0.0 {
+                    installed_at = SimTime::from_secs_f64(now.as_secs_f64() + delay_s);
                 }
             }
 
-            let handle = match self.sharing {
-                TreeSharing::Shared => {
-                    let (handle, built) = {
-                        let positions = self.store.positions();
-                        let plan = &self.plan;
-                        self.cache.acquire(key, &self.neighbors, |n| {
-                            plan.is_backbone(n)
-                                && positions[n.index()].distance_to(center) <= relay_radius
-                        })
-                    };
-                    let cost = {
-                        let tree = self.cache.tree(handle).map_err(cache_error)?;
-                        Self::memoized_cost(
-                            &mut self.tree_cost,
-                            key,
-                            tree,
-                            &self.channel,
-                            &self.scenario,
-                            &self.all_nodes_grid,
-                            &self.store,
-                            &self.plan,
-                        )
-                    };
-                    self.node_wake_seconds_naive += cost;
-                    if built {
-                        self.node_wake_seconds += cost;
-                    }
-                    Some(handle)
-                }
-                TreeSharing::Naive => {
-                    let tree = {
-                        let positions = self.store.positions();
-                        let plan = &self.plan;
-                        self.naive_scratch.build(collector, &self.neighbors, |n| {
-                            plan.is_backbone(n)
-                                && positions[n.index()].distance_to(center) <= relay_radius
-                        })
-                    };
-                    self.naive_built += 1;
-                    let cost = Self::memoized_cost(
-                        &mut self.tree_cost,
-                        key,
-                        &tree,
-                        &self.channel,
-                        &self.scenario,
-                        &self.all_nodes_grid,
-                        &self.store,
-                        &self.plan,
-                    );
-                    self.node_wake_seconds_naive += cost;
-                    self.node_wake_seconds += cost;
-                    self.naive_trees.insert((user, k), tree);
-                    None
-                }
-            };
+            let naive = self.sharing == TreeSharing::Naive;
+            let (tree, cost) = self.stand_tree(key, naive, None)?;
+            self.node_wake_seconds_naive += cost;
             self.active.insert(
                 (user, k),
                 ActiveQuery {
                     center,
                     installed_at,
-                    handle,
+                    tree,
                 },
             );
         }
         Ok(())
     }
 
-    /// Wake-up cost of the tree for `key`, computed once per distinct key and
-    /// then served from the memo (tree content is a pure function of the key,
-    /// so the first computation stands for every later install of the key).
-    /// Every duty-cycled node in the key's area with an in-tree relay in
-    /// range pays one buffered setup reception plus the nominal wake-up it
-    /// takes to forward its reading.
+    /// Stands a tree for `key` over the tree area minus `excluded`: acquired
+    /// through the cache, or — with `naive` — built as a tree of the query's
+    /// own. A tree this call builds charges its wake-up cost to the selected
+    /// mode. Returns the tree with that cost, which the caller charges to
+    /// the naive baseline when the install is one the baseline pays for.
     ///
-    /// Takes the tree by reference — the caller resolves its handle first —
-    /// so no `Option<TreeHandle>` juggling (and no dead-handle `expect`)
-    /// happens inside the memo.
-    #[allow(clippy::too_many_arguments)] // split borrows of the world's fields
-    fn memoized_cost(
-        tree_cost: &mut HashMap<TreeKey, f64>,
+    /// The cost is computed once per distinct key and then served from the
+    /// memo (outside crash repair, tree content is a pure function of the
+    /// key, so the first computation stands for every later install of the
+    /// key; see the `multi` module docs for the exception): every
+    /// duty-cycled node in the key's area with an in-tree relay in range
+    /// pays one buffered setup reception plus the nominal wake-up it takes
+    /// to forward its reading.
+    fn stand_tree(
+        &mut self,
         key: TreeKey,
-        tree: &FloodTree,
-        channel: &Channel,
-        scenario: &Scenario,
-        all_nodes_grid: &SpatialGrid,
-        store: &NodeStore,
-        plan: &PowerPlan,
-    ) -> f64 {
-        if let Some(&cost) = tree_cost.get(&key) {
-            return cost;
-        }
-        let setup_airtime = channel
-            .tx_duration(scenario.messages.setup_bytes)
-            .as_secs_f64();
-        let area = Circle::new(key.center(), scenario.query.radius_m);
-        let comm_range = scenario.radio.comm_range_m;
-        let mut relays = StripIndex::new();
-        index_relays(&mut relays, tree, store);
-        let mut cost = 0.0;
-        for idx in all_nodes_grid.query_circle(area) {
-            if !plan.is_backbone(NodeId(idx))
-                && relays
-                    .nearest_within(store.position(idx), comm_range)
-                    .is_some()
-            {
-                cost += setup_airtime + 0.010;
+        naive: bool,
+        excluded: Option<&[bool]>,
+    ) -> Result<(QueryTree, f64), ConfigError> {
+        let deployment = &self.deployment;
+        let (tree, built) = if naive {
+            let tree =
+                deployment.flood_tree(&mut self.naive_scratch, key.root(), key.center(), excluded);
+            self.naive_built += 1;
+            (QueryTree::Naive(Box::new(tree)), true)
+        } else {
+            let (handle, built) = deployment.acquire_tree(&mut self.cache, key, excluded);
+            (QueryTree::Shared(handle), built)
+        };
+        let flood = tree.get(&self.cache)?;
+        let cost = *self.tree_cost.entry(key).or_insert_with(|| {
+            let per_sleeper_s = self
+                .channel
+                .tx_duration(self.scenario.messages.setup_bytes)
+                .as_secs_f64()
+                + 0.010;
+            let mut relays = StripIndex::new();
+            deployment.index_relays(&mut relays, flood);
+            let mut cost = 0.0;
+            for _ in deployment.sleeper_relays(key.center(), &relays) {
+                cost += per_sleeper_s;
             }
+            cost
+        });
+        if built {
+            self.node_wake_seconds += cost;
         }
-        tree_cost.insert(key, cost);
-        cost
+        Ok((tree, cost))
+    }
+
+    /// Lets go of a standing query's tree: a shared reference is released,
+    /// an own tree's buffers go back to the scratch.
+    fn drop_tree(&mut self, tree: QueryTree) -> Result<(), ConfigError> {
+        match tree {
+            QueryTree::Shared(handle) => {
+                self.cache.release(handle).map_err(cache_error)?;
+            }
+            QueryTree::Naive(tree) => self.naive_scratch.recycle(*tree),
+        }
+        Ok(())
     }
 
     /// The per-reading loss probability of period `k`: contention among
@@ -530,7 +478,8 @@ impl MultiUserWorld {
         let nodes_in_area = &mut scratch.nodes_in_area;
         nodes_in_area.clear();
         nodes_in_area.extend(
-            self.all_nodes_grid
+            self.deployment
+                .all_nodes_grid
                 .query_range_with_pos(area.center, area.radius)
                 .map(|(i, p)| (NodeId(i), p)),
         );
@@ -545,11 +494,8 @@ impl MultiUserWorld {
             self.scenario.seed,
             &[QUERY_STREAM, user as u64, k],
         ));
-        let tree = match aq.handle {
-            Some(handle) => self.cache.tree(handle).map_err(cache_error)?,
-            None => &self.naive_trees[&(user, k)],
-        };
-        index_relays(&mut scratch.relays, tree, &self.store);
+        let tree = aq.tree.get(&self.cache)?;
+        self.deployment.index_relays(&mut scratch.relays, tree);
         let contributing = self.count_contributing(tree, scratch, aq, loss_p, &mut rng, k);
         Ok(QueryRecord {
             seq: k,
@@ -565,19 +511,7 @@ impl MultiUserWorld {
     /// scored, so cache refcounts and logs evolve in one fixed order.
     fn apply_resolve(&mut self, user: u32, k: u64, record: QueryRecord) -> Result<(), ConfigError> {
         if let Some(aq) = self.active.remove(&(user, k)) {
-            match aq.handle {
-                Some(handle) => {
-                    self.cache.release(handle).map_err(cache_error)?;
-                }
-                None => {
-                    let tree = self.naive_trees.remove(&(user, k)).ok_or_else(|| {
-                        ConfigError::new(format!(
-                            "naive tree missing at resolve for user {user} period {k}"
-                        ))
-                    })?;
-                    self.naive_scratch.recycle(tree);
-                }
-            }
+            self.drop_tree(aq.tree)?;
         }
         self.logs[user as usize].push(record);
         Ok(())
@@ -607,7 +541,7 @@ impl MultiUserWorld {
         rng: &mut SimRng,
         k: u64,
     ) -> usize {
-        let (scenario, plan, schedule) = (&self.scenario, &self.plan, &self.schedule);
+        let (scenario, plan, schedule) = (&self.scenario, &self.deployment.plan, &self.schedule);
         let fault = self.fault.as_ref();
         let deadline = self.deadline(k);
         let period_s = scenario.query.period.as_secs_f64();
@@ -681,16 +615,15 @@ impl MultiUserWorld {
     }
 
     /// Applies the seed-derived churn batch for `boundary` and repairs the
-    /// backbone incrementally. Deaths go first (freeing their slots), then
-    /// the same number of joins (deterministically recycling those slots, so
-    /// the population and the slot count stay fixed); the repair then
-    /// promotes/demotes only the perturbed nodes, the backbone grid is
-    /// patched from the flip log, the neighbour table is patched around the
-    /// dead backbone slots and the flipped ones, and the topology epoch is
-    /// bumped so no tree built before the batch is ever shared after it. An
-    /// empty batch (`floor(rate × alive) = 0`) changes no topology: it is
-    /// still logged, but the table and the epoch stay as they are, so
-    /// standing trees keep being handed over instead of rebuilt.
+    /// backbone incrementally. Deaths go first, then the same number of joins
+    /// refill the freed slots, so the population and the slot count stay
+    /// fixed; the repair then promotes/demotes only the perturbed nodes, the
+    /// backbone grid is patched from the flip log, the neighbour table is
+    /// patched around the dead backbone slots and the flipped ones, and the
+    /// topology epoch is bumped so no tree built before the batch is ever
+    /// shared after it. An empty batch (`floor(rate × alive) = 0`) changes
+    /// no topology: it is still logged, but the table and the epoch stay as
+    /// they are, so standing trees keep being handed over instead of rebuilt.
     ///
     /// # Errors
     ///
@@ -708,10 +641,9 @@ impl MultiUserWorld {
 
     fn churn_step(&mut self, boundary: u64, churn: &mut ChurnState) -> Result<(), ConfigError> {
         let apply_start = Instant::now();
-        let region = self.scenario.region();
-        let alive = self.store.alive_slots();
-        let plan =
-            ChurnBatchPlan::generate(self.scenario.seed, boundary, churn.config.rate, &alive);
+        let (region, seed) = (self.scenario.region(), self.scenario.seed);
+        let d = &mut self.deployment;
+        let plan = ChurnBatchPlan::generate(seed, boundary, churn.config.rate, d.positions.len());
         let deaths = plan.deaths.len();
         let mut rng = plan.rng;
         // Slots that left or joined the backbone: the neighbour table is
@@ -719,35 +651,34 @@ impl MultiUserWorld {
         let mut changed = Vec::new();
         for &s in &plan.deaths {
             let node = NodeId(s);
-            let pos = self.store.position(s);
-            self.all_nodes_grid.remove(s);
-            let role = self.plan.role(node);
+            d.all_nodes_grid.remove(s);
+            let role = d.plan.role(node);
             if role.is_backbone() {
-                self.backbone_grid.remove(s);
+                d.backbone_grid.remove(s);
                 changed.push(s);
             }
-            churn.backbone.note_death(pos, role);
-            self.plan.set_role(node, NodeRole::DutyCycled);
-            self.store.kill(s);
+            churn.backbone.note_death(d.positions[s], role);
+            d.plan.set_role(node, NodeRole::DutyCycled);
         }
-        // Joins recycle the slots the deaths just freed (deaths == joins and
-        // the free list is LIFO), so no slot array ever grows here and every
-        // slot stays within the power plan's node count.
-        for _ in 0..deaths {
-            let s = self.store.spawn_uniform(region, &mut rng);
-            let p = self.store.position(s);
-            self.plan.set_role(NodeId(s), NodeRole::DutyCycled);
-            self.all_nodes_grid.insert(s, p);
-            churn.backbone.note_join((self.store.priorities()[s], s), p);
+        // Joins refill the freed slots, last-drawn first, each at a uniform
+        // position; no slot array ever grows.
+        for &s in plan.deaths.iter().rev() {
+            let p = Point::new(
+                rng.gen_range_f64(region.min_x, region.max_x),
+                rng.gen_range_f64(region.min_y, region.max_y),
+            );
+            d.positions[s] = p;
+            d.all_nodes_grid.insert(s, p);
+            churn.join(seed, s, p);
         }
         let apply_grid_ms = apply_start.elapsed().as_secs_f64() * 1e3;
 
         let repair_start = Instant::now();
         let stats = churn.backbone.repair(
-            self.store.positions(),
-            self.store.priorities(),
-            self.plan.roles_mut(),
-            &self.all_nodes_grid,
+            &d.positions,
+            &churn.priority,
+            d.plan.roles_mut(),
+            &d.all_nodes_grid,
         );
         let repair_ms = repair_start.elapsed().as_secs_f64() * 1e3;
 
@@ -755,52 +686,33 @@ impl MultiUserWorld {
         for &(slot, now_backbone) in &stats.flips {
             let s = slot as usize;
             if now_backbone {
-                self.backbone_grid.insert(s, self.store.position(s));
+                d.backbone_grid.insert(s, d.positions[s]);
             } else {
-                self.backbone_grid.remove(s);
+                d.backbone_grid.remove(s);
             }
             changed.push(s);
         }
         if deaths > 0 {
-            self.neighbors.patch(&self.backbone_grid, &changed);
+            d.neighbors.patch(&d.backbone_grid, &changed);
             churn.epoch += 1;
-        }
-        // Per-boundary residual-energy accounting: backbone radios stay on,
-        // duty-cycled ones mostly sleep.
-        for s in 0..self.store.len() {
-            if !self.store.is_alive(s) {
-                continue;
-            }
-            let cost = if self.plan.roles()[s].is_backbone() {
-                0.01
-            } else {
-                0.001
-            };
-            self.store.drain(s, cost);
         }
         let apply_ms = apply_grid_ms + apply_start.elapsed().as_secs_f64() * 1e3;
 
         let verified = if churn.config.verify {
-            let alive_now = self.store.alive_slots();
-            let reference = elect_backbone_priority(
-                self.store.positions(),
-                self.store.priorities(),
-                &alive_now,
-                region,
-                &self.scenario.ccp,
-            );
-            if reference.as_slice() != self.plan.roles() {
+            let reference = self.full_election(&churn.priority);
+            let d = &self.deployment;
+            if reference.as_slice() != d.plan.roles() {
                 return Err(ConfigError::new(format!(
                     "incremental repair diverged from full re-election at boundary {boundary}"
                 )));
             }
             let rebuilt = NeighborTable::build_among(
-                self.store.positions(),
+                &d.positions,
                 region,
                 self.scenario.radio.comm_range_m,
                 |i| reference[i].is_backbone(),
             );
-            if rebuilt != self.neighbors {
+            if rebuilt != d.neighbors {
                 return Err(ConfigError::new(format!(
                     "patched neighbour table diverged from a rebuild at boundary {boundary}"
                 )));
@@ -825,6 +737,19 @@ impl MultiUserWorld {
         Ok(())
     }
 
+    /// A from-scratch priority election over every slot under `priority` —
+    /// the backbone the incremental repair must land on.
+    fn full_election(&self, priority: &[u64]) -> Vec<NodeRole> {
+        let slots: Vec<usize> = (0..self.deployment.positions.len()).collect();
+        elect_backbone_priority(
+            &self.deployment.positions,
+            priority,
+            &slots,
+            self.scenario.region(),
+            &self.scenario.ccp,
+        )
+    }
+
     /// Advances the fault schedule across `boundary` (a no-op without fault
     /// mode): last boundary's crash victims reboot, the per-node channel
     /// chains step, this boundary's victims strike, and — when recovery is
@@ -844,7 +769,6 @@ impl MultiUserWorld {
             fault.is_crashed[slot] = false;
         }
         let batch = fault.plan.advance(boundary);
-        fault.blackout = batch.blackout;
         fault.crashed.clear();
         fault
             .crashed
@@ -852,6 +776,10 @@ impl MultiUserWorld {
         for &(slot, _) in &fault.crashed {
             fault.is_crashed[slot] = true;
         }
+        fault.pending.boundary = boundary;
+        fault.pending.link_bad = fault.plan.bad_count();
+        fault.pending.crashes = fault.crashed.len();
+        fault.pending.blackout = batch.blackout;
         if !fault.crashed.is_empty() && fault.plan.config().recovery {
             fault.epoch += 1;
             self.fault_repair_trees(fault)?;
@@ -860,207 +788,68 @@ impl MultiUserWorld {
     }
 
     /// The per-boundary tree health check: every standing query whose tree
-    /// contains a crash victim is poisoned. A poisoned shared tree whose
-    /// collector survived is released and re-acquired under the bumped epoch
-    /// with the victims excluded (re-homing their descendants); one whose
-    /// collector crashed degrades to a per-user naive tree rooted at the
-    /// nearest live backbone node. Naive trees rebuild in place the same
-    /// way. Keys are visited in sorted order so cache bookkeeping — and
-    /// therefore every output byte — is independent of hash-map iteration
-    /// order.
+    /// contains a crash victim is poisoned. A poisoned query lets go of its
+    /// tree and re-roots: at its old root if that survived, else at the
+    /// nearest live backbone node; with no live root in reach it is dropped
+    /// (an install failure). A shared query that kept its root re-acquires
+    /// through the cache under the bumped epoch with the victims excluded
+    /// (re-homing their descendants; a rebuild). A shared query whose root
+    /// crashed degrades to a tree of its own (a naive fallback), and a naive
+    /// query rebuilds its own tree the same way (a rebuild). Keys are
+    /// visited in sorted order so cache bookkeeping — and therefore every
+    /// output byte — is independent of hash-map iteration order.
     fn fault_repair_trees(&mut self, fault: &mut FaultState) -> Result<(), ConfigError> {
         if self.active.is_empty() {
             return Ok(());
         }
         let mut standing: Vec<(u32, u64)> = self.active.keys().copied().collect();
         standing.sort_unstable();
-        let relay_radius = self.scenario.query.radius_m + self.scenario.radio.comm_range_m;
         let epoch = self.churn.as_ref().map_or(0, |c| c.epoch) + fault.epoch;
-        for (user, k) in standing {
-            let aq = self.active[&(user, k)];
-            let poisoned = {
-                let tree = match aq.handle {
-                    Some(handle) => self.cache.tree(handle).map_err(cache_error)?,
-                    None => self.naive_trees.get(&(user, k)).ok_or_else(|| {
-                        ConfigError::new(format!(
-                            "naive tree missing at health check for user {user} period {k}"
-                        ))
-                    })?,
-                };
-                fault.crashed.iter().any(|&(s, _)| tree.contains(NodeId(s)))
+        let excluded = Some(fault.is_crashed.as_slice());
+        for id in standing {
+            let old_root = {
+                let tree = self.active[&id].tree.get(&self.cache)?;
+                if !fault.crashed.iter().any(|&(s, _)| tree.contains(NodeId(s))) {
+                    continue;
+                }
+                tree.root()
             };
-            if !poisoned {
+            let Some(mut aq) = self.active.remove(&id) else {
                 continue;
+            };
+            let shared = matches!(aq.tree, QueryTree::Shared(_));
+            self.drop_tree(aq.tree)?;
+            let root = if fault.is_crashed[old_root.index()] {
+                self.deployment.nearest_collector(aq.center, excluded)
+            } else {
+                Some(old_root)
+            };
+            let Some(root) = root else {
+                // Every backbone node near the centre is down: nothing can
+                // stand in for the tree this period.
+                fault.pending.install_failures += 1;
+                continue;
+            };
+            let key =
+                TreeKey::new(root, aq.center, self.deployment.tree_radius()).with_epoch(epoch);
+            let naive = !shared || root != old_root;
+            aq.tree = self.stand_tree(key, naive, excluded)?.0;
+            if shared && naive {
+                fault.pending.naive_fallbacks += 1;
+            } else {
+                fault.pending.trees_rebuilt += 1;
             }
-            let center = aq.center;
-            match aq.handle {
-                Some(handle) => {
-                    let old_root = self.cache.key(handle).map_err(cache_error)?.root();
-                    self.cache.release(handle).map_err(cache_error)?;
-                    if !fault.is_crashed[old_root.index()] {
-                        let key = TreeKey::new(old_root, center, relay_radius).with_epoch(epoch);
-                        let (rebuilt, built) = {
-                            let positions = self.store.positions();
-                            let plan = &self.plan;
-                            let is_crashed = &fault.is_crashed;
-                            self.cache.acquire(key, &self.neighbors, |n| {
-                                plan.is_backbone(n)
-                                    && !is_crashed[n.index()]
-                                    && positions[n.index()].distance_to(center) <= relay_radius
-                            })
-                        };
-                        if built {
-                            let cost = {
-                                let tree = self.cache.tree(rebuilt).map_err(cache_error)?;
-                                Self::memoized_cost(
-                                    &mut self.tree_cost,
-                                    key,
-                                    tree,
-                                    &self.channel,
-                                    &self.scenario,
-                                    &self.all_nodes_grid,
-                                    &self.store,
-                                    &self.plan,
-                                )
-                            };
-                            self.node_wake_seconds += cost;
-                        }
-                        fault.rebuilt += 1;
-                        if let Some(entry) = self.active.get_mut(&(user, k)) {
-                            entry.handle = Some(rebuilt);
-                        }
-                    } else {
-                        let alt = self
-                            .backbone_grid
-                            .nearest_filtered(center, |i| !fault.is_crashed[i])
-                            .map(|(i, _)| NodeId(i));
-                        match alt {
-                            Some(root) => {
-                                self.fault_build_naive(
-                                    fault,
-                                    user,
-                                    k,
-                                    root,
-                                    center,
-                                    relay_radius,
-                                    epoch,
-                                );
-                                fault.fallbacks += 1;
-                            }
-                            None => {
-                                // Every backbone node near the centre is down:
-                                // nothing can stand in for the tree this period.
-                                self.active.remove(&(user, k));
-                                fault.failures += 1;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let tree = self.naive_trees.remove(&(user, k)).ok_or_else(|| {
-                        ConfigError::new(format!(
-                            "naive tree missing at rebuild for user {user} period {k}"
-                        ))
-                    })?;
-                    let old_root = tree.root();
-                    self.naive_scratch.recycle(tree);
-                    let root = if fault.is_crashed[old_root.index()] {
-                        self.backbone_grid
-                            .nearest_filtered(center, |i| !fault.is_crashed[i])
-                            .map(|(i, _)| NodeId(i))
-                    } else {
-                        Some(old_root)
-                    };
-                    match root {
-                        Some(root) => {
-                            self.fault_build_naive(
-                                fault,
-                                user,
-                                k,
-                                root,
-                                center,
-                                relay_radius,
-                                epoch,
-                            );
-                            fault.rebuilt += 1;
-                        }
-                        None => {
-                            self.active.remove(&(user, k));
-                            fault.failures += 1;
-                        }
-                    }
-                }
-            }
+            self.active.insert(id, aq);
         }
         Ok(())
     }
 
-    /// Builds a per-user naive tree around the crash victims and stands it in
-    /// for `(user, k)`'s query, charging its flood cost to the selected mode.
-    #[allow(clippy::too_many_arguments)] // split borrows of the world's fields
-    fn fault_build_naive(
-        &mut self,
-        fault: &FaultState,
-        user: u32,
-        k: u64,
-        root: NodeId,
-        center: Point,
-        relay_radius: f64,
-        epoch: u32,
-    ) {
-        let tree = {
-            let positions = self.store.positions();
-            let plan = &self.plan;
-            let is_crashed = &fault.is_crashed;
-            self.naive_scratch.build(root, &self.neighbors, |n| {
-                plan.is_backbone(n)
-                    && !is_crashed[n.index()]
-                    && positions[n.index()].distance_to(center) <= relay_radius
-            })
-        };
-        self.naive_built += 1;
-        let key = TreeKey::new(root, center, relay_radius).with_epoch(epoch);
-        let cost = Self::memoized_cost(
-            &mut self.tree_cost,
-            key,
-            &tree,
-            &self.channel,
-            &self.scenario,
-            &self.all_nodes_grid,
-            &self.store,
-            &self.plan,
-        );
-        self.node_wake_seconds += cost;
-        self.naive_trees.insert((user, k), tree);
-        if let Some(entry) = self.active.get_mut(&(user, k)) {
-            entry.handle = None;
+    /// Closes the boundary's fault record and starts the next one (a no-op
+    /// without fault mode).
+    fn flush_fault_batch(&mut self) {
+        if let Some(fault) = &mut self.fault {
+            fault.log.push(std::mem::take(&mut fault.pending));
         }
-    }
-
-    /// Closes the boundary's fault record: a snapshot of the faults in force
-    /// plus the recovery counters accumulated since the last flush.
-    fn flush_fault_batch(&mut self, boundary: u64) {
-        let Some(fault) = &mut self.fault else {
-            return;
-        };
-        fault.log.push(FaultBatch {
-            boundary,
-            link_bad: fault.plan.bad_count(),
-            crashes: fault.crashed.len(),
-            blackout: fault.blackout,
-            install_attempts: fault.attempts,
-            retries: fault.retries,
-            install_failures: fault.failures,
-            trees_rebuilt: fault.rebuilt,
-            naive_fallbacks: fault.fallbacks,
-            retry_energy_j: fault.retry_energy_j,
-        });
-        fault.attempts = 0;
-        fault.retries = 0;
-        fault.failures = 0;
-        fault.rebuilt = 0;
-        fault.fallbacks = 0;
-        fault.retry_energy_j = 0.0;
     }
 }
 
@@ -1140,8 +929,8 @@ impl SteppedSim {
         if let Some(churn) = &options.churn {
             churn.validate()?;
         }
-        // Churn recycles dead slots, so the slot count never outgrows the
-        // initial deployment and a plan over `node_count` slots fits.
+        // Churn refills the slots it frees, so the slot count never outgrows
+        // the initial deployment and a plan over `node_count` slots fits.
         let slots = scenario.node_count;
         let fault = match options.faults {
             Some(config) => {
@@ -1159,14 +948,8 @@ impl SteppedSim {
             )));
         }
         let mut rng = SimRng::seed_from_u64(scenario.seed);
-        let Deployment {
-            positions,
-            all_nodes_grid,
-            neighbors,
-            plan,
-            repairable,
-            ..
-        } = Deployment::build(&scenario, &mut rng, options.churn.is_some())?;
+        let (deployment, repairable) =
+            Deployment::build(&scenario, &mut rng, options.churn.is_some())?;
         // Churn keeps the election's raster as its repairable backbone;
         // every other run dropped it inside `Deployment::build`.
         let churn = options
@@ -1175,22 +958,18 @@ impl SteppedSim {
             .map(|(config, backbone)| ChurnState {
                 config,
                 backbone,
+                priority: (0..slots as u64)
+                    .map(|uid| priority_for(scenario.seed, uid))
+                    .collect(),
+                next_uid: slots as u64,
                 epoch: 0,
                 log: Vec::new(),
             });
-        let backbone_grid = Deployment::backbone_grid(&positions, &plan, &scenario);
-        let schedule = scenario.sleep_schedule();
-        let channel = Channel::new(scenario.radio, scenario.mac);
-
         let world = MultiUserWorld {
-            store: NodeStore::new(positions, scenario.seed),
+            schedule: scenario.sleep_schedule(),
+            channel: Channel::new(scenario.radio, scenario.mac),
             scenario,
-            neighbors,
-            plan,
-            all_nodes_grid,
-            backbone_grid,
-            schedule,
-            channel,
+            deployment,
             logs: query_set
                 .users()
                 .iter()
@@ -1204,7 +983,6 @@ impl SteppedSim {
             sharing,
             cache: TreeCache::new(),
             naive_scratch: FloodScratch::new(),
-            naive_trees: HashMap::new(),
             naive_built: 0,
             active: HashMap::new(),
             tree_cost: HashMap::new(),
@@ -1261,39 +1039,37 @@ impl SteppedSim {
         self.world.fault.as_ref().map_or(&[], |f| f.log.as_slice())
     }
 
-    /// Number of live nodes right now (equals the scenario's node count in a
-    /// static run and — by deaths == joins — in churn runs too).
-    pub fn alive_count(&self) -> usize {
-        self.world.store.alive_count()
-    }
-
     /// The current backbone membership as ascending slot indices — the
     /// deterministic digest the CI churn gate compares across `--jobs`
     /// settings and against [`SteppedSim::reference_reelection`].
     pub fn backbone_slots(&self) -> Vec<u32> {
         self.world
+            .deployment
             .plan
             .backbone_nodes()
             .map(|n| n.index() as u32)
             .collect()
     }
 
-    /// Runs a full from-scratch priority election over the current alive
-    /// nodes and returns its backbone as ascending slot indices. In every
-    /// run this must equal [`SteppedSim::backbone_slots`]: a static run
-    /// elected exactly this at setup, and a churned run's incremental repair
-    /// lands on it (repair ≡ re-election). Callers time this call to measure
-    /// what the incremental repair saves.
+    /// Runs a full from-scratch priority election over the current nodes
+    /// and returns its backbone as ascending slot indices. In every run this
+    /// must equal [`SteppedSim::backbone_slots`]: a static run elected
+    /// exactly this at setup, and a churned run's incremental repair lands
+    /// on it (repair ≡ re-election). Callers time this call to measure what
+    /// the incremental repair saves.
     pub fn reference_reelection(&self) -> Vec<u32> {
-        let store = &self.world.store;
-        let alive = store.alive_slots();
-        let roles = elect_backbone_priority(
-            store.positions(),
-            store.priorities(),
-            &alive,
-            self.world.scenario.region(),
-            &self.world.scenario.ccp,
-        );
+        let world = &self.world;
+        let roles = match &world.churn {
+            Some(churn) => world.full_election(&churn.priority),
+            // A static run's slots still hold their initial uids.
+            None => {
+                let slots = world.deployment.positions.len() as u64;
+                let priority: Vec<u64> = (0..slots)
+                    .map(|uid| priority_for(world.scenario.seed, uid))
+                    .collect();
+                world.full_election(&priority)
+            }
+        };
         roles
             .iter()
             .enumerate()
@@ -1421,7 +1197,7 @@ impl SteppedSim {
             }
             self.resolve_scratch = scratch;
         }
-        self.world.flush_fault_batch(b);
+        self.world.flush_fault_batch();
         self.next_boundary = b + 1;
         Ok(b)
     }
@@ -1458,7 +1234,7 @@ impl SteppedSim {
             "shared trees leaked past the last query"
         );
         assert!(
-            world.active.is_empty() && world.naive_trees.is_empty(),
+            world.active.is_empty(),
             "queries left unresolved at the end of the run"
         );
         let trees_built = match world.sharing {
@@ -1498,8 +1274,8 @@ impl SteppedSim {
             node_wake_seconds: world.node_wake_seconds,
             node_wake_seconds_naive: world.node_wake_seconds_naive,
             events_processed,
-            backbone_count: world.plan.backbone_count(),
-            node_count: world.store.len(),
+            backbone_count: world.deployment.plan.backbone_count(),
+            node_count: world.deployment.positions.len(),
             logs: world.logs,
         }
     }
@@ -1693,7 +1469,29 @@ mod tests {
             log.iter().any(|b| b.deaths > 0),
             "a 10% rate on 80 nodes must actually churn"
         );
-        assert_eq!(sim.alive_count(), sim.scenario().node_count);
+    }
+
+    #[test]
+    fn joiners_refill_the_last_drawn_slot_first_with_fresh_priorities() {
+        // A joiner is a new node: slots are refilled in reverse draw order
+        // (the last death's slot takes the first fresh uid) and each gets
+        // the priority of its fresh uid, never its predecessor's.
+        let mut sim = churned(11, 0.1, false);
+        let (seed, slots) = (sim.scenario().seed, sim.scenario().node_count);
+        sim.step_period().unwrap(); // boundary 0: installs only
+        sim.step_period().unwrap(); // boundary 1: the first batch
+        let deaths = ChurnBatchPlan::generate(seed, 1, 0.1, slots).deaths;
+        assert_eq!(deaths.len(), 8, "floor(0.1 × 80)");
+        let churn = sim.world.churn.as_ref().unwrap();
+        for (i, &slot) in deaths.iter().rev().enumerate() {
+            assert_eq!(churn.priority[slot], priority_for(seed, (slots + i) as u64));
+            assert_ne!(
+                churn.priority[slot],
+                priority_for(seed, slot as u64),
+                "slot {slot} inherited its predecessor's priority"
+            );
+        }
+        assert_eq!(churn.next_uid, (slots + deaths.len()) as u64);
     }
 
     #[test]
@@ -1763,7 +1561,6 @@ mod tests {
         let mut sim = stepped(6, 2, TreeSharing::Shared);
         sim.run_to_end().unwrap();
         assert!(sim.churn_log().is_empty());
-        assert_eq!(sim.alive_count(), sim.scenario().node_count);
     }
 
     #[test]

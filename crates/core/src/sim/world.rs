@@ -1,9 +1,10 @@
 //! The protocol world: all MobiQuery logic reacting to simulation events.
 //!
-//! The world owns the deployment (node positions, CCP backbone, neighbour
-//! table), the shared wireless channel, the ground-truth user motion and the
-//! per-query protocol state, and implements the MobiQuery behaviour described
-//! in Section 4 of the paper:
+//! The world owns the deployment substrate ([`Deployment`]: node positions,
+//! spatial grids, CCP backbone, neighbour table), the shared wireless
+//! channel, the ground-truth user motion and the per-query protocol state,
+//! and implements the MobiQuery behaviour described in Section 4 of the
+//! paper:
 //!
 //! * the proxy / query gateway launching a prefetch chain whenever a motion
 //!   profile arrives,
@@ -19,14 +20,14 @@
 use crate::collection::CollectionTiming;
 use crate::config::{Scenario, Scheme};
 use crate::prefetch::PrefetchTiming;
+use crate::sim::deploy::Deployment;
 use crate::sim::event::SimEvent;
 use crate::sim::state::QueryState;
-use wsn_geom::{Circle, Point, SpatialGrid, StripIndex};
+use wsn_geom::{Circle, Point, StripIndex};
 use wsn_metrics::{QueryLog, QueryRecord};
 use wsn_mobility::{MotionProfile, UserMotion};
 use wsn_net::routing::{route_greedy, RouteError};
-use wsn_net::{Channel, FloodScratch, NeighborTable, NodeId, SleepSchedule};
-use wsn_power::PowerPlan;
+use wsn_net::{Channel, FloodScratch, NodeId, SleepSchedule};
 use wsn_sim::{Duration, EventQueue, SimRng, SimTime, World};
 
 /// Per-node energy bookkeeping for duty-cycled nodes (seconds in each state
@@ -60,13 +61,7 @@ impl ActivityLedger {
 #[derive(Debug)]
 pub struct SimWorld {
     pub(crate) scenario: Scenario,
-    pub(crate) positions: Vec<Point>,
-    pub(crate) neighbors: NeighborTable,
-    pub(crate) plan: PowerPlan,
-    pub(crate) all_nodes_grid: SpatialGrid,
-    /// Backbone nodes only, for O(1)-ish nearest-collector lookups (proxy
-    /// attach, NP collector selection). Built once: the backbone is static.
-    pub(crate) backbone_grid: SpatialGrid,
+    pub(crate) deployment: Deployment,
     /// Reusable flood-tree working state: after a few query periods, tree
     /// construction runs entirely out of recycled buffers.
     pub(crate) flood_scratch: FloodScratch,
@@ -113,14 +108,9 @@ impl SimWorld {
     /// Small processing gap between consecutive broadcast retries.
     const RETRY_GAP: Duration = Duration::from_millis(6);
 
-    #[allow(clippy::too_many_arguments)] // substrate handles assembled once, in Simulation::new
     pub(crate) fn new(
         scenario: Scenario,
-        positions: Vec<Point>,
-        neighbors: NeighborTable,
-        plan: PowerPlan,
-        all_nodes_grid: SpatialGrid,
-        channel: Channel,
+        deployment: Deployment,
         rng: SimRng,
         motion: UserMotion,
         profiles: Vec<MotionProfile>,
@@ -134,30 +124,19 @@ impl SimWorld {
         };
         let schedule = scenario.sleep_schedule();
         let max_k = scenario.query.result_count();
-        let node_count = positions.len();
+        let node_count = deployment.positions.len();
         debug_assert!(
             profiles
                 .windows(2)
                 .all(|w| w[0].effective_from <= w[1].effective_from),
             "profile sources deliver profiles sorted by effective_from"
         );
-        // The backbone never changes after CCP election, so one static grid
-        // serves every nearest-backbone lookup for the whole run.
-        let mut backbone_grid = SpatialGrid::new(scenario.region(), scenario.radio.comm_range_m)
-            .expect("validated scenarios have a positive communication range");
-        for node in plan.backbone_nodes() {
-            backbone_grid.insert(node.index(), positions[node.index()]);
-        }
         SimWorld {
+            channel: Channel::new(scenario.radio, scenario.mac),
             scenario,
-            positions,
-            neighbors,
-            plan,
-            all_nodes_grid,
-            backbone_grid,
+            deployment,
             flood_scratch: FloodScratch::new(),
             relays: StripIndex::new(),
-            channel,
             rng,
             motion,
             profiles,
@@ -236,7 +215,7 @@ impl SimWorld {
     }
 
     fn position(&self, node: NodeId) -> Point {
-        self.positions[node.index()]
+        self.deployment.positions[node.index()]
     }
 
     /// The state of query `k`, if it is installed.
@@ -246,19 +225,6 @@ impl SimWorld {
 
     fn query_mut(&mut self, k: u64) -> Option<&mut QueryState> {
         self.queries.get_mut(query_index(k))?.as_mut()
-    }
-
-    /// The backbone node closest to `p`, if any backbone exists.
-    ///
-    /// Served by the backbone-only spatial grid: an expanding-ring search
-    /// instead of a scan over every backbone node, with the same result —
-    /// the grid's tie-break (smallest squared distance, then smallest id)
-    /// matches the first-wins `min_by` over the id-ordered backbone iterator
-    /// that this replaced.
-    fn nearest_backbone(&self, p: Point) -> Option<NodeId> {
-        self.backbone_grid
-            .nearest(p)
-            .map(|(index, _)| NodeId(index))
     }
 
     /// The pickup point for query `k` as predicted by the motion profiles
@@ -302,7 +268,7 @@ impl SimWorld {
     /// Charges radio activity to a duty-cycled node (backbone nodes are
     /// always on and their power is not part of the Figure 8 metric).
     fn charge(&mut self, node: NodeId, extra_awake_s: f64, tx_s: f64, rx_s: f64) {
-        if !self.plan.is_backbone(node) {
+        if !self.deployment.plan.is_backbone(node) {
             let i = node.index();
             self.activity.extra_awake_s[i] += extra_awake_s;
             self.activity.tx_s[i] += tx_s;
@@ -330,7 +296,7 @@ impl SimWorld {
         // The proxy attaches to the nearest backbone node and injects the
         // prefetch message for the next pending query.
         let user_pos = self.motion.position_at(now);
-        let Some(attach) = self.nearest_backbone(user_pos) else {
+        let Some(attach) = self.deployment.nearest_collector(user_pos, None) else {
             return;
         };
         let period = self.timing.period.as_secs_f64();
@@ -370,9 +336,9 @@ impl SimWorld {
             from,
             target,
             self.scenario.pickup_radius_m,
-            &self.positions,
-            &self.neighbors,
-            |n| self.plan.is_backbone(n),
+            &self.deployment.positions,
+            &self.deployment.neighbors,
+            |n| self.deployment.plan.is_backbone(n),
         ) {
             Ok(path) => path.hops,
             Err(RouteError::Void { stuck_at, .. }) => {
@@ -522,46 +488,21 @@ impl SimWorld {
         if now >= self.deadline(k) {
             return;
         }
-        let area = Circle::new(pickup, self.scenario.query.radius_m);
-        // The tree spans backbone nodes within one communication range beyond
-        // the query area so that duty-cycled nodes at the area's edge still
-        // find an in-tree relay. Built out of the recycled scratch buffers,
-        // so steady-state tree construction allocates nothing.
-        let relay_radius = self.scenario.query.radius_m + self.scenario.radio.comm_range_m;
-        let positions = &self.positions;
-        let plan = &self.plan;
-        let tree = self.flood_scratch.build(collector, &self.neighbors, |n| {
-            plan.is_backbone(n) && positions[n.index()].distance_to(pickup) <= relay_radius
-        });
-
+        // Built out of the recycled scratch buffers, so steady-state tree
+        // construction allocates nothing.
+        let tree = self
+            .deployment
+            .flood_tree(&mut self.flood_scratch, collector, pickup, None);
         // Assign every duty-cycled node in the (predicted) area a parent: its
-        // nearest tree member, if that one is within communication range —
-        // the relay rule the stepped engine scores with. The lookup walks
-        // the tree's own members, indexed by position, so it never touches
-        // the rest of the deployment. (Exact distance ties resolve to the
-        // smallest id rather than the BFS-earlier tree node — distinguishable
-        // only for coincident/symmetric positions, which random deployments
-        // never produce.)
-        let comm_range = self.scenario.radio.comm_range_m;
-        self.relays.rebuild(
-            tree.order()
-                .iter()
-                .map(|n| (n.index(), self.positions[n.index()])),
-        );
-        let mut sleeping_in_area = self.take_vec();
-        sleeping_in_area.extend(
-            self.all_nodes_grid
-                .query_circle(area)
-                .map(NodeId)
-                .filter(|&n| !self.plan.is_backbone(n)),
-        );
-        let mut sleepers = Vec::with_capacity(sleeping_in_area.len());
-        for &node in &sleeping_in_area {
-            if let Some((parent, _)) = self.relays.nearest_within(self.position(node), comm_range) {
-                sleepers.push((node, NodeId(parent)));
-            }
-        }
-        self.recycle_vec(sleeping_in_area);
+        // nearest tree member within communication range — the relay rule
+        // the stepped engine also charges and scores by. The lookup walks
+        // the tree's own members, so it never touches the rest of the
+        // deployment.
+        self.deployment.index_relays(&mut self.relays, &tree);
+        let sleepers = self
+            .deployment
+            .sleeper_relays(pickup, &self.relays)
+            .collect();
         let state = QueryState::new(generation, collector, now, tree, sleepers);
 
         self.trees_built += 1;
@@ -656,10 +597,10 @@ impl SimWorld {
             return;
         }
         let collector = state.collector;
-        let collector_pos = self.positions[collector.index()];
+        let collector_pos = self.position(collector);
         let du = self
             .collection
-            .sub_deadline(k, self.positions[node.index()].distance_to(collector_pos));
+            .sub_deadline(k, self.position(node).distance_to(collector_pos));
         let is_collector = node == collector;
         // Relay the flood onward and arm this node's aggregation timeout.
         queue.schedule_at(
@@ -763,7 +704,7 @@ impl SimWorld {
             let reading_time = earliest_reading.max(arrival);
             let collector_pos = {
                 let state = self.query(k).expect("state present");
-                self.positions[state.collector.index()]
+                self.position(state.collector)
             };
             let parent_du = self
                 .collection
@@ -965,7 +906,12 @@ impl SimWorld {
         let actual_user = self.motion.position_at(deadline);
         let area = Circle::new(actual_user, self.scenario.query.radius_m);
         let mut nodes_in_area = self.take_vec();
-        nodes_in_area.extend(self.all_nodes_grid.query_circle(area).map(NodeId));
+        nodes_in_area.extend(
+            self.deployment
+                .all_nodes_grid
+                .query_circle(area)
+                .map(NodeId),
+        );
 
         // Sample the prefetch length (trees standing for future queries).
         let ahead = self
@@ -1011,7 +957,7 @@ impl SimWorld {
         // period; the nearest backbone node acts as the collector for the
         // area around the user's position *at broadcast time*.
         let user_pos = self.motion.position_at(now);
-        let Some(collector) = self.nearest_backbone(user_pos) else {
+        let Some(collector) = self.deployment.nearest_collector(user_pos, None) else {
             return;
         };
         self.install_query(now, 0, k, collector, user_pos, queue);

@@ -12,7 +12,7 @@
 use crate::query::QueryLog;
 
 /// What one boundary's fault batch injected and what recovery did.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultBatch {
     /// Period boundary the batch fired at.
     pub boundary: u64,

@@ -18,8 +18,6 @@ use wsn_metrics::{JsonValue, ResilienceSummary};
 pub struct ServeReport {
     /// Periods served.
     pub periods: u64,
-    /// The sharing mode the run used.
-    pub sharing: TreeSharing,
     /// Per-period results of the resident query, in period order.
     pub results: Vec<PeriodResult>,
     /// Fraction of periods that succeeded (delivered above threshold).
@@ -54,7 +52,8 @@ impl ServeReport {
             .collect();
         JsonValue::object()
             .with("periods", self.periods)
-            .with("sharing", self.sharing.as_str())
+            // The resident query always runs on shared trees.
+            .with("sharing", TreeSharing::Shared.as_str())
             .with("success_ratio", self.success_ratio)
             .with("mean_fidelity", self.mean_fidelity)
             .with("deadline_misses", self.deadline_misses)
@@ -78,7 +77,6 @@ impl ServeReport {
 pub fn run_serve(
     scenario: Scenario,
     periods: u64,
-    sharing: TreeSharing,
     fault: Option<FaultConfig>,
 ) -> Result<ServeReport, ServiceError> {
     if periods == 0 {
@@ -86,7 +84,7 @@ pub fn run_serve(
     }
     let period_s = scenario.query.period.as_secs_f64();
     let scenario = scenario.with_duration_secs(periods as f64 * period_s);
-    let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?;
+    let mut svc = ServiceSim::open(scenario.clone(), TreeSharing::Shared, fault)?;
     let id = svc.submit(&scenario.query)?;
     let mut results = Vec::with_capacity(periods as usize);
     while !svc.is_finished() {
@@ -102,7 +100,6 @@ pub fn run_serve(
     let deadline_misses = results.iter().filter(|r| !r.delivered).count() as u64;
     Ok(ServeReport {
         periods,
-        sharing,
         results,
         success_ratio,
         mean_fidelity,
@@ -128,7 +125,7 @@ mod tests {
 
     #[test]
     fn serve_streams_one_result_per_period() {
-        let report = run_serve(small_scenario(42), 12, TreeSharing::Shared, None).unwrap();
+        let report = run_serve(small_scenario(42), 12, None).unwrap();
         assert_eq!(report.results.len(), 12);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.period, i as u64 + 1, "periods stream in order");
@@ -145,7 +142,7 @@ mod tests {
         use mobiquery::sim::{QuerySet, SteppedSim};
         let periods = 10u64;
         let scenario = small_scenario(9).with_duration_secs(2.0 * periods as f64);
-        let report = run_serve(scenario.clone(), periods, TreeSharing::Shared, None).unwrap();
+        let report = run_serve(scenario.clone(), periods, None).unwrap();
         let set = QuerySet::generate(&scenario, 1);
         let mut sim = SteppedSim::new(scenario, set, TreeSharing::Shared).unwrap();
         sim.run_to_end().unwrap();
@@ -161,32 +158,20 @@ mod tests {
 
     #[test]
     fn zero_periods_is_rejected() {
-        assert!(run_serve(small_scenario(1), 0, TreeSharing::Shared, None).is_err());
+        assert!(run_serve(small_scenario(1), 0, None).is_err());
     }
 
     #[test]
     fn inert_fault_profile_serves_identically() {
-        let plain = run_serve(small_scenario(5), 10, TreeSharing::Shared, None).unwrap();
-        let inert = run_serve(
-            small_scenario(5),
-            10,
-            TreeSharing::Shared,
-            Some(FaultConfig::new(0.0)),
-        )
-        .unwrap();
+        let plain = run_serve(small_scenario(5), 10, None).unwrap();
+        let inert = run_serve(small_scenario(5), 10, Some(FaultConfig::new(0.0))).unwrap();
         assert_eq!(plain, inert);
         assert_eq!(inert.retries, 0);
     }
 
     #[test]
     fn faulted_serve_counts_misses_and_retries() {
-        let report = run_serve(
-            small_scenario(5),
-            16,
-            TreeSharing::Shared,
-            Some(FaultConfig::new(0.4)),
-        )
-        .unwrap();
+        let report = run_serve(small_scenario(5), 16, Some(FaultConfig::new(0.4))).unwrap();
         assert!(report.retries > 0, "40% loss must force retransmissions");
         assert_eq!(
             report.deadline_misses,

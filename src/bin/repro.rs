@@ -102,7 +102,6 @@ Service options:
   --duration N       (load) service horizon in periods
   --nodes N          deployment size, scaled at constant density (default:
                      the quick/full base scenario, e.g. --nodes 1000)
-  --naive            one tree per query instead of shared flood trees
   --quick            use the quick base scenario and seed
   --fault-loss R     serve/load under a seeded fault schedule with stationary
                      per-node link loss R, 0 <= R < 1 (0 = no faults); the
@@ -240,7 +239,6 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
     let mut qps: Option<f64> = None;
     let mut duration: Option<u64> = None;
     let mut nodes: Option<usize> = None;
-    let mut sharing = TreeSharing::Shared;
     let mut quick = false;
     let mut out_path: Option<String> = None;
     let mut fault_loss: Option<f64> = None;
@@ -265,7 +263,6 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 Some(n) if n >= 1 => nodes = Some(n),
                 _ => return bad_service_usage(),
             },
-            "--naive" => sharing = TreeSharing::Naive,
             "--quick" => quick = true,
             "--fault-loss" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(r) if r.is_finite() && (0.0..1.0).contains(&r) => fault_loss = Some(r),
@@ -318,7 +315,7 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 eprintln!("repro serve: --periods is required\n");
                 return bad_service_usage();
             };
-            match run_serve(scenario, periods, sharing, fault) {
+            match run_serve(scenario, periods, fault) {
                 Ok(report) => report.to_json(),
                 Err(e) => {
                     eprintln!("repro serve: {e}");
@@ -331,7 +328,7 @@ fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode 
                 eprintln!("repro load: --qps and --duration are required\n");
                 return bad_service_usage();
             };
-            match run_load(scenario, qps, duration, sharing, fault) {
+            match run_load(scenario, qps, duration, TreeSharing::Shared, fault) {
                 Ok(outcome) => outcome.report.to_json(),
                 Err(e) => {
                     eprintln!("repro load: {e}");

@@ -281,6 +281,8 @@ fn serve_argument_errors_exit_nonzero_with_usage() {
     // Flags of the other subcommand / unknown flags.
     assert_usage_failure(&["serve", "--periods", "5", "--qps", "2"]);
     assert_usage_failure(&["serve", "--periods", "5", "--frobnicate"]);
+    // The service always shares trees: there is no sharing knob.
+    assert_usage_failure(&["serve", "--periods", "5", "--naive"]);
 }
 
 #[test]
