@@ -2,9 +2,9 @@
 //!
 //! [`Simulation`] builds a complete scenario — random node deployment, CCP
 //! backbone election, neighbour tables, the shared wireless channel, the
-//! user's ground-truth motion and the motion-profile stream — seeds the
-//! event queue with query deadlines and profile deliveries, runs the
-//! discrete-event engine to the end of the query lifetime and distils a
+//! user's ground-truth motion and the motion-profile stream — seeds its
+//! event queue with query deadlines and profile deliveries, pops and handles
+//! events up to the end of the query lifetime and distils a
 //! [`SimulationOutput`] with the paper's metrics (success ratio, per-period
 //! fidelity, per-sleeping-node power, prefetch length, channel loss).
 //!
@@ -26,16 +26,16 @@ pub use event::SimEvent;
 pub use multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
 pub use output::SimulationOutput;
 pub use stepped::{SimOptions, SteppedSim};
-pub use world::SimWorld;
 pub use wsn_net::{Blackout, FaultConfig, FaultError, FaultPlan};
 
 use crate::config::{Scenario, Scheme};
 use crate::error::ConfigError;
 use deploy::Deployment;
 use std::time::Instant;
+use world::SimWorld;
 use wsn_net::{NodeId, RadioState, SleepSchedule};
 use wsn_power::EnergyLedger;
-use wsn_sim::{Duration, Engine, SimRng, SimTime};
+use wsn_sim::{Duration, EventQueue, SimRng, SimTime};
 
 /// Wall-clock breakdown of the setup phases of [`Simulation::new`], in
 /// milliseconds.
@@ -58,11 +58,12 @@ pub struct SetupBreakdown {
     pub plan_ms: f64,
 }
 
-/// A fully constructed simulation, ready to run.
+/// A fully constructed simulation, ready to run: the protocol world and its
+/// pending events.
 #[derive(Debug)]
 pub struct Simulation {
-    engine: Engine<SimWorld>,
-    scenario: Scenario,
+    world: SimWorld,
+    queue: EventQueue<SimEvent>,
     setup: SetupBreakdown,
 }
 
@@ -90,57 +91,40 @@ impl Simulation {
 
         // --- World ---------------------------------------------------------
         let world_rng = rng.fork(5);
-        let world = SimWorld::new(scenario.clone(), deployment, world_rng, motion, profiles);
-
-        let mut engine = Engine::new(world);
-        Self::seed_events(&mut engine, &scenario);
+        let world = SimWorld::new(scenario, deployment, world_rng, motion, profiles);
+        let queue = Self::seed_events(&world);
         let setup = SetupBreakdown {
             neighbor_ms,
             ccp_ms,
             plan_ms: ms_since(phase_start),
         };
         Ok(Simulation {
-            engine,
-            scenario,
+            world,
+            queue,
             setup,
         })
     }
 
-    /// Seeds the initial events: one deadline per query, profile deliveries
-    /// for the prefetching schemes, and per-period broadcasts for the NP
+    /// The initial events: one deadline per query, profile deliveries for
+    /// the prefetching schemes, and per-period broadcasts for the NP
     /// baseline.
-    fn seed_events(engine: &mut Engine<SimWorld>, scenario: &Scenario) {
+    fn seed_events(world: &SimWorld) -> EventQueue<SimEvent> {
+        let mut queue = EventQueue::new();
+        let scenario = &world.scenario;
         let period = scenario.query.period;
-        let max_k = scenario.query.result_count();
-        for k in 1..=max_k {
+        for k in 1..=scenario.query.result_count() {
             let deadline = SimTime::ZERO + period * k;
-            engine
-                .queue_mut()
-                .schedule_at(deadline, SimEvent::QueryDeadline { k });
+            queue.schedule_at(deadline, SimEvent::QueryDeadline { k });
             if scenario.scheme == Scheme::None {
-                engine
-                    .queue_mut()
-                    .schedule_at(deadline - period, SimEvent::NpLaunch { k });
+                queue.schedule_at(deadline - period, SimEvent::NpLaunch { k });
             }
         }
         if scenario.scheme != Scheme::None {
-            let delivery_times: Vec<SimTime> = engine
-                .world()
-                .profiles
-                .iter()
-                .map(|p| p.generated_at)
-                .collect();
-            for (index, at) in delivery_times.into_iter().enumerate() {
-                engine
-                    .queue_mut()
-                    .schedule_at(at, SimEvent::ProfileDelivered(index));
+            for (index, profile) in world.profiles.iter().enumerate() {
+                queue.schedule_at(profile.generated_at, SimEvent::ProfileDelivered(index));
             }
         }
-    }
-
-    /// The scenario this simulation was built from.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        queue
     }
 
     /// Wall-clock breakdown of the setup phases [`Simulation::new`] just ran
@@ -150,24 +134,29 @@ impl Simulation {
         self.setup
     }
 
-    /// Read access to the world (useful in tests).
-    pub fn world(&self) -> &SimWorld {
-        self.engine.world()
-    }
-
     /// Runs the simulation to the end of the query lifetime and produces the
     /// aggregated output.
     pub fn run(mut self) -> SimulationOutput {
-        let horizon = SimTime::from_secs_f64(self.scenario.query.lifetime.as_secs_f64() + 1.0);
-        self.engine.run_until(horizon);
-        Self::build_output(self.engine)
+        let lifetime = self.world.scenario.query.lifetime;
+        self.run_until(SimTime::from_secs_f64(lifetime.as_secs_f64() + 1.0));
+        self.build_output()
     }
 
-    fn build_output(engine: Engine<SimWorld>) -> SimulationOutput {
-        let events_processed = engine.events_processed();
-        let peak_pending = engine.queue().peak_len();
-        let overflow_pops = engine.queue().overflow_pops();
-        let world = engine.into_world();
+    /// Pops and handles every event due at or before `horizon`.
+    fn run_until(&mut self, horizon: SimTime) {
+        while self.queue.peek_time().is_some_and(|t| t <= horizon) {
+            let Some(scheduled) = self.queue.pop() else {
+                break;
+            };
+            self.world
+                .handle(scheduled.time, scheduled.event, &mut self.queue);
+        }
+    }
+
+    fn build_output(self) -> SimulationOutput {
+        let peak_pending = self.queue.peak_len();
+        let overflow_pops = self.queue.overflow_pops();
+        let world = self.world;
         let scenario = &world.scenario;
         let duration_s = scenario.query.lifetime.as_secs_f64();
         let schedule = scenario.sleep_schedule();
@@ -219,7 +208,7 @@ impl Simulation {
             trees_built: world.trees_built,
             max_prefetch_length: world.max_prefetch_len,
             mean_prefetch_length,
-            events_processed,
+            events_processed: world.events_by_kind.iter().sum(),
             events_by_kind: world.events_by_kind,
             peak_pending,
             overflow_pops,

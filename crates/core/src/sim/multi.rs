@@ -158,29 +158,44 @@ impl QuerySet {
     ///
     /// Returns a [`ConfigError`] when a user's index differs from its
     /// position (fleet order is identity) or its window falls outside
-    /// `1..=max_k`.
+    /// `1..=max_k`: the admission rule a set grown at runtime also keeps.
     pub fn from_users(users: Vec<UserQuery>, max_k: u64) -> Result<Self, ConfigError> {
-        for (index, user) in users.iter().enumerate() {
-            if user.user != index {
-                return Err(ConfigError::new(format!(
-                    "user at position {index} carries fleet index {}",
-                    user.user
-                )));
-            }
-            if user.first_k < 1 || user.first_k > user.last_k || user.last_k > max_k {
-                return Err(ConfigError::new(format!(
-                    "user {index} window [{}, {}] outside 1..={max_k}",
-                    user.first_k, user.last_k
-                )));
-            }
+        let mut set = QuerySet {
+            users: Vec::with_capacity(users.len()),
+            max_k,
+        };
+        for user in users {
+            set.push(user)?;
         }
-        Ok(QuerySet { users, max_k })
+        Ok(set)
     }
 
-    /// Appends an admitted user. The caller ([`super::SteppedSim::admit`]) has
-    /// already validated index order and the lifetime window.
-    pub(crate) fn push(&mut self, user: UserQuery) {
+    /// Appends `user` and returns its fleet index. The one admission rule,
+    /// for a set built whole and for one grown at runtime
+    /// ([`super::SteppedSim::admit`]): a user's fleet index equals its
+    /// position (fleet order is identity), and its window lies in
+    /// `1..=max_k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] when `user` breaks the rule; the set is
+    /// left as it was.
+    pub(crate) fn push(&mut self, user: UserQuery) -> Result<usize, ConfigError> {
+        let index = self.users.len();
+        if user.user != index {
+            return Err(ConfigError::new(format!(
+                "user at position {index} carries fleet index {}",
+                user.user
+            )));
+        }
+        if user.first_k < 1 || user.first_k > user.last_k || user.last_k > self.max_k {
+            return Err(ConfigError::new(format!(
+                "user {index} window [{}, {}] outside 1..={}",
+                user.first_k, user.last_k, self.max_k
+            )));
+        }
         self.users.push(user);
+        Ok(index)
     }
 
     /// Rewrites `user`'s last active period. The caller

@@ -28,7 +28,7 @@ use wsn_metrics::{QueryLog, QueryRecord};
 use wsn_mobility::{MotionProfile, UserMotion};
 use wsn_net::routing::{route_greedy, RouteError};
 use wsn_net::{Channel, FloodScratch, NodeId, SleepSchedule};
-use wsn_sim::{Duration, EventQueue, SimRng, SimTime, World};
+use wsn_sim::{Duration, EventQueue, SimRng, SimTime};
 
 /// Per-node energy bookkeeping for duty-cycled nodes (seconds in each state
 /// beyond the baseline duty-cycle pattern), kept as three parallel per-node
@@ -57,9 +57,9 @@ impl ActivityLedger {
     }
 }
 
-/// The MobiQuery protocol world driven by the discrete-event engine.
+/// The MobiQuery protocol world: the state [`super::Simulation`]'s events act on.
 #[derive(Debug)]
-pub struct SimWorld {
+pub(crate) struct SimWorld {
     pub(crate) scenario: Scenario,
     pub(crate) deployment: Deployment,
     /// Reusable flood-tree working state: after a few query periods, tree
@@ -969,10 +969,14 @@ fn query_index(k: u64) -> usize {
     usize::try_from(k).expect("query numbers of a run fit in usize")
 }
 
-impl World for SimWorld {
-    type Event = SimEvent;
-
-    fn handle(&mut self, now: SimTime, event: SimEvent, queue: &mut EventQueue<SimEvent>) {
+impl SimWorld {
+    /// Handles one event due at `now`, scheduling its follow-ups on `queue`.
+    pub(crate) fn handle(
+        &mut self,
+        now: SimTime,
+        event: SimEvent,
+        queue: &mut EventQueue<SimEvent>,
+    ) {
         self.events_by_kind[event.kind()] += 1;
         match event {
             SimEvent::ProfileDelivered(index) => self.handle_profile_delivered(now, index, queue),
@@ -1033,12 +1037,11 @@ mod tests {
             .with_seed(11)
             .with_duration_secs(40.0);
         let mut sim = Simulation::new(scenario).unwrap();
-        sim.engine.run_until(SimTime::MAX);
-        let world = sim.engine.world();
+        sim.run_until(SimTime::MAX);
         assert!(
-            world.vec_pool_reuses > 100,
+            sim.world.vec_pool_reuses > 100,
             "expected the hot loop to recycle buffers, saw {} reuses",
-            world.vec_pool_reuses
+            sim.world.vec_pool_reuses
         );
     }
 }

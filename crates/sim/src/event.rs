@@ -17,7 +17,7 @@ pub struct ScheduledEvent<E> {
     /// Monotone sequence number used to break ties deterministically
     /// (FIFO among events scheduled for the same instant).
     pub seq: u64,
-    /// The event payload handed to the [`World`](crate::World).
+    /// The event payload.
     pub event: E,
 }
 

@@ -1,8 +1,8 @@
-//! Property-based tests for the discrete-event engine.
+//! Property-based tests for the event queue, the RNG and the clock.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use wsn_sim::{Duration, Engine, EventQueue, SimRng, SimTime, World};
+use wsn_sim::{Duration, EventQueue, SimRng, SimTime};
 
 /// The event queue's contract, written as plainly as possible: pending
 /// events keyed by `(time, seq)`, so the next event is `pop_first`; times
@@ -38,75 +38,7 @@ impl ModelQueue {
     }
 }
 
-/// A world that records the times of every event it sees.
-#[derive(Debug, Default)]
-struct Recorder {
-    times: Vec<SimTime>,
-    payloads: Vec<u32>,
-}
-
-impl World for Recorder {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, event: u32, _queue: &mut EventQueue<u32>) {
-        self.times.push(now);
-        self.payloads.push(event);
-    }
-}
-
 proptest! {
-    /// No matter the scheduling order, events are delivered in non-decreasing
-    /// time order and none are lost.
-    #[test]
-    fn events_delivered_in_order_and_none_lost(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut engine = Engine::new(Recorder::default());
-        for (i, &t) in times.iter().enumerate() {
-            engine.queue_mut().schedule_at(SimTime::from_micros(t), i as u32);
-        }
-        engine.run_to_completion();
-        let seen = &engine.world().times;
-        prop_assert_eq!(seen.len(), times.len());
-        for pair in seen.windows(2) {
-            prop_assert!(pair[0] <= pair[1]);
-        }
-        // Every payload delivered exactly once.
-        let mut payloads = engine.world().payloads.clone();
-        payloads.sort_unstable();
-        prop_assert_eq!(payloads, (0..times.len() as u32).collect::<Vec<_>>());
-    }
-
-    /// Events scheduled for the same instant are delivered FIFO.
-    #[test]
-    fn simultaneous_events_are_fifo(n in 1usize..100) {
-        let mut engine = Engine::new(Recorder::default());
-        let t = SimTime::from_secs(1);
-        for i in 0..n {
-            engine.queue_mut().schedule_at(t, i as u32);
-        }
-        engine.run_to_completion();
-        prop_assert_eq!(&engine.world().payloads, &(0..n as u32).collect::<Vec<_>>());
-    }
-
-    /// Running to a horizon never processes events scheduled after it, and a
-    /// later run picks them all up.
-    #[test]
-    fn horizon_split_processes_everything(
-        times in proptest::collection::vec(0u64..1_000_000, 1..100),
-        horizon in 0u64..1_000_000,
-    ) {
-        let mut engine = Engine::new(Recorder::default());
-        for (i, &t) in times.iter().enumerate() {
-            engine.queue_mut().schedule_at(SimTime::from_micros(t), i as u32);
-        }
-        engine.run_until(SimTime::from_micros(horizon));
-        let before = engine.world().times.len();
-        for &t in &engine.world().times {
-            prop_assert!(t <= SimTime::from_micros(horizon));
-        }
-        engine.run_to_completion();
-        prop_assert_eq!(engine.world().times.len(), times.len());
-        prop_assert!(engine.world().times.len() >= before);
-    }
-
     /// The calendar queue behaves exactly like [`ModelQueue`] across random
     /// interleavings of schedules and pops: the same events in the same
     /// order at the same clock, with the same pending count, next time and
