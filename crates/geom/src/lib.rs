@@ -2,8 +2,7 @@
 //!
 //! Two-dimensional geometry primitives used throughout the MobiQuery
 //! reproduction: points, vectors, circles (query areas and radio ranges),
-//! rectangles (deployment regions), line segments (user paths), a uniform
-//! spatial grid used for fast neighbour queries over sensor deployments and
+//! rectangles (deployment regions), a uniform spatial grid used for fast neighbour queries over sensor deployments and
 //! a strip index for nearest-within-range lookups over small point sets.
 //!
 //! All quantities are in metres unless stated otherwise. The types are small
@@ -26,7 +25,6 @@ mod grid;
 mod lattice;
 mod point;
 mod rect;
-mod segment;
 mod strip;
 mod vector;
 
@@ -35,7 +33,6 @@ pub use grid::{GridError, SpatialGrid};
 pub use lattice::{DenseRaster, Lattice};
 pub use point::Point;
 pub use rect::Rect;
-pub use segment::Segment;
 pub use strip::StripIndex;
 pub use vector::Vector;
 

@@ -48,19 +48,6 @@ impl Point {
         (self - other).length_sq()
     }
 
-    /// The point mid-way between `self` and `other`.
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Linear interpolation between `self` (at `t = 0`) and `other` (at `t = 1`).
-    ///
-    /// `t` is not clamped: values outside `[0, 1]` extrapolate along the line,
-    /// which is exactly what dead-reckoning a motion profile requires.
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        self + (other - self) * t
-    }
-
     /// Translates the point by a velocity vector applied for `dt` seconds.
     pub fn advance(self, velocity: Vector, dt: f64) -> Point {
         self + velocity * dt
@@ -143,23 +130,6 @@ mod tests {
     fn distance_to_self_is_zero() {
         let a = Point::new(12.5, -3.0);
         assert_eq!(a.distance_to(a), 0.0);
-    }
-
-    #[test]
-    fn midpoint_is_equidistant() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 4.0);
-        let m = a.midpoint(b);
-        assert!((m.distance_to(a) - m.distance_to(b)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(5.0, -3.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
     }
 
     #[test]

@@ -96,41 +96,6 @@ impl Rect {
             point.y.clamp(self.min_y, self.max_y),
         )
     }
-
-    /// Reflects a point that may have left the rectangle back inside,
-    /// mirror-style, and reports which axes were reflected.
-    ///
-    /// This is how the mobility model keeps the user inside the deployment
-    /// region: when a motion segment would carry the user outside, the
-    /// position is mirrored at the boundary and the corresponding velocity
-    /// component is negated.
-    ///
-    /// Returns `(reflected_point, flip_x, flip_y)`.
-    pub fn reflect(&self, point: Point) -> (Point, bool, bool) {
-        let (x, flip_x) = reflect_coord(point.x, self.min_x, self.max_x);
-        let (y, flip_y) = reflect_coord(point.y, self.min_y, self.max_y);
-        (Point::new(x, y), flip_x, flip_y)
-    }
-}
-
-fn reflect_coord(v: f64, min: f64, max: f64) -> (f64, bool) {
-    let span = max - min;
-    if span <= 0.0 {
-        return (min, false);
-    }
-    if v >= min && v <= max {
-        return (v, false);
-    }
-    // Fold the coordinate into a [0, 2*span) sawtooth then mirror.
-    let mut t = (v - min) % (2.0 * span);
-    if t < 0.0 {
-        t += 2.0 * span;
-    }
-    if t <= span {
-        (min + t, true)
-    } else {
-        (min + 2.0 * span - t, true)
-    }
 }
 
 impl fmt::Display for Rect {
@@ -174,33 +139,5 @@ mod tests {
         let r = Rect::square(10.0);
         assert_eq!(r.clamp(Point::new(-5.0, 20.0)), Point::new(0.0, 10.0));
         assert_eq!(r.clamp(Point::new(3.0, 4.0)), Point::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn reflect_inside_is_identity() {
-        let r = Rect::square(10.0);
-        let (p, fx, fy) = r.reflect(Point::new(3.0, 7.0));
-        assert_eq!(p, Point::new(3.0, 7.0));
-        assert!(!fx && !fy);
-    }
-
-    #[test]
-    fn reflect_mirrors_at_boundary() {
-        let r = Rect::square(10.0);
-        let (p, fx, _) = r.reflect(Point::new(12.0, 5.0));
-        assert_eq!(p, Point::new(8.0, 5.0));
-        assert!(fx);
-        let (p, fx, _) = r.reflect(Point::new(-3.0, 5.0));
-        assert_eq!(p, Point::new(3.0, 5.0));
-        assert!(fx);
-    }
-
-    #[test]
-    fn reflect_always_lands_inside() {
-        let r = Rect::square(450.0);
-        for v in [-1000.0, -450.0, -1.0, 0.0, 225.0, 450.0, 451.0, 5000.0] {
-            let (p, _, _) = r.reflect(Point::new(v, v / 2.0));
-            assert!(r.contains(p), "reflected point {p} not inside {r}");
-        }
     }
 }

@@ -53,21 +53,6 @@ impl Vector {
         self.x * self.x + self.y * self.y
     }
 
-    /// Dot product with another vector.
-    pub fn dot(self, other: Vector) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// 2-D cross product (the z component of the 3-D cross product).
-    pub fn cross(self, other: Vector) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
-    /// The heading of the vector in radians in `(-π, π]`.
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
     /// Returns a vector with the same direction and unit length.
     ///
     /// Returns [`Vector::ZERO`] when the vector has (near-)zero length so that
@@ -79,11 +64,6 @@ impl Vector {
         } else {
             self / len
         }
-    }
-
-    /// Scales the vector so that its length becomes `len` (keeping direction).
-    pub fn with_length(self, len: f64) -> Vector {
-        self.normalized() * len
     }
 
     /// Returns `true` when both components are finite.
@@ -174,31 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_of_perpendicular_is_zero() {
-        let a = Vector::new(1.0, 0.0);
-        let b = Vector::new(0.0, 5.0);
-        assert_eq!(a.dot(b), 0.0);
-    }
-
-    #[test]
-    fn cross_sign_indicates_orientation() {
-        let a = Vector::new(1.0, 0.0);
-        let b = Vector::new(0.0, 1.0);
-        assert!(a.cross(b) > 0.0);
-        assert!(b.cross(a) < 0.0);
-    }
-
-    #[test]
     fn from_speed_angle_has_requested_speed() {
         let v = Vector::from_speed_angle(4.0, 1.2345);
         assert!((v.length() - 4.0).abs() < 1e-12);
-        assert!((v.angle() - 1.2345).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_length_rescales() {
-        let v = Vector::new(10.0, 0.0).with_length(2.5);
-        assert_eq!(v, Vector::new(2.5, 0.0));
+        assert!((v.y.atan2(v.x) - 1.2345).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-query outcome records and their aggregation.
 
 use wsn_sim::stats::Summary;
-use wsn_sim::{Duration, SimTime};
+use wsn_sim::SimTime;
 
 /// The outcome of one periodic query (one pickup point).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,12 +46,6 @@ impl QueryRecord {
     /// Returns `true` when a result was delivered by the deadline.
     pub fn met_deadline(&self) -> bool {
         matches!(self.delivered_at, Some(t) if t <= self.deadline)
-    }
-
-    /// Latency from the start of the query period to delivery, if delivered.
-    pub fn latency(&self, period: Duration) -> Option<Duration> {
-        let start = self.deadline.saturating_sub(period);
-        self.delivered_at.map(|t| t.saturating_since(start))
     }
 
     /// Returns `true` when the query met its deadline **and** reached the
@@ -128,15 +122,6 @@ impl QueryLog {
         self.records.iter().map(|r| r.fidelity()).collect()
     }
 
-    /// Summary of delivery latency (in seconds) over delivered queries.
-    pub fn latency_summary(&self, period: Duration) -> Summary {
-        self.records
-            .iter()
-            .filter_map(|r| r.latency(period))
-            .map(|d| d.as_secs_f64())
-            .collect()
-    }
-
     /// The per-query fidelity as a `(sequence number, fidelity)` series —
     /// the data behind Figure 5.
     pub fn fidelity_series(&self) -> Vec<(u64, f64)> {
@@ -162,6 +147,7 @@ impl Extend<QueryRecord> for QueryLog {
 mod tests {
     use super::*;
     use crate::PAPER_FIDELITY_THRESHOLD;
+    use wsn_sim::Duration;
 
     fn record(
         seq: u64,
@@ -213,17 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_measured_from_period_start() {
-        let r = record(3, Some(-500), 10, 10);
-        // Period 2 s: deadline 6 s, delivered at 5.5 s, period started at 4 s.
-        assert_eq!(
-            r.latency(Duration::from_secs(2)),
-            Some(Duration::from_millis(1500))
-        );
-        assert_eq!(record(3, None, 0, 10).latency(Duration::from_secs(2)), None);
-    }
-
-    #[test]
     fn log_aggregates() {
         let log: QueryLog = vec![
             record(1, Some(-10), 20, 20),
@@ -239,7 +214,6 @@ mod tests {
         let fid = log.fidelity_summary();
         assert!((fid.mean() - (1.0 + 0.95 + 1.0 + 0.0) / 4.0).abs() < 1e-12);
         assert_eq!(log.fidelity_series().len(), 4);
-        assert_eq!(log.latency_summary(Duration::from_secs(2)).count(), 3);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Labelled numeric series, the data behind the paper's line plots.
 
 use std::fmt;
-use wsn_sim::stats::Summary;
 
 /// A named series of `(x, y)` points, e.g. "MQ-JIT data fidelity per period".
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -42,19 +41,6 @@ impl Series {
     /// Returns `true` when the series has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Summary statistics of the y values.
-    pub fn y_summary(&self) -> Summary {
-        self.points.iter().map(|&(_, y)| y).collect()
-    }
-
-    /// The y value at the given x, if a point with exactly that x exists.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|&&(px, _)| (px - x).abs() < 1e-9)
-            .map(|&(_, y)| y)
     }
 
     /// Renders the series as a JSON object `{name, points}` where `points` is
@@ -118,9 +104,6 @@ mod tests {
         s.push(2.0, 1.0);
         assert_eq!(s.name(), "fidelity");
         assert_eq!(s.len(), 2);
-        assert_eq!(s.y_at(2.0), Some(1.0));
-        assert_eq!(s.y_at(3.0), None);
-        assert!((s.y_summary().mean() - 0.95).abs() < 1e-12);
     }
 
     #[test]

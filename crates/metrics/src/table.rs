@@ -39,11 +39,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.header.len()
-    }
-
     /// Adds a row of already-formatted cells.
     ///
     /// # Panics
@@ -153,7 +148,6 @@ mod tests {
     fn dimensions() {
         let t = sample();
         assert_eq!(t.title(), "Figure 4");
-        assert_eq!(t.column_count(), 3);
         assert_eq!(t.row_count(), 2);
     }
 

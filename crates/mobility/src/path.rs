@@ -138,21 +138,6 @@ impl MotionPath {
         }
     }
 
-    /// Velocity at time `t` (the velocity of the containing leg; the last
-    /// leg's velocity after the path ends, the first leg's before it starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is empty.
-    pub fn velocity_at(&self, t: SimTime) -> Vector {
-        assert!(!self.legs.is_empty(), "cannot query an empty path");
-        match self.leg_at(t) {
-            Some(leg) => leg.velocity,
-            None if t <= self.start_time() => self.legs[0].velocity,
-            None => self.legs.last().expect("nonempty").velocity,
-        }
-    }
-
     fn leg_at(&self, t: SimTime) -> Option<&MotionLeg> {
         self.legs
             .iter()
@@ -259,14 +244,6 @@ mod tests {
             p.position_at(SimTime::from_secs(40)),
             Point::new(20.0, 30.0)
         );
-    }
-
-    #[test]
-    fn velocity_lookup() {
-        let p = two_leg_path();
-        assert_eq!(p.velocity_at(SimTime::from_secs(3)), Vector::new(2.0, 0.0));
-        assert_eq!(p.velocity_at(SimTime::from_secs(25)), Vector::new(0.0, 1.0));
-        assert_eq!(p.velocity_at(SimTime::from_secs(99)), Vector::new(0.0, 1.0));
     }
 
     #[test]

@@ -77,21 +77,10 @@ impl MotionProfile {
         self.effective_from + self.validity
     }
 
-    /// Returns `true` when the profile claims to describe the user's motion
-    /// at time `t`.
-    pub fn is_valid_at(&self, t: SimTime) -> bool {
-        t >= self.effective_from && t <= self.expires_at()
-    }
-
     /// The predicted user position at time `t` (dead-reckoning outside the
     /// validity interval).
     pub fn predicted_position(&self, t: SimTime) -> Point {
         self.path.position_at(t)
-    }
-
-    /// The predicted user velocity at time `t`.
-    pub fn predicted_velocity(&self, t: SimTime) -> Vector {
-        self.path.velocity_at(t)
     }
 }
 
@@ -123,12 +112,7 @@ mod tests {
 
     #[test]
     fn validity_window() {
-        let p = profile(0.0);
-        assert!(p.is_valid_at(SimTime::from_secs(100)));
-        assert!(p.is_valid_at(SimTime::from_secs(150)));
-        assert!(!p.is_valid_at(SimTime::from_secs(99)));
-        assert!(!p.is_valid_at(SimTime::from_secs(151)));
-        assert_eq!(p.expires_at(), SimTime::from_secs(150));
+        assert_eq!(profile(0.0).expires_at(), SimTime::from_secs(150));
     }
 
     #[test]
@@ -146,10 +130,6 @@ mod tests {
         assert_eq!(
             p.predicted_position(SimTime::from_secs(160)),
             Point::new(250.0, 10.0)
-        );
-        assert_eq!(
-            p.predicted_velocity(SimTime::from_secs(120)),
-            Vector::new(4.0, 0.0)
         );
     }
 

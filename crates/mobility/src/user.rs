@@ -50,18 +50,6 @@ impl MotionConfig {
         self.speed_max = max;
         self
     }
-
-    /// Sets the interval between scheduled motion changes.
-    pub fn with_change_interval(mut self, secs: f64) -> Self {
-        self.change_interval = secs;
-        self
-    }
-
-    /// Sets the total duration of the motion.
-    pub fn with_duration(mut self, secs: f64) -> Self {
-        self.duration = secs;
-        self
-    }
 }
 
 impl Default for MotionConfig {
@@ -172,11 +160,6 @@ impl UserMotion {
     /// The user's position at time `t`.
     pub fn position_at(&self, t: SimTime) -> Point {
         self.path.position_at(t)
-    }
-
-    /// The user's velocity at time `t`.
-    pub fn velocity_at(&self, t: SimTime) -> Vector {
-        self.path.velocity_at(t)
     }
 
     /// The full trajectory as a path.
@@ -315,8 +298,7 @@ mod tests {
 
     #[test]
     fn scheduled_changes_happen_at_change_interval() {
-        let cfg = MotionConfig::paper_default().with_change_interval(50.0);
-        let m = generate(4, cfg);
+        let m = generate(4, MotionConfig::paper_default());
         // Events at 0, 50, 100, ... must all be present (reflections add more).
         for k in 0..8 {
             let t = SimTime::from_secs(k * 50);
@@ -359,7 +341,10 @@ mod tests {
 
     #[test]
     fn path_covers_whole_duration() {
-        let cfg = MotionConfig::paper_default().with_duration(500.0);
+        let cfg = MotionConfig {
+            duration: 500.0,
+            ..MotionConfig::paper_default()
+        };
         let m = generate(11, cfg);
         assert_eq!(m.path().end_time(), SimTime::from_secs(500));
         assert_eq!(m.end_time(), SimTime::from_secs(500));
@@ -388,9 +373,7 @@ mod tests {
 
     #[test]
     fn fast_user_reflects_often_but_keeps_moving() {
-        let cfg = MotionConfig::paper_default()
-            .with_speed_range(16.0, 20.0)
-            .with_duration(400.0);
+        let cfg = MotionConfig::paper_default().with_speed_range(16.0, 20.0);
         let m = generate(12, cfg);
         // A vehicle covering ~7 km in a 450 m box must bounce a lot.
         assert!(m.events().len() > 8);

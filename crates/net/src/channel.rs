@@ -62,16 +62,6 @@ impl Channel {
         }
     }
 
-    /// The radio configuration this channel uses.
-    pub fn radio(&self) -> &RadioConfig {
-        &self.radio
-    }
-
-    /// The MAC configuration this channel uses.
-    pub fn mac(&self) -> &MacConfig {
-        &self.mac
-    }
-
     /// Returns `true` when two positions are within communication range.
     pub fn in_range(&self, a: Point, b: Point) -> bool {
         a.distance_to(b) <= self.radio.comm_range_m + 1e-9

@@ -129,11 +129,6 @@ impl FaultConfig {
         self
     }
 
-    /// True when this config injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.loss == 0.0 && self.crash_rate == 0.0 && self.blackout.is_none()
-    }
-
     /// Reject parameters outside the model's domain.
     pub fn validate(&self) -> Result<(), FaultError> {
         if !self.loss.is_finite() || !(0.0..1.0).contains(&self.loss) {
@@ -395,7 +390,6 @@ mod tests {
     #[test]
     fn rate_zero_plan_is_inert() {
         let config = FaultConfig::new(0.0);
-        assert!(config.is_noop());
         let mut plan = FaultPlan::new(config, 42, 500).expect("valid");
         for b in 1..=50 {
             let batch = plan.advance(b);

@@ -145,18 +145,6 @@ impl FloodTree {
         self.children_start[slot] as usize..self.children_start[slot + 1] as usize
     }
 
-    /// The path from `node` up to the root (inclusive of both), or `None`
-    /// when the node was not reached.
-    pub fn path_to_root(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut slot = self.slot(node)?;
-        let mut path = vec![self.order[slot]];
-        while self.parent_slot[slot] != NO_PARENT {
-            slot = self.parent_slot[slot] as usize;
-            path.push(self.order[slot]);
-        }
-        Some(path)
-    }
-
     /// Empties the tree, keeping every buffer's capacity for reuse.
     fn clear(&mut self) {
         self.order.clear();
@@ -321,14 +309,10 @@ mod tests {
         let table = line_table(5);
         let tree = FloodTree::build(NodeId(2), &table, |_| true);
         assert_eq!(tree.children_of(NodeId(2)), [NodeId(1), NodeId(3)]);
-        assert_eq!(
-            tree.path_to_root(NodeId(0)),
-            Some(vec![NodeId(0), NodeId(1), NodeId(2)])
-        );
-        assert_eq!(
-            tree.path_to_root(NodeId(4)).unwrap().last(),
-            Some(&NodeId(2))
-        );
+        assert_eq!(tree.parent_of(NodeId(0)), Some(NodeId(1)));
+        assert_eq!(tree.parent_of(NodeId(1)), Some(NodeId(2)));
+        assert_eq!(tree.parent_of(NodeId(4)), Some(NodeId(3)));
+        assert_eq!(tree.parent_of(NodeId(2)), None);
         // Every non-root node's parent is one hop shallower.
         for &n in tree.order() {
             if let Some(p) = tree.parent_of(n) {
@@ -341,7 +325,7 @@ mod tests {
     fn unreached_node_has_no_path() {
         let table = line_table(4);
         let tree = FloodTree::build(NodeId(0), &table, |n| n.index() < 2);
-        assert_eq!(tree.path_to_root(NodeId(3)), None);
+        assert!(!tree.contains(NodeId(3)));
         assert_eq!(tree.depth_of(NodeId(3)), None);
         assert!(tree.children_of(NodeId(3)).is_empty());
     }

@@ -110,8 +110,6 @@ impl Default for MacConfig {
 pub struct ContentionTracker {
     interference_range: f64,
     active: Vec<Transmission>,
-    /// Total number of transmissions ever registered (for statistics).
-    registered: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +124,6 @@ impl ContentionTracker {
         ContentionTracker {
             interference_range: interference_range_m,
             active: Vec::new(),
-            registered: 0,
         }
     }
 
@@ -135,7 +132,6 @@ impl ContentionTracker {
     pub fn register(&mut self, position: Point, start: SimTime, end: SimTime) {
         debug_assert!(end >= start);
         self.prune(start);
-        self.registered += 1;
         self.active.push(Transmission { position, end });
     }
 
@@ -152,17 +148,6 @@ impl ContentionTracker {
     /// Discards transmissions that finished before `now`.
     pub fn prune(&mut self, now: SimTime) {
         self.active.retain(|t| t.end > now);
-    }
-
-    /// Total number of transmissions registered over the tracker's lifetime.
-    pub fn registered_total(&self) -> u64 {
-        self.registered
-    }
-
-    /// Number of transmissions currently tracked (including finished ones not
-    /// yet pruned).
-    pub fn tracked(&self) -> usize {
-        self.active.len()
     }
 }
 
@@ -243,8 +228,8 @@ mod tests {
                 SimTime::from_millis(i as u64 + 1),
             );
         }
-        assert_eq!(tr.registered_total(), 10);
+        assert_eq!(tr.active.len(), 1, "each register prunes what ended");
         tr.prune(SimTime::from_secs(1));
-        assert_eq!(tr.tracked(), 0);
+        assert!(tr.active.is_empty());
     }
 }

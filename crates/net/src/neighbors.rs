@@ -242,14 +242,6 @@ impl NeighborTable {
     pub fn are_neighbors(&self, a: NodeId, b: NodeId) -> bool {
         self.neighbors_of(a).binary_search(&b).is_ok()
     }
-
-    /// Average node degree across the deployment.
-    pub fn mean_degree(&self) -> f64 {
-        if self.node_count() == 0 {
-            return 0.0;
-        }
-        self.flat.len() as f64 / self.node_count() as f64
-    }
 }
 
 /// Read-only flat cell index used once during table construction.
@@ -389,11 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_degree_counts_correctly() {
+    fn degrees_count_in_range_neighbours() {
         let pos = line_positions(3, 100.0);
         let t = NeighborTable::build(&pos, Rect::square(450.0), 105.0);
-        // Degrees are 1, 2, 1.
-        assert!((t.mean_degree() - 4.0 / 3.0).abs() < 1e-12);
+        let degrees = [0, 1, 2].map(|i| t.neighbors_of(NodeId(i)).len());
+        assert_eq!(degrees, [1, 2, 1]);
         assert_eq!(t.comm_range(), 105.0);
     }
 
@@ -407,6 +399,5 @@ mod tests {
     fn empty_deployment_is_fine() {
         let t = NeighborTable::build(&[], Rect::square(10.0), 50.0);
         assert_eq!(t.node_count(), 0);
-        assert_eq!(t.mean_degree(), 0.0);
     }
 }

@@ -85,11 +85,6 @@ impl SleepSchedule {
         self.active_window
     }
 
-    /// Phase offset of this node's cycle.
-    pub fn offset(&self) -> Duration {
-        self.offset
-    }
-
     /// Fraction of time the node is awake, in `[0, 1]`.
     pub fn duty_cycle(&self) -> f64 {
         self.active_window.as_secs_f64() / self.period.as_secs_f64()
@@ -140,26 +135,6 @@ impl SleepSchedule {
         } else {
             None
         }
-    }
-
-    /// Delay until a frame handed to a sleeping neighbour at time `t` can be
-    /// delivered: zero if the neighbour is awake, otherwise the wait until its
-    /// next active window begins.
-    ///
-    /// This is the buffering delay the paper's Section 1 example describes
-    /// (up to 14.85 s for a 1 % duty cycle on a 15 s period).
-    pub fn delivery_delay(&self, t: SimTime) -> Duration {
-        if self.is_awake(t) {
-            Duration::ZERO
-        } else {
-            self.next_wake(t) - t
-        }
-    }
-
-    /// The worst-case delivery delay: one full sleep period minus the active
-    /// window.
-    pub fn worst_case_delay(&self) -> Duration {
-        self.period - self.active_window
     }
 }
 
@@ -229,16 +204,6 @@ mod tests {
             s.next_awake_instant(SimTime::from_secs(7)),
             SimTime::from_secs(15)
         );
-    }
-
-    #[test]
-    fn delivery_delay_bounds() {
-        let s = paper_15s();
-        assert_eq!(s.delivery_delay(SimTime::from_millis(10)), Duration::ZERO);
-        let d = s.delivery_delay(SimTime::from_millis(200));
-        assert_eq!(d, Duration::from_millis(14_800));
-        assert!(d <= s.worst_case_delay());
-        assert_eq!(s.worst_case_delay(), Duration::from_millis(14_900));
     }
 
     #[test]

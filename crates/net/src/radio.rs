@@ -35,7 +35,7 @@ impl fmt::Display for RadioState {
 ///
 /// The defaults are the Cabletron 802.11 card measurements the paper adopts
 /// from Chen et al. (SPAN): 1400 mW transmit, 1000 mW receive, 830 mW idle and
-/// 130 mW sleep. A MICA2-class profile is provided for the analysis examples.
+/// 130 mW sleep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioPowerProfile {
     /// Transmit power draw (mW).
@@ -56,15 +56,6 @@ impl RadioPowerProfile {
         rx_mw: 1000.0,
         idle_mw: 830.0,
         sleep_mw: 130.0,
-    };
-
-    /// A MICA2-mote-class profile (CC1000 radio, rough datasheet numbers),
-    /// used only by the analytical examples that talk about motes.
-    pub const MICA2: RadioPowerProfile = RadioPowerProfile {
-        tx_mw: 76.2,
-        rx_mw: 36.0,
-        idle_mw: 34.0,
-        sleep_mw: 0.003,
     };
 
     /// Power draw (mW) in the given state.
@@ -107,15 +98,6 @@ impl RadioConfig {
             comm_range_m: 105.0,
             bandwidth_bps: 2_000_000.0,
             power: RadioPowerProfile::IEEE_802_11,
-        }
-    }
-
-    /// A MICA2 mote: 38.4 kb/s radio, shorter practical range.
-    pub fn mica2() -> Self {
-        RadioConfig {
-            comm_range_m: 50.0,
-            bandwidth_bps: 38_400.0,
-            power: RadioPowerProfile::MICA2,
         }
     }
 
@@ -169,13 +151,6 @@ mod tests {
         // 250 bytes at 2 Mb/s = 1 ms.
         let d = cfg.tx_duration(226, 24);
         assert!((d.as_secs_f64() - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mica2_is_much_slower() {
-        let fast = RadioConfig::paper_default().tx_duration(60, 0);
-        let slow = RadioConfig::mica2().tx_duration(60, 0);
-        assert!(slow.as_secs_f64() > 40.0 * fast.as_secs_f64());
     }
 
     #[test]

@@ -54,23 +54,6 @@ pub struct RoutePath {
     pub final_distance_m: f64,
 }
 
-impl RoutePath {
-    /// Number of transmissions needed to traverse the route
-    /// (`hops.len() - 1`, and 0 when the source itself accepts).
-    pub fn hop_count(&self) -> usize {
-        self.hops.len().saturating_sub(1)
-    }
-
-    /// The node that accepted the message, or `None` for an empty path.
-    ///
-    /// Routes produced by [`route_greedy`] always contain at least the
-    /// source, but `hops` is public, so a hand-built path may be empty;
-    /// that case is an absent destination rather than a panic.
-    pub fn destination(&self) -> Option<NodeId> {
-        self.hops.last().copied()
-    }
-}
-
 /// Chooses the next hop by greedy geographic forwarding.
 ///
 /// Among `candidates` (typically the backbone neighbours of the current
@@ -204,8 +187,8 @@ mod tests {
             |_| true,
         )
         .expect("route should exist");
-        assert_eq!(path.destination(), Some(NodeId(24)));
-        assert_eq!(path.hop_count(), 8); // 4 east + 4 north in some order
+        assert_eq!(path.hops.last(), Some(&NodeId(24)));
+        assert_eq!(path.hops.len(), 9); // 4 east + 4 north in some order
         assert!(path.final_distance_m <= 50.0);
         // Path must be connected: every consecutive pair within range.
         for pair in path.hops.windows(2) {
@@ -225,8 +208,7 @@ mod tests {
             |_| true,
         )
         .unwrap();
-        assert_eq!(path.hop_count(), 0);
-        assert_eq!(path.destination(), Some(NodeId(12)));
+        assert_eq!(path.hops, [NodeId(12)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! those numbers.
 
 use wsn_net::{NodeId, RadioPowerProfile, RadioState};
-use wsn_sim::{Duration, SimTime};
+use wsn_sim::Duration;
 
 /// Accumulated radio-state residency and energy for one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -100,11 +100,6 @@ impl EnergyLedger {
         }
     }
 
-    /// Convenience: charges a whole span `[from, to]` to one state.
-    pub fn record_span(&mut self, node: NodeId, state: RadioState, from: SimTime, to: SimTime) {
-        self.record(node, state, to.saturating_since(from));
-    }
-
     /// The per-state residency of `node`.
     pub fn node(&self, node: NodeId) -> &NodeEnergy {
         &self.nodes[node.index()]
@@ -166,20 +161,6 @@ mod tests {
         let p = l.average_power_w(NodeId(0));
         // (9*130 + 1*830) / 10 = 200 mW
         assert!((p - 0.200).abs() < 1e-9);
-    }
-
-    #[test]
-    fn record_span_equals_record_duration() {
-        let mut a = ledger(1);
-        let mut b = ledger(1);
-        a.record(NodeId(0), RadioState::Receive, Duration::from_millis(250));
-        b.record_span(
-            NodeId(0),
-            RadioState::Receive,
-            SimTime::from_millis(1000),
-            SimTime::from_millis(1250),
-        );
-        assert_eq!(a.node(NodeId(0)), b.node(NodeId(0)));
     }
 
     #[test]

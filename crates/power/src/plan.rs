@@ -1,7 +1,6 @@
 //! The combined power plan: per-node roles and sleep schedules.
 
 use wsn_net::{NodeId, NodeRole, SleepSchedule};
-use wsn_sim::{Duration, SimTime};
 
 /// The output of a power-management protocol, as consumed by the protocol
 /// simulation: which nodes form the always-awake backbone and what schedule
@@ -16,15 +15,6 @@ impl PowerPlan {
     /// Creates a plan from per-node roles and the shared duty-cycle schedule.
     pub fn new(roles: Vec<NodeRole>, schedule: SleepSchedule) -> Self {
         PowerPlan { roles, schedule }
-    }
-
-    /// A plan in which every node is a backbone node (no duty cycling);
-    /// useful as a baseline and in unit tests.
-    pub fn all_backbone(node_count: usize, schedule: SleepSchedule) -> Self {
-        PowerPlan {
-            roles: vec![NodeRole::Backbone; node_count],
-            schedule,
-        }
     }
 
     /// Number of nodes covered by the plan.
@@ -86,25 +76,6 @@ impl PowerPlan {
     pub fn backbone_count(&self) -> usize {
         self.roles.iter().filter(|r| r.is_backbone()).count()
     }
-
-    /// Returns `true` when `node` is awake at time `t` under the plan's
-    /// periodic schedule (backbone nodes are always awake).
-    ///
-    /// Protocol-requested wake overrides are tracked by the simulation on top
-    /// of this baseline schedule.
-    pub fn is_awake(&self, node: NodeId, t: SimTime) -> bool {
-        self.is_backbone(node) || self.schedule.is_awake(t)
-    }
-
-    /// Delay before a frame handed off at `t` can be delivered to `node`
-    /// (zero for backbone nodes, the PSM buffering delay otherwise).
-    pub fn delivery_delay(&self, node: NodeId, t: SimTime) -> Duration {
-        if self.is_backbone(node) {
-            Duration::ZERO
-        } else {
-            self.schedule.delivery_delay(t)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,36 +107,5 @@ mod tests {
             p.sleeping_nodes().collect::<Vec<_>>(),
             vec![NodeId(1), NodeId(2)]
         );
-    }
-
-    #[test]
-    fn backbone_nodes_are_always_awake() {
-        let p = plan();
-        for secs in [0u64, 1, 7, 14, 200] {
-            assert!(p.is_awake(NodeId(0), SimTime::from_secs(secs)));
-            assert_eq!(
-                p.delivery_delay(NodeId(3), SimTime::from_secs(secs)),
-                Duration::ZERO
-            );
-        }
-    }
-
-    #[test]
-    fn sleeping_nodes_follow_the_schedule() {
-        let p = plan();
-        assert!(p.is_awake(NodeId(1), SimTime::from_millis(50)));
-        assert!(!p.is_awake(NodeId(1), SimTime::from_secs(7)));
-        assert_eq!(
-            p.delivery_delay(NodeId(1), SimTime::from_secs(7)),
-            Duration::from_secs(8)
-        );
-    }
-
-    #[test]
-    fn all_backbone_plan_never_sleeps() {
-        let p = PowerPlan::all_backbone(3, SleepSchedule::paper_default(15.0));
-        assert_eq!(p.backbone_count(), 3);
-        assert_eq!(p.sleeping_nodes().count(), 0);
-        assert!(p.is_awake(NodeId(2), SimTime::from_secs(7)));
     }
 }

@@ -109,18 +109,6 @@ impl Summary {
         }
         Z_95 * self.std_dev() / (self.count as f64).sqrt()
     }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -203,20 +191,6 @@ mod tests {
         let small: Summary = [1.0, 2.0, 3.0].into_iter().collect();
         let big: Summary = [1.0, 2.0, 3.0].iter().cycle().take(300).copied().collect();
         assert!(big.ci95() < small.ci95());
-    }
-
-    #[test]
-    fn merge_matches_combined() {
-        let mut a: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let b: Summary = [4.0, 5.0].into_iter().collect();
-        let combined: Summary = [1.0, 2.0, 3.0, 4.0, 5.0].into_iter().collect();
-        a.merge(&b);
-        assert!((a.mean() - combined.mean()).abs() < 1e-12);
-        assert!((a.variance() - combined.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), 5);
-        let mut c = Summary::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 5);
     }
 
     #[test]
