@@ -68,7 +68,7 @@ impl Error for TreeCacheError {}
 /// root collector, bit-identical area centre coordinates and bit-identical
 /// flood radius. Centres are compared by their IEEE-754 bit patterns, so
 /// callers that want spatial sharing must quantise the centre *before*
-/// building the key (the multi-user world snaps pickup points to a lattice);
+/// building the key (the stepped engine snaps pickup points to a lattice);
 /// the cache itself never rounds, which is what keeps hits provably
 /// equivalent to fresh builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,7 +192,7 @@ impl TreeCache {
     /// and `false` when it joined an existing one.
     ///
     /// The `member` predicate is only consulted on a build; callers must
-    /// derive it purely from the key (the multi-user world closes over the
+    /// derive it purely from the key (the stepped engine closes over the
     /// key's centre and radius), otherwise a hit could return a tree that a
     /// fresh build would not have produced.
     pub fn acquire(
