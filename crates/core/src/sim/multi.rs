@@ -312,22 +312,10 @@ impl MultiUserOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scheme;
-    use crate::sim::SteppedSim;
-
-    fn small_scenario(seed: u64) -> Scenario {
-        Scenario::paper_default()
-            .with_node_count(80)
-            .with_region_side(300.0)
-            .with_duration_secs(40.0)
-            .with_scheme(Scheme::JustInTime)
-            .with_seed(seed)
-    }
+    use crate::sim::stepped::{small_scenario, stepped};
 
     fn run(seed: u64, users: usize, sharing: TreeSharing) -> MultiUserOutput {
-        let scenario = small_scenario(seed);
-        let set = QuerySet::generate(&scenario, users);
-        let mut sim = SteppedSim::new(scenario, set, sharing).unwrap();
+        let mut sim = stepped(seed, users, sharing);
         sim.run_to_end().unwrap();
         sim.finish()
     }
