@@ -436,7 +436,7 @@ impl SteppedSim {
             sharing: self.sharing,
             per_user: summarize_users(&self.logs, self.scenario.fidelity_threshold),
             installs: self.installs,
-            trees_built: self.trees.built(self.sharing),
+            trees_built: self.trees.built(),
             shared_hits: self.trees.shared_hits(),
             peak_live_trees,
             node_wake_seconds: self.trees.node_wake_seconds,

@@ -169,14 +169,11 @@ impl Trees {
         self.cache.live_trees()
     }
 
-    /// Trees built under `sharing`: fault recovery can degrade shared
-    /// queries to trees of their own, so shared mode counts those builds
-    /// too (none without faults).
-    pub(super) fn built(&self, sharing: TreeSharing) -> u64 {
-        match sharing {
-            TreeSharing::Shared => self.cache.trees_built() + self.naive_built,
-            TreeSharing::Naive => self.naive_built,
-        }
+    /// Trees built: the cache's builds (none in naive mode) plus the trees
+    /// queries own (every naive-mode tree, and the fallbacks fault recovery
+    /// gives shared queries).
+    pub(super) fn built(&self) -> u64 {
+        self.cache.trees_built() + self.naive_built
     }
 
     /// Cache acquisitions served by an existing tree.
