@@ -255,8 +255,9 @@ pub struct MultiUserOutput {
     pub trees_built: u64,
     /// Cache acquisitions served by an existing tree (0 in naive mode).
     pub shared_hits: u64,
-    /// Most trees simultaneously live (equals in-flight installs in naive
-    /// mode).
+    /// Most trees that stood at once: distinct trees in the cache plus the
+    /// trees queries own (every tree in naive mode, and a shared query's
+    /// fallback after its root crashed). A failed install stands none.
     pub peak_live_trees: usize,
     /// Sleeping-node wake seconds paid under the selected mode.
     pub node_wake_seconds: f64,

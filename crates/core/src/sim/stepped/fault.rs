@@ -374,6 +374,24 @@ mod tests {
     }
 
     #[test]
+    fn failed_installs_stand_no_tree() {
+        // Without recovery a lost install stands nothing, so a lossy naive
+        // run's peak of standing trees falls below the fault-free peak of
+        // the same schedule, where every install stands its own tree.
+        let peak = |mut sim: SteppedSim| {
+            sim.run_to_end().unwrap();
+            sim.finish().peak_live_trees
+        };
+        let lossy_config = FaultConfig::new(0.3).with_recovery(false);
+        let lossy = peak(faulted(7, 6, TreeSharing::Naive, lossy_config));
+        let plain = peak(stepped(7, 6, TreeSharing::Naive));
+        assert!(
+            lossy < plain,
+            "failed installs counted as standing trees: lossy {lossy}, fault-free {plain}"
+        );
+    }
+
+    #[test]
     fn crashes_trigger_tree_repair() {
         let config = FaultConfig::new(0.05).with_crash_rate(0.05);
         let mut sim = faulted(7, 5, TreeSharing::Shared, config);

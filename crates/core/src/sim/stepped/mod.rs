@@ -46,10 +46,7 @@ pub struct SimOptions {
     /// (bursty per-node link loss, optional region blackout, mid-period
     /// crashes) advances at every boundary, installs walk an ack/retry
     /// state machine, and — when `recovery` is on — poisoned trees are
-    /// rebuilt or degraded to naive per-user trees. In naive sharing mode
-    /// `peak_live_trees` keeps its analytic all-installs-stand value even
-    /// though failed installs stand no tree, so read it as an upper bound
-    /// under faults.
+    /// rebuilt or degraded to naive per-user trees.
     pub faults: Option<FaultConfig>,
 }
 
@@ -402,35 +399,11 @@ impl SteppedSim {
             "finish() before the final boundary was stepped"
         );
         // Refcount discipline: every install was released at its resolve.
-        assert_eq!(
-            self.trees.live_shared(),
-            0,
-            "shared trees leaked past the last query"
-        );
+        assert_eq!(self.trees.standing(), 0, "trees leaked past the last query");
         assert!(
             self.active.is_empty(),
             "queries left unresolved at the end of the run"
         );
-        let peak_live_trees = match self.sharing {
-            TreeSharing::Shared => self.trees.peak_shared(),
-            // The naive baseline keeps one tree per in-flight install; its
-            // peak equals the largest per-period batch (installs overlap one
-            // period at the k·T handover).
-            TreeSharing::Naive => (1..=self.query_set.max_k())
-                .map(|k| {
-                    self.query_set.active_users(k)
-                        + self
-                            .query_set
-                            .active_users(k + 1)
-                            .min(if k == self.query_set.max_k() {
-                                0
-                            } else {
-                                usize::MAX
-                            })
-                })
-                .max()
-                .unwrap_or(0),
-        };
         MultiUserOutput {
             users: self.query_set.len(),
             sharing: self.sharing,
@@ -438,7 +411,7 @@ impl SteppedSim {
             installs: self.installs,
             trees_built: self.trees.built(),
             shared_hits: self.trees.shared_hits(),
-            peak_live_trees,
+            peak_live_trees: self.trees.peak_standing(),
             node_wake_seconds: self.trees.node_wake_seconds,
             node_wake_seconds_naive: self.trees.node_wake_seconds_naive,
             events_processed: self.events_processed,

@@ -56,8 +56,8 @@ pub(super) struct ScoreScratch {
     relays: StripIndex,
 }
 
-/// The tree layer: every tree a standing query holds, what each costs the
-/// sleeping nodes, and the epoch that keys them.
+/// The tree layer: every tree a standing query holds, how many stand at
+/// once, what each costs the sleeping nodes, and the epoch that keys them.
 #[derive(Debug)]
 pub(super) struct Trees {
     /// Folded into every [`TreeKey`]. A churn batch that changes the
@@ -69,6 +69,12 @@ pub(super) struct Trees {
     /// Trees built outside the cache: every naive-mode tree, plus shared
     /// queries' fallbacks after a root crash.
     naive_built: u64,
+    /// Trees standing now: each distinct tree in the cache, plus each tree
+    /// a query owns. [`Trees::stand`] raises it when it builds a tree and
+    /// [`Trees::release`] lowers it when a tree goes.
+    standing: usize,
+    /// The most trees that stood at once.
+    peak_standing: usize,
     /// Wake-up cost of each distinct tree, memoised by construction key so
     /// both sharing modes charge bit-identical costs.
     cost: HashMap<TreeKey, f64>,
@@ -89,6 +95,8 @@ impl Trees {
             cache: TreeCache::new(),
             naive_scratch: FloodScratch::new(),
             naive_built: 0,
+            standing: 0,
+            peak_standing: 0,
             cost: HashMap::new(),
             sleeper_wake_s,
             node_wake_seconds: 0.0,
@@ -148,25 +156,37 @@ impl Trees {
         };
         if built {
             self.node_wake_seconds += cost;
+            self.standing += 1;
+            self.peak_standing = self.peak_standing.max(self.standing);
         }
         Ok((tree, cost))
     }
 
     /// Lets go of a standing query's tree: a shared reference is released,
-    /// an own tree's buffers go back to the scratch.
+    /// and the tree goes with its last one; an own tree's buffers go back
+    /// to the scratch.
     pub(super) fn release(&mut self, tree: QueryTree) -> Result<(), ConfigError> {
-        match tree {
-            QueryTree::Shared(handle) => {
-                self.cache.release(handle).map_err(cache_error)?;
+        let gone = match tree {
+            QueryTree::Shared(handle) => self.cache.release(handle).map_err(cache_error)?,
+            QueryTree::Naive(tree) => {
+                self.naive_scratch.recycle(*tree);
+                true
             }
-            QueryTree::Naive(tree) => self.naive_scratch.recycle(*tree),
+        };
+        if gone {
+            self.standing -= 1;
         }
         Ok(())
     }
 
-    /// Trees that still stand in the cache.
-    pub(super) fn live_shared(&self) -> usize {
-        self.cache.live_trees()
+    /// Trees that still stand.
+    pub(super) fn standing(&self) -> usize {
+        self.standing
+    }
+
+    /// The most trees that stood at once.
+    pub(super) fn peak_standing(&self) -> usize {
+        self.peak_standing
     }
 
     /// Trees built: the cache's builds (none in naive mode) plus the trees
@@ -179,11 +199,6 @@ impl Trees {
     /// Cache acquisitions served by an existing tree.
     pub(super) fn shared_hits(&self) -> u64 {
         self.cache.shared_hits()
-    }
-
-    /// The most trees the cache held at once.
-    pub(super) fn peak_shared(&self) -> usize {
-        self.cache.peak_live_trees()
     }
 }
 

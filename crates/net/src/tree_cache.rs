@@ -177,7 +177,6 @@ pub struct TreeCache {
     scratch: FloodScratch,
     trees_built: u64,
     shared_hits: u64,
-    peak_live: usize,
 }
 
 impl TreeCache {
@@ -226,7 +225,6 @@ impl TreeCache {
             }
         };
         self.index.insert(key, slot);
-        self.peak_live = self.peak_live.max(self.index.len());
         (TreeHandle(slot), true)
     }
 
@@ -301,11 +299,6 @@ impl TreeCache {
         self.index.len()
     }
 
-    /// Highest number of simultaneously live trees seen so far.
-    pub fn peak_live_trees(&self) -> usize {
-        self.peak_live
-    }
-
     /// Total number of trees actually built (cache misses).
     pub fn trees_built(&self) -> u64 {
         self.trees_built
@@ -358,7 +351,6 @@ mod tests {
         assert!(built_b);
         assert_ne!(a, b);
         assert_eq!(cache.live_trees(), 2);
-        assert_eq!(cache.peak_live_trees(), 2);
         assert!(cache.tree(a).unwrap().len() > cache.tree(b).unwrap().len());
     }
 
@@ -394,7 +386,6 @@ mod tests {
         assert_eq!(cache.trees_built(), 2);
         assert_eq!(cache.tree(b).unwrap().len(), tree_len);
         assert_eq!(cache.live_trees(), 1);
-        assert_eq!(cache.peak_live_trees(), 1);
     }
 
     #[test]
