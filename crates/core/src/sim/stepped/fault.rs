@@ -272,6 +272,7 @@ impl FaultState {
 
 #[cfg(test)]
 mod tests {
+    use super::QueryTree;
     use crate::sim::multi::{MultiUserOutput, QuerySet, TreeSharing};
     use crate::sim::stepped::{small_scenario, stepped, SimOptions, SteppedSim};
     use wsn_metrics::FaultBatch;
@@ -407,6 +408,72 @@ mod tests {
             "crashes into standing trees must force repairs"
         );
         sim.finish(); // refcount discipline still holds after repairs
+    }
+
+    #[test]
+    fn a_crash_rebuilds_only_the_trees_it_poisons() {
+        // Each boundary runs by hand, so the test sees the standing trees
+        // between the fault step and the installs that follow it.
+        let config = FaultConfig::new(0.0).with_crash_rate(0.03);
+        let mut sim = faulted(7, 8, TreeSharing::Shared, config);
+        sim.step_period().unwrap(); // boundary 0 only installs
+        let (mut spared, mut poisoned, mut joined) = (0, 0, 0);
+        for b in 1..sim.max_k() {
+            // Period b's queries, installed at b - 1: none was repaired yet.
+            let standing: Vec<_> = sim
+                .active
+                .iter()
+                .map(|(&id, aq)| {
+                    let QueryTree::Shared(handle) = aq.tree else {
+                        panic!("an install in shared mode stands a shared tree");
+                    };
+                    let members = sim.trees.get(&aq.tree).unwrap().order().to_vec();
+                    (id, handle, aq.center, members)
+                })
+                .collect();
+            let fault = sim.fault.as_mut().unwrap();
+            fault
+                .step(b, &mut sim.trees, &mut sim.active, &sim.deployment)
+                .unwrap();
+            let mut untouched = Vec::new();
+            for (id, handle, center, members) in standing {
+                if members.iter().any(|n| fault.is_crashed[n.index()]) {
+                    poisoned += 1;
+                    continue;
+                }
+                spared += 1;
+                let kept = sim.active.get(&id).map(|aq| &aq.tree);
+                assert!(
+                    matches!(kept, Some(QueryTree::Shared(h)) if *h == handle),
+                    "boundary {b}: query {id:?} lost a tree no crash touched"
+                );
+                untouched.push((handle, center));
+            }
+            sim.install(sim.deadline(b), b + 1).unwrap();
+            // An install in the cell of a spared tree mints that tree's key,
+            // so it must join the tree instead of flooding a new one.
+            let installed = sim.active.iter().filter(|(&(_, k), _)| k == b + 1);
+            for (_, aq) in installed {
+                for &(handle, center) in &untouched {
+                    if aq.center == center {
+                        joined += 1;
+                        assert!(
+                            matches!(aq.tree, QueryTree::Shared(h) if h == handle),
+                            "boundary {b}: an install rebuilt a tree no crash touched"
+                        );
+                    }
+                }
+            }
+            sim.resolve(b).unwrap();
+            sim.fault.as_mut().unwrap().flush();
+            sim.next_boundary = b + 1;
+        }
+        sim.run_to_end().unwrap();
+        assert!(
+            spared > 0 && poisoned > 0 && joined > 0,
+            "spared {spared}, poisoned {poisoned}, joined {joined}"
+        );
+        sim.finish();
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! repaired topology. The churn, resilience and faulted-modes goldens each
 //! run one of these layers alone; this file pins them together.
 //!
-//! Each run pins an FNV-1a digest of every user's query log, the churn and
-//! fault counters summed over the run, the tree accounting, the exact bits
-//! of the sleeping-node wake seconds and an FNV-1a digest of the final
-//! backbone. Refactoring the engine must leave every value as it is.
+//! Per seed, every user's query log must be the same in both modes, and
+//! sharing must wake the sleeping nodes for less. Each seed pins an FNV-1a
+//! digest of every user's query log, and each mode the churn and fault
+//! counters summed over the run, the tree accounting, the exact bits of the
+//! sleeping-node wake seconds and an FNV-1a digest of the final backbone.
+//! Refactoring the engine must leave every value as it is.
 //!
 //! To regenerate the snapshot after a *deliberate* behaviour change:
 //!
@@ -23,7 +25,7 @@
 use mobiquery_repro::metrics::{ChurnBatch, JsonValue, QueryLog, ResilienceSummary};
 use mobiquery_repro::mobiquery::config::{Scenario, Scheme};
 use mobiquery_repro::mobiquery::sim::{
-    ChurnConfig, FaultConfig, QuerySet, SimOptions, SteppedSim, TreeSharing,
+    ChurnConfig, FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing,
 };
 
 const GOLDEN: &str = include_str!("golden/churned_faults.json");
@@ -72,7 +74,8 @@ fn log_digest(log: &QueryLog) -> u64 {
     }))
 }
 
-fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
+/// One run's output and the mode's pinned values.
+fn run(seed: u64, sharing: TreeSharing) -> (MultiUserOutput, JsonValue) {
     let scenario = scenario(seed);
     let set = QuerySet::generate(&scenario, USERS);
     let options = SimOptions {
@@ -109,14 +112,7 @@ fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
     }
 
     let sum = |field: fn(&ChurnBatch) -> usize| churn.iter().map(field).sum::<usize>();
-    let digests: Vec<JsonValue> = out
-        .logs
-        .iter()
-        .map(|log| JsonValue::from(log_digest(log)))
-        .collect();
-    JsonValue::object()
-        .with("seed", seed)
-        .with("sharing", sharing.as_str())
+    let pinned = JsonValue::object()
         .with("installs", out.installs)
         .with("trees_built", out.trees_built)
         .with("shared_hits", out.shared_hits)
@@ -136,18 +132,48 @@ fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
         .with("install_failures", faults.install_failures)
         .with("trees_rebuilt", faults.trees_rebuilt)
         .with("naive_fallbacks", faults.naive_fallbacks)
-        .with("retry_energy_j_bits", faults.retry_energy_j.to_bits())
+        .with("retry_energy_j_bits", faults.retry_energy_j.to_bits());
+    (out, pinned)
+}
+
+/// Both modes of one seed, and how many users' query logs differ between
+/// them. Sharing must pay fewer wake seconds.
+fn seed_json(seed: u64) -> (JsonValue, usize) {
+    let (shared, shared_pinned) = run(seed, TreeSharing::Shared);
+    let (naive, naive_pinned) = run(seed, TreeSharing::Naive);
+    assert!(
+        shared.node_wake_seconds < naive.node_wake_seconds,
+        "seed {seed}: shared trees woke sleepers for {} s, naive ones for {} s",
+        shared.node_wake_seconds,
+        naive.node_wake_seconds
+    );
+    let differing = shared
+        .logs
+        .iter()
+        .zip(&naive.logs)
+        .filter(|(s, n)| s != n)
+        .count();
+    let digests: Vec<JsonValue> = shared
+        .logs
+        .iter()
+        .map(|log| JsonValue::from(log_digest(log)))
+        .collect();
+    let json = JsonValue::object()
+        .with("seed", seed)
         .with("query_log_fnv1a", digests)
+        .with("shared", shared_pinned)
+        .with("naive", naive_pinned);
+    (json, differing)
 }
 
 #[test]
 fn churned_faulted_runs_match_golden_values_in_both_sharing_modes() {
-    let mut runs = Vec::new();
-    for seed in SEEDS {
-        for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-            runs.push(run_json(seed, sharing));
-        }
-    }
+    let (seeds, differing): (Vec<JsonValue>, Vec<usize>) = SEEDS.into_iter().map(seed_json).unzip();
+    assert!(
+        differing.iter().all(|&d| d == 0),
+        "users whose query logs differ between shared and naive trees, of {USERS}, \
+         at seeds {SEEDS:?}: {differing:?}"
+    );
     let got = JsonValue::object()
         .with("nodes", 300u64)
         .with("region_side_m", 500.0)
@@ -156,7 +182,7 @@ fn churned_faulted_runs_match_golden_values_in_both_sharing_modes() {
         .with("churn_rate", CHURN_RATE)
         .with("loss", LOSS)
         .with("crash_rate", CRASH_RATE)
-        .with("runs", runs)
+        .with("seeds", seeds)
         .to_pretty_string();
     if std::env::var_os("MOBIQUERY_BLESS").is_some() {
         std::fs::write(GOLDEN_PATH, &got).expect("the golden file is writable");

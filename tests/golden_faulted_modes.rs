@@ -10,7 +10,11 @@
 //! faulted workload all run shared trees only, so this file is what pins the
 //! naive mode's recovery.
 //!
-//! Each run pins an FNV-1a digest of every user's query log, the fault log's
+//! A tree key names everything its flood read, the crash boundary a repair
+//! flooded around included, so sharing changes no user's results under
+//! crashes either: per seed, every user's query log must be the same in both
+//! modes, and sharing must wake the sleeping nodes for less. Each seed pins
+//! an FNV-1a digest of every user's query log, and each mode the fault log's
 //! counters summed over the run, the tree accounting and the exact bits of
 //! the sleeping-node wake seconds. Refactoring the engine must leave every
 //! value as it is.
@@ -23,7 +27,9 @@
 
 use mobiquery_repro::metrics::{JsonValue, QueryLog, ResilienceSummary};
 use mobiquery_repro::mobiquery::config::{Scenario, Scheme};
-use mobiquery_repro::mobiquery::sim::{FaultConfig, QuerySet, SimOptions, SteppedSim, TreeSharing};
+use mobiquery_repro::mobiquery::sim::{
+    FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing,
+};
 
 const GOLDEN: &str = include_str!("golden/faulted_modes.json");
 const GOLDEN_PATH: &str = concat!(
@@ -63,7 +69,8 @@ fn log_digest(log: &QueryLog) -> u64 {
     h
 }
 
-fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
+/// One run's output and the mode's pinned values.
+fn run(seed: u64, sharing: TreeSharing) -> (MultiUserOutput, JsonValue) {
     let scenario = scenario(seed);
     let set = QuerySet::generate(&scenario, USERS);
     let options = SimOptions {
@@ -90,14 +97,7 @@ fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
         );
     }
 
-    let digests: Vec<JsonValue> = out
-        .logs
-        .iter()
-        .map(|log| JsonValue::from(log_digest(log)))
-        .collect();
-    JsonValue::object()
-        .with("seed", seed)
-        .with("sharing", sharing.as_str())
+    let pinned = JsonValue::object()
         .with("installs", out.installs)
         .with("trees_built", out.trees_built)
         .with("shared_hits", out.shared_hits)
@@ -110,18 +110,48 @@ fn run_json(seed: u64, sharing: TreeSharing) -> JsonValue {
         .with("install_failures", faults.install_failures)
         .with("trees_rebuilt", faults.trees_rebuilt)
         .with("naive_fallbacks", faults.naive_fallbacks)
-        .with("retry_energy_j_bits", faults.retry_energy_j.to_bits())
+        .with("retry_energy_j_bits", faults.retry_energy_j.to_bits());
+    (out, pinned)
+}
+
+/// Both modes of one seed, and how many users' query logs differ between
+/// them. Sharing must pay fewer wake seconds.
+fn seed_json(seed: u64) -> (JsonValue, usize) {
+    let (shared, shared_pinned) = run(seed, TreeSharing::Shared);
+    let (naive, naive_pinned) = run(seed, TreeSharing::Naive);
+    assert!(
+        shared.node_wake_seconds < naive.node_wake_seconds,
+        "seed {seed}: shared trees woke sleepers for {} s, naive ones for {} s",
+        shared.node_wake_seconds,
+        naive.node_wake_seconds
+    );
+    let differing = shared
+        .logs
+        .iter()
+        .zip(&naive.logs)
+        .filter(|(s, n)| s != n)
+        .count();
+    let digests: Vec<JsonValue> = shared
+        .logs
+        .iter()
+        .map(|log| JsonValue::from(log_digest(log)))
+        .collect();
+    let json = JsonValue::object()
+        .with("seed", seed)
         .with("query_log_fnv1a", digests)
+        .with("shared", shared_pinned)
+        .with("naive", naive_pinned);
+    (json, differing)
 }
 
 #[test]
 fn faulted_runs_match_golden_values_in_both_sharing_modes() {
-    let mut runs = Vec::new();
-    for seed in SEEDS {
-        for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-            runs.push(run_json(seed, sharing));
-        }
-    }
+    let (seeds, differing): (Vec<JsonValue>, Vec<usize>) = SEEDS.into_iter().map(seed_json).unzip();
+    assert!(
+        differing.iter().all(|&d| d == 0),
+        "users whose query logs differ between shared and naive trees, of {USERS}, \
+         at seeds {SEEDS:?}: {differing:?}"
+    );
     let got = JsonValue::object()
         .with("nodes", 300u64)
         .with("region_side_m", 500.0)
@@ -129,7 +159,7 @@ fn faulted_runs_match_golden_values_in_both_sharing_modes() {
         .with("users", USERS)
         .with("loss", 0.05)
         .with("crash_rate", 0.05)
-        .with("runs", runs)
+        .with("seeds", seeds)
         .to_pretty_string();
     if std::env::var_os("MOBIQUERY_BLESS").is_some() {
         std::fs::write(GOLDEN_PATH, &got).expect("the golden file is writable");
