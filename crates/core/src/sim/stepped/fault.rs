@@ -174,7 +174,9 @@ impl FaultState {
     /// Advances the fault schedule across `boundary`: last boundary's crash
     /// victims reboot, the per-node channel chains step, this boundary's
     /// victims strike, and — when recovery is armed and anything crashed —
-    /// the tree epoch bumps and every standing tree gets a health check.
+    /// every standing tree gets a health check. The tree epoch stays: a
+    /// tree that holds no victim keeps standing, and the boundary's installs
+    /// can still join it.
     pub(super) fn step(
         &mut self,
         boundary: u64,
@@ -197,25 +199,27 @@ impl FaultState {
         self.pending.crashes = self.crashed.len();
         self.pending.blackout = batch.blackout;
         if !self.crashed.is_empty() && self.plan.config().recovery {
-            trees.epoch += 1;
-            self.repair_trees(trees, active, deployment)?;
+            self.repair_trees(boundary, trees, active, deployment)?;
         }
         Ok(())
     }
 
-    /// The per-boundary tree health check: every standing query whose tree
+    /// The health check at `boundary`: every standing query whose tree
     /// contains a crash victim is poisoned. A poisoned query lets go of its
     /// tree and re-roots: at its old root if that survived, else at the
     /// nearest live backbone node; with no live root in reach it is dropped
     /// (an install failure). A shared query that kept its root re-acquires
-    /// through the cache under the bumped epoch with the victims excluded
-    /// (re-homing their descendants; a rebuild). A shared query whose root
+    /// through the cache with the victims excluded (re-homing their
+    /// descendants; a rebuild), under a key tagged with `boundary`: poisoned
+    /// queries with one root and cell share the rebuilt tree, and no install
+    /// or repair at another boundary can join it. A shared query whose root
     /// crashed degrades to a tree of its own (a naive fallback), and a naive
     /// query rebuilds its own tree the same way (a rebuild). Keys are
     /// visited in sorted order so cache bookkeeping — and therefore every
     /// output byte — is independent of hash-map iteration order.
     fn repair_trees(
         &mut self,
+        boundary: u64,
         trees: &mut Trees,
         active: &mut HashMap<(u32, u64), ActiveQuery>,
         deployment: &Deployment,
@@ -250,10 +254,11 @@ impl FaultState {
                 self.pending.install_failures += 1;
                 continue;
             };
-            let key =
-                TreeKey::new(root, aq.center, deployment.tree_radius()).with_epoch(trees.epoch);
+            let key = TreeKey::new(root, aq.center, deployment.tree_radius())
+                .with_epoch(trees.epoch())
+                .with_crash_boundary(boundary);
             let naive = !shared || root != old_root;
-            aq.tree = trees.stand(deployment, key, naive, excluded)?.0;
+            aq.tree = trees.stand(deployment, key, naive, excluded)?;
             if shared && naive {
                 self.pending.naive_fallbacks += 1;
             } else {

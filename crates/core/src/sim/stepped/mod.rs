@@ -45,8 +45,10 @@ pub struct SimOptions {
     /// Deterministic fault injection: a seeded [`wsn_net::FaultPlan`]
     /// (bursty per-node link loss, optional region blackout, mid-period
     /// crashes) advances at every boundary, installs walk an ack/retry
-    /// state machine, and — when `recovery` is on — poisoned trees are
-    /// rebuilt or degraded to naive per-user trees.
+    /// state machine, and — when `recovery` is on — the trees that hold a
+    /// crash victim are rebuilt around it or degraded to naive per-user
+    /// trees, while every other tree keeps standing. Shared and naive runs
+    /// still give every user the same query log.
     pub faults: Option<FaultConfig>,
 }
 
@@ -352,7 +354,7 @@ impl SteppedSim {
         // before it.
         if let Some(churn) = &mut self.churn {
             if (1..max_k).contains(&b) && churn.step(&self.scenario, &mut self.deployment, b)? {
-                self.trees.epoch += 1;
+                self.trees.bump_epoch();
             }
         }
         // Faults advance at every boundary: the batch struck during the
@@ -413,7 +415,6 @@ impl SteppedSim {
             shared_hits: self.trees.shared_hits(),
             peak_live_trees: self.trees.peak_standing(),
             node_wake_seconds: self.trees.node_wake_seconds,
-            node_wake_seconds_naive: self.trees.node_wake_seconds_naive,
             events_processed: self.events_processed,
             backbone_count: self.deployment.plan.backbone_count(),
             node_count: self.deployment.positions.len(),

@@ -6,8 +6,8 @@
 //! collector and stands a tree there through [`Trees`]; the query then
 //! stands until its resolve scores it against that tree and lets the tree
 //! go. [`Trees`] is the tree layer: the shared [`TreeCache`], the trees
-//! queries own, the memoised wake-up cost of each key, the wake-second
-//! totals and the one epoch folded into every [`TreeKey`].
+//! queries own, the memoised wake-up cost of each install key, the
+//! wake-second total and the one epoch folded into every [`TreeKey`].
 
 use super::SteppedSim;
 use crate::error::ConfigError;
@@ -60,10 +60,12 @@ pub(super) struct ScoreScratch {
 /// once, what each costs the sleeping nodes, and the epoch that keys them.
 #[derive(Debug)]
 pub(super) struct Trees {
-    /// Folded into every [`TreeKey`]. A churn batch that changes the
-    /// topology bumps it, and so does a crash boundary with recovery on, so
-    /// a key minted before either can never be minted after it.
-    pub(super) epoch: u32,
+    /// Folded into every [`TreeKey`]. Only a churn batch that changes the
+    /// topology bumps it ([`Trees::bump_epoch`]), so a key minted before the
+    /// batch can never be minted after it. Crashes leave it alone: an
+    /// install floods over crashed nodes too, and a repair's key carries its
+    /// crash boundary instead.
+    epoch: u32,
     cache: TreeCache,
     naive_scratch: FloodScratch,
     /// Trees built outside the cache: every naive-mode tree, plus shared
@@ -75,17 +77,18 @@ pub(super) struct Trees {
     standing: usize,
     /// The most trees that stood at once.
     peak_standing: usize,
-    /// Wake-up cost of each distinct tree, memoised by construction key so
-    /// both sharing modes charge bit-identical costs.
+    /// Wake-up cost of each install key of the current epoch, so a key's
+    /// cost is computed once however often its tree is rebuilt. Repair keys
+    /// never enter it, and an epoch bump clears it, so it holds at most one
+    /// entry per (collector, cell) pair of the current topology.
     cost: HashMap<TreeKey, f64>,
+    /// Recycled relay index for computing a new tree's wake-up cost.
+    relays: StripIndex,
     /// What one duty-cycled node served by a tree pays: one buffered setup
     /// reception plus the nominal wake-up it takes to forward its reading.
     sleeper_wake_s: f64,
-    /// Sleeping-node wake seconds actually paid under the selected mode.
+    /// Sleeping-node wake seconds paid for every tree built.
     pub(super) node_wake_seconds: f64,
-    /// Sleeping-node wake seconds the naive one-tree-per-user baseline would
-    /// pay for the same installs (equal to `node_wake_seconds` in naive mode).
-    pub(super) node_wake_seconds_naive: f64,
 }
 
 impl Trees {
@@ -98,10 +101,23 @@ impl Trees {
             standing: 0,
             peak_standing: 0,
             cost: HashMap::new(),
+            relays: StripIndex::new(),
             sleeper_wake_s,
             node_wake_seconds: 0.0,
-            node_wake_seconds_naive: 0.0,
         }
+    }
+
+    /// The topology epoch every key is minted in.
+    pub(super) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Retires every key minted so far, after a churn batch changed the
+    /// topology, and with them the memoised costs no later key can match.
+    /// `clear` keeps the memo's capacity, so the warm loop allocates nothing.
+    pub(super) fn bump_epoch(&mut self) {
+        self.epoch += 1;
+        self.cost.clear();
     }
 
     /// The flood tree `tree` stands for.
@@ -114,23 +130,14 @@ impl Trees {
 
     /// Stands a tree for `key` over the tree area minus `excluded`: acquired
     /// through the cache, or — with `naive` — built as a tree of the query's
-    /// own. A tree this call builds charges its wake-up cost to the selected
-    /// mode. Returns the tree with that cost, which the caller charges to
-    /// the naive baseline when the install is one the baseline pays for.
-    ///
-    /// The cost is computed once per distinct key and then served from the
-    /// memo (outside crash repair, tree content is a pure function of the
-    /// key, so the first computation stands for every later install of the
-    /// key; see the `multi` module docs for the exception): every
-    /// duty-cycled node in the key's area with an in-tree relay in range
-    /// pays [`Trees::sleeper_wake_s`].
+    /// own. A tree this call builds is charged its wake-up cost.
     pub(super) fn stand(
         &mut self,
         deployment: &Deployment,
         key: TreeKey,
         naive: bool,
         excluded: Option<&[bool]>,
-    ) -> Result<(QueryTree, f64), ConfigError> {
+    ) -> Result<QueryTree, ConfigError> {
         let (tree, built) = if naive {
             let tree =
                 deployment.flood_tree(&mut self.naive_scratch, key.root(), key.center(), excluded);
@@ -140,26 +147,45 @@ impl Trees {
             let (handle, built) = deployment.acquire_tree(&mut self.cache, key, excluded);
             (QueryTree::Shared(handle), built)
         };
-        let flood = self.get(&tree)?;
-        let cost = match self.cost.get(&key) {
-            Some(&cost) => cost,
-            None => {
-                let mut relays = StripIndex::new();
-                deployment.index_relays(&mut relays, flood);
-                let mut cost = 0.0;
-                for _ in deployment.sleeper_relays(key.center(), &relays) {
-                    cost += self.sleeper_wake_s;
-                }
-                self.cost.insert(key, cost);
-                cost
-            }
-        };
         if built {
-            self.node_wake_seconds += cost;
+            self.node_wake_seconds += self.wake_cost(deployment, key, &tree)?;
             self.standing += 1;
             self.peak_standing = self.peak_standing.max(self.standing);
         }
-        Ok((tree, cost))
+        Ok(tree)
+    }
+
+    /// The wake-up cost of `tree`, just built for `key`: every duty-cycled
+    /// node in the key's area with an in-tree relay in range pays
+    /// [`Trees::sleeper_wake_s`]. An install key's tree content is a pure
+    /// function of the key, so its cost is memoised; a repair key's is
+    /// computed from the tree each time, since a repair builds its tree
+    /// once.
+    fn wake_cost(
+        &mut self,
+        deployment: &Deployment,
+        key: TreeKey,
+        tree: &QueryTree,
+    ) -> Result<f64, ConfigError> {
+        let install = key.crash_boundary().is_none();
+        if install {
+            if let Some(&cost) = self.cost.get(&key) {
+                return Ok(cost);
+            }
+        }
+        // On error the index is dropped, but an erroring step poisons the
+        // run anyway.
+        let mut relays = std::mem::take(&mut self.relays);
+        deployment.index_relays(&mut relays, self.get(tree)?);
+        let mut cost = 0.0;
+        for _ in deployment.sleeper_relays(key.center(), &relays) {
+            cost += self.sleeper_wake_s;
+        }
+        self.relays = relays;
+        if install {
+            self.cost.insert(key, cost);
+        }
+        Ok(cost)
     }
 
     /// Lets go of a standing query's tree: a shared reference is released,
@@ -255,7 +281,7 @@ impl SteppedSim {
                 continue; // no backbone at all: the resolve records a miss
             };
             let key = TreeKey::new(collector, center, self.deployment.tree_radius())
-                .with_epoch(self.trees.epoch);
+                .with_epoch(self.trees.epoch());
             self.installs += 1;
 
             let mut installed_at = now;
@@ -278,8 +304,7 @@ impl SteppedSim {
             }
 
             let naive = self.sharing == TreeSharing::Naive;
-            let (tree, cost) = self.trees.stand(&self.deployment, key, naive, None)?;
-            self.trees.node_wake_seconds_naive += cost;
+            let tree = self.trees.stand(&self.deployment, key, naive, None)?;
             self.active.insert(
                 (user, k),
                 ActiveQuery {
@@ -448,5 +473,53 @@ impl SteppedSim {
             }
         }
         contributing
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::sim::churn::ChurnConfig;
+    use crate::sim::multi::{QuerySet, TreeSharing};
+    use crate::sim::stepped::{small_scenario, SimOptions, SteppedSim};
+    use wsn_net::FaultConfig;
+
+    #[test]
+    fn the_memo_holds_only_install_keys_of_the_current_epoch() {
+        let churn = Some(ChurnConfig {
+            rate: 0.05,
+            verify: false,
+        });
+        let faults = Some(FaultConfig::new(0.05).with_crash_rate(0.05));
+        for options in [
+            SimOptions {
+                churn,
+                faults: None,
+            },
+            SimOptions {
+                churn: None,
+                faults,
+            },
+            SimOptions { churn, faults },
+        ] {
+            for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
+                let scenario = small_scenario(7);
+                let set = QuerySet::generate(&scenario, 6);
+                let mut sim = SteppedSim::with_options(scenario, set, sharing, options).unwrap();
+                sim.run_to_end().unwrap();
+                let trees = &sim.trees;
+                assert!(
+                    !trees.cost.is_empty(),
+                    "{options:?} {sharing:?}: nothing memoised"
+                );
+                assert!(
+                    trees
+                        .cost
+                        .keys()
+                        .all(|k| k.epoch() == trees.epoch() && k.crash_boundary().is_none()),
+                    "{options:?} {sharing:?}: the memo kept a repair key or an older epoch's"
+                );
+                assert_eq!(trees.epoch() > 0, churn == options.churn);
+            }
+        }
     }
 }

@@ -58,7 +58,7 @@ pub struct MultiuserPoint {
     pub peak_live_trees: usize,
     /// Sleeping-node wake seconds paid under sharing.
     pub node_wake_seconds_shared: f64,
-    /// Sleeping-node wake seconds the naive baseline pays.
+    /// Sleeping-node wake seconds the naive runs paid.
     pub node_wake_seconds_naive: f64,
     /// Per-user summaries of the first replicate (fleet order).
     pub per_user: Vec<UserSummary>,
@@ -160,7 +160,7 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
                     .sum(),
                 node_wake_seconds_naive: replicates
                     .iter()
-                    .map(|(_, s, _)| s.node_wake_seconds_naive)
+                    .map(|(_, _, nv)| nv.node_wake_seconds)
                     .sum(),
                 per_user: replicates
                     .first()
@@ -295,7 +295,7 @@ pub fn bench_sweep(scenario_for: impl Fn(u64) -> Scenario, users_list: &[usize])
                 .with("min_success_ratio", shared.min_success_ratio())
                 .with("mean_fidelity", shared.mean_fidelity())
                 .with("node_wake_seconds_shared", shared.node_wake_seconds)
-                .with("node_wake_seconds_naive", shared.node_wake_seconds_naive)
+                .with("node_wake_seconds_naive", naive.node_wake_seconds)
                 .with("shared_ms", round2(shared_ms))
                 .with("naive_ms", round2(naive_ms))
                 .with(

@@ -12,8 +12,9 @@
 //! scratch pool, so the steady state allocates nothing — exactly the
 //! discipline the single-user world already follows, extended to sharing.
 //!
-//! Because the key captures *all* build inputs, a cache hit returns a tree
-//! byte-identical to the one a fresh build would produce; the naive
+//! Because the key captures *all* build inputs — the topology epoch and the
+//! crash boundary a repair floods around included — a cache hit returns a
+//! tree byte-identical to the one a fresh build would produce; the naive
 //! one-tree-per-query path therefore serves as a drop-in reference
 //! implementation, and `tests/tree_cache_equivalence.rs` pins the
 //! equivalence property-style.
@@ -66,7 +67,8 @@ impl Error for TreeCacheError {}
 ///
 /// Two acquisitions share a tree exactly when their keys are equal: the same
 /// root collector, bit-identical area centre coordinates and bit-identical
-/// flood radius. Centres are compared by their IEEE-754 bit patterns, so
+/// flood radius, in the same topology epoch, around the same crash boundary
+/// (or none). Centres are compared by their IEEE-754 bit patterns, so
 /// callers that want spatial sharing must quantise the centre *before*
 /// building the key (the stepped engine snaps pickup points to a lattice);
 /// the cache itself never rounds, which is what keeps hits provably
@@ -83,12 +85,17 @@ pub struct TreeKey {
     /// after it — the root/centre/radius triple alone no longer pins the tree
     /// content once the underlying neighbour table can differ.
     epoch: u32,
+    /// The boundary whose crash victims the flood left out: set for a tree
+    /// rebuilt around a crash, `None` for a flood over every backbone node.
+    /// A repaired tree is therefore never shared with an install, nor with a
+    /// repair around another boundary's victims.
+    crash_boundary: Option<u64>,
 }
 
 impl TreeKey {
     /// Builds the key for a flood rooted at `root` spanning nodes within
-    /// `radius_m` of `center`, in the initial topology epoch (0) — the right
-    /// key for static deployments.
+    /// `radius_m` of `center`, in the initial topology epoch (0) and around
+    /// no crash — the right key for static deployments.
     pub fn new(root: NodeId, center: Point, radius_m: f64) -> Self {
         TreeKey {
             root,
@@ -96,6 +103,7 @@ impl TreeKey {
             center_y_bits: center.y.to_bits(),
             radius_bits: radius_m.to_bits(),
             epoch: 0,
+            crash_boundary: None,
         }
     }
 
@@ -107,9 +115,22 @@ impl TreeKey {
         self
     }
 
+    /// The same key for a flood that leaves out the nodes that crashed at
+    /// `boundary`; it never compares equal to a key without that tag.
+    #[must_use]
+    pub fn with_crash_boundary(mut self, boundary: u64) -> Self {
+        self.crash_boundary = Some(boundary);
+        self
+    }
+
     /// The topology epoch this key was issued in.
     pub fn epoch(&self) -> u32 {
         self.epoch
+    }
+
+    /// The boundary whose crash victims the flood left out, if any.
+    pub fn crash_boundary(&self) -> Option<u64> {
+        self.crash_boundary
     }
 
     /// The root (collector) node the tree is flooded from.
@@ -415,5 +436,10 @@ mod tests {
         assert_eq!(k.root(), NodeId(7));
         assert_eq!(k.center(), Point::new(123.25, -4.5));
         assert_eq!(k.radius_m(), 255.0);
+        assert_eq!(k.crash_boundary(), None);
+        let repaired = k.with_crash_boundary(4);
+        assert_eq!(repaired.crash_boundary(), Some(4));
+        assert_ne!(repaired, k, "a repair never shares an install's tree");
+        assert_ne!(repaired, k.with_crash_boundary(5));
     }
 }
