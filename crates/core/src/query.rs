@@ -12,6 +12,10 @@ use std::fmt;
 use wsn_sim::{Duration, SimTime};
 
 /// The in-network aggregation function `F` applied to sensor readings.
+///
+/// It is part of the paper's query model and of a query's spec, but neither
+/// engine aggregates readings: they score how many readings reach the
+/// collector in time, so no reported metric depends on `F`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateKind {
     /// Report the minimum reading in the area.
@@ -22,37 +26,6 @@ pub enum AggregateKind {
     Average,
     /// Report the number of contributing sensors.
     Count,
-}
-
-impl AggregateKind {
-    /// Applies the aggregate to a slice of readings.
-    ///
-    /// Returns `None` for an empty slice (there is nothing to aggregate).
-    pub fn apply(self, readings: &[f64]) -> Option<f64> {
-        if readings.is_empty() {
-            return None;
-        }
-        Some(match self {
-            AggregateKind::Min => readings.iter().copied().fold(f64::INFINITY, f64::min),
-            AggregateKind::Max => readings.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            AggregateKind::Average => readings.iter().sum::<f64>() / readings.len() as f64,
-            AggregateKind::Count => readings.len() as f64,
-        })
-    }
-
-    /// Merges two partial aggregates computed over disjoint node sets.
-    ///
-    /// `Average` merging needs the contributing counts, which is why the
-    /// tree-aggregation code carries `(sum, count)` pairs; this helper covers
-    /// the decomposable aggregates used directly.
-    pub fn merge(self, a: f64, b: f64) -> f64 {
-        match self {
-            AggregateKind::Min => a.min(b),
-            AggregateKind::Max => a.max(b),
-            AggregateKind::Average => (a + b) / 2.0,
-            AggregateKind::Count => a + b,
-        }
-    }
 }
 
 impl fmt::Display for AggregateKind {
@@ -99,7 +72,7 @@ impl Default for MessageSizes {
 pub struct QuerySpec {
     /// The sensed quantity being queried (`α`), e.g. `"temperature"`.
     pub data_type: String,
-    /// The in-network aggregation function (`F`).
+    /// The in-network aggregation function (`F`); no engine reads it.
     pub aggregate: AggregateKind,
     /// Radius `Rq` of the circular query area around the user, in metres.
     pub radius_m: f64,
@@ -211,23 +184,6 @@ mod tests {
         let mut q = QuerySpec::paper_default();
         q.lifetime = Duration::from_millis(500);
         assert!(q.validate().is_err());
-    }
-
-    #[test]
-    fn aggregates_compute_expected_values() {
-        let data = [3.0, 1.0, 2.0];
-        assert_eq!(AggregateKind::Min.apply(&data), Some(1.0));
-        assert_eq!(AggregateKind::Max.apply(&data), Some(3.0));
-        assert_eq!(AggregateKind::Average.apply(&data), Some(2.0));
-        assert_eq!(AggregateKind::Count.apply(&data), Some(3.0));
-        assert_eq!(AggregateKind::Max.apply(&[]), None);
-    }
-
-    #[test]
-    fn merge_is_consistent_for_decomposable_aggregates() {
-        assert_eq!(AggregateKind::Min.merge(1.0, 2.0), 1.0);
-        assert_eq!(AggregateKind::Max.merge(1.0, 2.0), 2.0);
-        assert_eq!(AggregateKind::Count.merge(3.0, 4.0), 7.0);
     }
 
     #[test]

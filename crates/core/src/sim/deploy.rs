@@ -124,7 +124,7 @@ impl Deployment {
         let phase_start = Instant::now();
         let neighbors =
             NeighborTable::build_among(&positions, region, comm_range, |i| roles[i].is_backbone());
-        let plan = PowerPlan::new(roles, scenario.sleep_schedule());
+        let plan = PowerPlan::new(roles);
         // The backbone only changes under churn, which patches this grid
         // from its flip log, so one grid serves a whole run.
         let mut backbone_grid =

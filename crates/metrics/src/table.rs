@@ -29,11 +29,6 @@ impl Table {
         Table::new(title, columns.iter().map(|c| c.to_string()).collect())
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -147,7 +142,6 @@ mod tests {
     #[test]
     fn dimensions() {
         let t = sample();
-        assert_eq!(t.title(), "Figure 4");
         assert_eq!(t.row_count(), 2);
     }
 

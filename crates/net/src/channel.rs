@@ -34,7 +34,6 @@ pub struct HopOutcome {
 ///
 /// let mut channel = Channel::new(RadioConfig::paper_default(), MacConfig::paper_default());
 /// let mut rng = SimRng::seed_from_u64(7);
-/// assert!(channel.in_range(Point::new(0.0, 0.0), Point::new(100.0, 0.0)));
 /// let hop = channel.transmit(
 ///     Point::new(0.0, 0.0), 60, SimTime::ZERO, &mut rng,
 /// );
@@ -60,11 +59,6 @@ impl Channel {
             frames_sent: 0,
             frames_lost: 0,
         }
-    }
-
-    /// Returns `true` when two positions are within communication range.
-    pub fn in_range(&self, a: Point, b: Point) -> bool {
-        a.distance_to(b) <= self.radio.comm_range_m + 1e-9
     }
 
     /// Airtime of a frame with `payload_bytes` of application payload.
@@ -135,13 +129,6 @@ mod tests {
 
     fn channel() -> Channel {
         Channel::new(RadioConfig::paper_default(), MacConfig::paper_default())
-    }
-
-    #[test]
-    fn in_range_respects_comm_range() {
-        let c = channel();
-        assert!(c.in_range(Point::new(0.0, 0.0), Point::new(105.0, 0.0)));
-        assert!(!c.in_range(Point::new(0.0, 0.0), Point::new(106.0, 0.0)));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`energy`] — per-node radio energy accounting against a
 //!   [`wsn_net::RadioPowerProfile`], producing the per-sleeping-node power
 //!   numbers of the paper's Figure 8.
-//! * [`plan`] — the combined "power plan" (role + sleep schedule per node)
-//!   consumed by the protocol simulation.
+//! * [`plan`] — the "power plan" (the backbone role of each node) consumed
+//!   by the protocol simulation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

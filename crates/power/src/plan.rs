@@ -1,25 +1,19 @@
-//! The combined power plan: per-node roles and sleep schedules.
+//! The power plan: which nodes form the backbone.
 
-use wsn_net::{NodeId, NodeRole, SleepSchedule};
+use wsn_net::{NodeId, NodeRole};
 
 /// The output of a power-management protocol, as consumed by the protocol
-/// simulation: which nodes form the always-awake backbone and what schedule
-/// the remaining duty-cycled nodes follow.
+/// simulation: which nodes form the always-awake backbone. The remaining
+/// nodes duty-cycle on the scenario's sleep schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerPlan {
     roles: Vec<NodeRole>,
-    schedule: SleepSchedule,
 }
 
 impl PowerPlan {
-    /// Creates a plan from per-node roles and the shared duty-cycle schedule.
-    pub fn new(roles: Vec<NodeRole>, schedule: SleepSchedule) -> Self {
-        PowerPlan { roles, schedule }
-    }
-
-    /// Number of nodes covered by the plan.
-    pub fn node_count(&self) -> usize {
-        self.roles.len()
+    /// Creates a plan from per-node roles.
+    pub fn new(roles: Vec<NodeRole>) -> Self {
+        PowerPlan { roles }
     }
 
     /// The role of `node`.
@@ -30,11 +24,6 @@ impl PowerPlan {
     /// Returns `true` when `node` is in the always-awake backbone.
     pub fn is_backbone(&self, node: NodeId) -> bool {
         self.roles[node.index()].is_backbone()
-    }
-
-    /// The duty-cycle schedule followed by non-backbone nodes.
-    pub fn schedule(&self) -> SleepSchedule {
-        self.schedule
     }
 
     /// All per-node roles, in node-id order.
@@ -89,13 +78,12 @@ mod tests {
             NodeRole::DutyCycled,
             NodeRole::Backbone,
         ];
-        PowerPlan::new(roles, SleepSchedule::paper_default(15.0))
+        PowerPlan::new(roles)
     }
 
     #[test]
     fn role_queries() {
         let p = plan();
-        assert_eq!(p.node_count(), 4);
         assert!(p.is_backbone(NodeId(0)));
         assert!(!p.is_backbone(NodeId(1)));
         assert_eq!(p.backbone_count(), 2);

@@ -137,31 +137,15 @@ impl CoverageRaster {
         self.update_covered(center, 1u32.wrapping_neg());
     }
 
-    /// Whether the *other* active nodes would still provide `k`-coverage of
-    /// the sensing disk of an active node at `center` — the CCP sleep
-    /// eligibility rule, evaluated with O(1) lookups.
+    /// Demotes the active node at `center` if the remaining actives still
+    /// `k`-cover its sensing disk — the CCP sleep eligibility rule — and
+    /// returns whether it was demoted. On success the raster is decremented;
+    /// on failure it is left untouched.
     ///
     /// The node's disk covers exactly the lattice points its removal would
-    /// decrement (same predicate), so eligibility is `count ≥ k + 1` on every
-    /// covered point. A disk lying entirely outside the region covers no
-    /// lattice point and is vacuously eligible, matching the reference.
-    pub fn eligible_to_sleep(&self, center: Point, k: usize) -> bool {
-        let threshold = u32::try_from(k).unwrap_or(u32::MAX).saturating_add(1);
-        let Some(spans) = DiskSpans::over(&self.xs, &self.ys, center, self.r2e, self.sensing_range)
-        else {
-            return true;
-        };
-        for (iy, lo, hi) in spans {
-            if self.counts.row(iy)[lo..=hi].iter().any(|&c| c < threshold) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Demotes the active node at `center` if the remaining actives still
-    /// `k`-cover its sensing disk; returns whether it was demoted. On success
-    /// the raster is decremented; on failure it is left untouched.
+    /// decrement, so eligibility is `count ≥ k + 1` on every covered point.
+    /// A disk lying entirely outside the region covers no lattice point and
+    /// is vacuously eligible, matching the reference.
     ///
     /// Check and decrement are fused row by row — each disk row is verified
     /// (`count ≥ k + 1` throughout) and immediately decremented while still
@@ -596,7 +580,7 @@ mod tests {
         let region = Rect::square(100.0);
         let p = Point::new(50.0, 50.0);
         let mut r = CoverageRaster::build(&[p], region, 50.0, 5.0);
-        assert!(!r.eligible_to_sleep(p, 1), "sole cover must stay active");
+        assert!(!r.try_demote(p, 1), "sole cover must stay active");
         r.add(p);
         assert!(r.try_demote(p, 1), "a colocated twin makes it redundant");
         assert!(
@@ -611,7 +595,7 @@ mod tests {
         let far = Point::new(1000.0, 1000.0);
         let mut r = CoverageRaster::new(region, 50.0, 5.0);
         r.add(far); // covers no lattice point
-        assert!(r.eligible_to_sleep(far, 3));
+        assert!(r.try_demote(far, 3));
     }
 
     #[test]
