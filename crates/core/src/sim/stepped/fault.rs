@@ -6,6 +6,7 @@ use super::query::{ActiveQuery, QueryTree, Trees};
 use crate::error::ConfigError;
 use crate::sim::deploy::Deployment;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 use wsn_geom::Point;
 use wsn_metrics::FaultBatch;
 use wsn_net::{FaultConfig, FaultPlan, FloodTree, NodeId, TreeKey};
@@ -227,6 +228,12 @@ impl FaultState {
         if active.is_empty() {
             return Ok(());
         }
+        let tag = u32::try_from(boundary)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .ok_or_else(|| {
+                ConfigError::new(format!("boundary {boundary} cannot tag a tree key"))
+            })?;
         let mut standing: Vec<(u32, u64)> = active.keys().copied().collect();
         standing.sort_unstable();
         let excluded = Some(self.is_crashed.as_slice());
@@ -256,7 +263,7 @@ impl FaultState {
             };
             let key = TreeKey::new(root, aq.center, deployment.tree_radius())
                 .with_epoch(trees.epoch())
-                .with_crash_boundary(boundary);
+                .with_crash_boundary(tag);
             let naive = !shared || root != old_root;
             aq.tree = trees.stand(deployment, key, naive, excluded)?;
             if shared && naive {
@@ -417,67 +424,44 @@ mod tests {
 
     #[test]
     fn a_crash_rebuilds_only_the_trees_it_poisons() {
-        // Each boundary runs by hand, so the test sees the standing trees
-        // between the fault step and the installs that follow it.
         let config = FaultConfig::new(0.0).with_crash_rate(0.03);
         let mut sim = faulted(7, 8, TreeSharing::Shared, config);
-        sim.step_period().unwrap(); // boundary 0 only installs
-        let (mut spared, mut poisoned, mut joined) = (0, 0, 0);
-        for b in 1..sim.max_k() {
-            // Period b's queries, installed at b - 1: none was repaired yet.
-            let standing: Vec<_> = sim
-                .active
-                .iter()
-                .map(|(&id, aq)| {
+        let (mut joined, mut poisoned) = (0, 0);
+        while sim.next_boundary() < sim.max_k() {
+            // The queries of the period this boundary resolves, none of them
+            // repaired yet: the cell each serves, and its tree.
+            let standing: Vec<_> = (sim.active.values())
+                .map(|aq| {
                     let QueryTree::Shared(handle) = aq.tree else {
                         panic!("an install in shared mode stands a shared tree");
                     };
                     let members = sim.trees.get(&aq.tree).unwrap().order().to_vec();
-                    (id, handle, aq.center, members)
+                    (aq.center, handle, members)
                 })
                 .collect();
-            let fault = sim.fault.as_mut().unwrap();
-            fault
-                .step(b, &mut sim.trees, &mut sim.active, &sim.deployment)
-                .unwrap();
-            let mut untouched = Vec::new();
-            for (id, handle, center, members) in standing {
-                if members.iter().any(|n| fault.is_crashed[n.index()]) {
+            let b = sim.step_period().unwrap();
+            let crashed = &sim.fault.as_ref().unwrap().is_crashed;
+            for (center, handle, members) in standing {
+                if members.iter().any(|n| crashed[n.index()]) {
                     poisoned += 1;
                     continue;
                 }
-                spared += 1;
-                let kept = sim.active.get(&id).map(|aq| &aq.tree);
-                assert!(
-                    matches!(kept, Some(QueryTree::Shared(h)) if *h == handle),
-                    "boundary {b}: query {id:?} lost a tree no crash touched"
-                );
-                untouched.push((handle, center));
-            }
-            sim.install(sim.deadline(b), b + 1).unwrap();
-            // An install in the cell of a spared tree mints that tree's key,
-            // so it must join the tree instead of flooding a new one.
-            let installed = sim.active.iter().filter(|(&(_, k), _)| k == b + 1);
-            for (_, aq) in installed {
-                for &(handle, center) in &untouched {
-                    if aq.center == center {
-                        joined += 1;
-                        assert!(
-                            matches!(aq.tree, QueryTree::Shared(h) if h == handle),
-                            "boundary {b}: an install rebuilt a tree no crash touched"
-                        );
-                    }
+                // The tree held no victim, so it kept standing, and every
+                // install in its cell minted its key and joined it.
+                for aq in sim.active.values().filter(|aq| aq.center == center) {
+                    joined += 1;
+                    assert!(
+                        matches!(aq.tree, QueryTree::Shared(h) if h == handle),
+                        "boundary {b}: an install rebuilt a tree no crash touched"
+                    );
                 }
             }
-            sim.resolve(b).unwrap();
-            sim.fault.as_mut().unwrap().flush();
-            sim.next_boundary = b + 1;
         }
-        sim.run_to_end().unwrap();
         assert!(
-            spared > 0 && poisoned > 0 && joined > 0,
-            "spared {spared}, poisoned {poisoned}, joined {joined}"
+            joined > 0 && poisoned > 0,
+            "joined {joined}, poisoned {poisoned}"
         );
+        sim.run_to_end().unwrap();
         sim.finish();
     }
 

@@ -481,7 +481,7 @@ mod tests {
     use crate::sim::churn::ChurnConfig;
     use crate::sim::multi::{QuerySet, TreeSharing};
     use crate::sim::stepped::{small_scenario, SimOptions, SteppedSim};
-    use wsn_net::FaultConfig;
+    use wsn_net::{FaultConfig, TreeKey};
 
     #[test]
     fn the_memo_holds_only_install_keys_of_the_current_epoch() {
@@ -490,36 +490,20 @@ mod tests {
             verify: false,
         });
         let faults = Some(FaultConfig::new(0.05).with_crash_rate(0.05));
-        for options in [
-            SimOptions {
-                churn,
-                faults: None,
-            },
-            SimOptions {
-                churn: None,
-                faults,
-            },
-            SimOptions { churn, faults },
-        ] {
-            for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
-                let scenario = small_scenario(7);
-                let set = QuerySet::generate(&scenario, 6);
-                let mut sim = SteppedSim::with_options(scenario, set, sharing, options).unwrap();
-                sim.run_to_end().unwrap();
-                let trees = &sim.trees;
-                assert!(
-                    !trees.cost.is_empty(),
-                    "{options:?} {sharing:?}: nothing memoised"
-                );
-                assert!(
-                    trees
-                        .cost
-                        .keys()
-                        .all(|k| k.epoch() == trees.epoch() && k.crash_boundary().is_none()),
-                    "{options:?} {sharing:?}: the memo kept a repair key or an older epoch's"
-                );
-                assert_eq!(trees.epoch() > 0, churn == options.churn);
-            }
+        for (churn, faults) in [(churn, None), (None, faults), (churn, faults)] {
+            let scenario = small_scenario(7);
+            let set = QuerySet::generate(&scenario, 6);
+            let options = SimOptions { churn, faults };
+            let sharing = TreeSharing::Shared;
+            let mut sim = SteppedSim::with_options(scenario, set, sharing, options).unwrap();
+            sim.run_to_end().unwrap();
+            let trees = &sim.trees;
+            assert_eq!(trees.epoch() > 0, churn.is_some());
+            let current = |k: &TreeKey| k.epoch() == trees.epoch() && k.crash_boundary().is_none();
+            assert!(
+                !trees.cost.is_empty() && trees.cost.keys().all(current),
+                "{options:?}: the memo kept a repair key or an older epoch's"
+            );
         }
     }
 }

@@ -25,6 +25,7 @@ use crate::node::NodeId;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU32;
 use wsn_geom::Point;
 
 /// A [`TreeCache`] access through a handle whose tree is no longer alive.
@@ -88,8 +89,9 @@ pub struct TreeKey {
     /// The boundary whose crash victims the flood left out: set for a tree
     /// rebuilt around a crash, `None` for a flood over every backbone node.
     /// A repaired tree is therefore never shared with an install, nor with a
-    /// repair around another boundary's victims.
-    crash_boundary: Option<u64>,
+    /// repair around another boundary's victims. Like the epoch it is 32
+    /// bits wide, which keeps the key at 40 bytes.
+    crash_boundary: Option<NonZeroU32>,
 }
 
 impl TreeKey {
@@ -116,9 +118,10 @@ impl TreeKey {
     }
 
     /// The same key for a flood that leaves out the nodes that crashed at
-    /// `boundary`; it never compares equal to a key without that tag.
+    /// `boundary`; it never compares equal to a key without that tag. (At
+    /// boundary 0 no tree stands yet, so no repair happens there.)
     #[must_use]
-    pub fn with_crash_boundary(mut self, boundary: u64) -> Self {
+    pub fn with_crash_boundary(mut self, boundary: NonZeroU32) -> Self {
         self.crash_boundary = Some(boundary);
         self
     }
@@ -129,7 +132,7 @@ impl TreeKey {
     }
 
     /// The boundary whose crash victims the flood left out, if any.
-    pub fn crash_boundary(&self) -> Option<u64> {
+    pub fn crash_boundary(&self) -> Option<NonZeroU32> {
         self.crash_boundary
     }
 
@@ -260,20 +263,6 @@ impl TreeCache {
             .get(handle.0 as usize)
             .and_then(|slot| slot.as_ref())
             .map(|e| &e.tree)
-            .ok_or(TreeCacheError::dead(handle))
-    }
-
-    /// The key the tree behind `handle` was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TreeCacheError`] when the handle has already been fully
-    /// released (or never came from this cache).
-    pub fn key(&self, handle: TreeHandle) -> Result<TreeKey, TreeCacheError> {
-        self.slots
-            .get(handle.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .map(|e| e.key)
             .ok_or(TreeCacheError::dead(handle))
     }
 
@@ -419,7 +408,6 @@ mod tests {
         let err = cache.release(a).unwrap_err();
         assert_eq!(err.slot(), 0);
         assert!(cache.tree(a).is_err());
-        assert!(cache.key(a).is_err());
         assert_eq!(cache.refs(a), 0);
         assert!(!format!("{err}").is_empty());
         // A handle that never came from this cache is equally refused.
@@ -437,9 +425,11 @@ mod tests {
         assert_eq!(k.center(), Point::new(123.25, -4.5));
         assert_eq!(k.radius_m(), 255.0);
         assert_eq!(k.crash_boundary(), None);
-        let repaired = k.with_crash_boundary(4);
-        assert_eq!(repaired.crash_boundary(), Some(4));
+        let boundary = |b| NonZeroU32::new(b).unwrap();
+        let repaired = k.with_crash_boundary(boundary(4));
+        assert_eq!(repaired.crash_boundary(), Some(boundary(4)));
         assert_ne!(repaired, k, "a repair never shares an install's tree");
-        assert_ne!(repaired, k.with_crash_boundary(5));
+        assert_ne!(repaired, k.with_crash_boundary(boundary(5)));
+        assert_eq!(std::mem::size_of::<TreeKey>(), 40);
     }
 }
