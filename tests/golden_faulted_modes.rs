@@ -10,13 +10,9 @@
 //! faulted workload all run shared trees only, so this file is what pins the
 //! naive mode's recovery.
 //!
-//! A tree key names everything its flood read, the crash boundary a repair
-//! flooded around included, so sharing changes no user's results under
-//! crashes either: per seed, every user's query log must be the same in both
-//! modes, and sharing must wake the sleeping nodes for less. Each seed pins
-//! an FNV-1a digest of every user's query log, and each mode the fault log's
-//! counters summed over the run, the tree accounting and the exact bits of
-//! the sleeping-node wake seconds. Refactoring the engine must leave every
+//! Each seed must give every user the same query log in both modes (see
+//! the `faulted` module), and pins those logs beside each mode's fault
+//! counters and tree accounting. Refactoring the engine must leave every
 //! value as it is.
 //!
 //! To regenerate the snapshot after a *deliberate* behaviour change:
@@ -25,51 +21,14 @@
 //! MOBIQUERY_BLESS=1 cargo test --release --test golden_faulted_modes
 //! ```
 
-use mobiquery_repro::metrics::{JsonValue, QueryLog, ResilienceSummary};
-use mobiquery_repro::mobiquery::config::{Scenario, Scheme};
+mod faulted;
+
+use faulted::{scenario, USERS};
+use mobiquery_repro::metrics::JsonValue;
 use mobiquery_repro::mobiquery::sim::{
     FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing,
 };
 
-const GOLDEN: &str = include_str!("golden/faulted_modes.json");
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/faulted_modes.json"
-);
-
-const SEEDS: [u64; 3] = [1, 2, 3];
-const USERS: usize = 12;
-
-fn scenario(seed: u64) -> Scenario {
-    Scenario::paper_default()
-        .with_node_count(300)
-        .with_region_side(500.0)
-        .with_duration_secs(60.0)
-        .with_scheme(Scheme::JustInTime)
-        .with_seed(seed)
-}
-
-/// 64-bit FNV-1a over every field of every record, in log order.
-fn log_digest(log: &QueryLog) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for r in log.records() {
-        for v in [
-            r.seq,
-            r.deadline.as_micros(),
-            r.delivered_at.map_or(u64::MAX, |t| t.as_micros()),
-            r.contributing_nodes as u64,
-            r.nodes_in_area as u64,
-        ] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01B3);
-            }
-        }
-    }
-    h
-}
-
-/// One run's output and the mode's pinned values.
 fn run(seed: u64, sharing: TreeSharing) -> (MultiUserOutput, JsonValue) {
     let scenario = scenario(seed);
     let set = QuerySet::generate(&scenario, USERS);
@@ -80,96 +39,25 @@ fn run(seed: u64, sharing: TreeSharing) -> (MultiUserOutput, JsonValue) {
     let mut sim = SteppedSim::with_options(scenario, set, sharing, options)
         .expect("the golden scenarios are valid");
     sim.run_to_end().expect("a faulted run steps to the end");
-    let faults = ResilienceSummary::from_batches(sim.fault_log());
-    let out = sim.finish();
-
-    // The pinned values must cover both repair paths the crash schedule
-    // drives: rebuilds in either mode, and root-crash fallbacks to a
-    // per-query tree when trees are shared.
-    assert!(
-        faults.trees_rebuilt > 0,
-        "seed {seed} {sharing:?}: no tree was rebuilt"
-    );
-    if sharing == TreeSharing::Shared {
-        assert!(
-            faults.naive_fallbacks > 0,
-            "seed {seed}: no shared tree fell back to a per-query tree"
-        );
-    }
-
-    let pinned = JsonValue::object()
-        .with("installs", out.installs)
-        .with("trees_built", out.trees_built)
-        .with("shared_hits", out.shared_hits)
-        .with("peak_live_trees", out.peak_live_trees)
-        .with("node_wake_seconds_bits", out.node_wake_seconds.to_bits())
-        .with("link_bad_node_periods", faults.link_bad_node_periods)
-        .with("crashes", faults.crashes)
-        .with("install_attempts", faults.install_attempts)
-        .with("retries", faults.retries)
-        .with("install_failures", faults.install_failures)
-        .with("trees_rebuilt", faults.trees_rebuilt)
-        .with("naive_fallbacks", faults.naive_fallbacks)
-        .with("retry_energy_j_bits", faults.retry_energy_j.to_bits());
-    (out, pinned)
-}
-
-/// Both modes of one seed, and how many users' query logs differ between
-/// them. Sharing must pay fewer wake seconds.
-fn seed_json(seed: u64) -> (JsonValue, usize) {
-    let (shared, shared_pinned) = run(seed, TreeSharing::Shared);
-    let (naive, naive_pinned) = run(seed, TreeSharing::Naive);
-    assert!(
-        shared.node_wake_seconds < naive.node_wake_seconds,
-        "seed {seed}: shared trees woke sleepers for {} s, naive ones for {} s",
-        shared.node_wake_seconds,
-        naive.node_wake_seconds
-    );
-    let differing = shared
-        .logs
-        .iter()
-        .zip(&naive.logs)
-        .filter(|(s, n)| s != n)
-        .count();
-    let digests: Vec<JsonValue> = shared
-        .logs
-        .iter()
-        .map(|log| JsonValue::from(log_digest(log)))
-        .collect();
-    let json = JsonValue::object()
-        .with("seed", seed)
-        .with("query_log_fnv1a", digests)
-        .with("shared", shared_pinned)
-        .with("naive", naive_pinned);
-    (json, differing)
+    faulted::finish(sim, seed, sharing, |pinned| pinned)
 }
 
 #[test]
 fn faulted_runs_match_golden_values_in_both_sharing_modes() {
-    let (seeds, differing): (Vec<JsonValue>, Vec<usize>) = SEEDS.into_iter().map(seed_json).unzip();
-    assert!(
-        differing.iter().all(|&d| d == 0),
-        "users whose query logs differ between shared and naive trees, of {USERS}, \
-         at seeds {SEEDS:?}: {differing:?}"
-    );
-    let got = JsonValue::object()
+    let header = JsonValue::object()
         .with("nodes", 300u64)
         .with("region_side_m", 500.0)
         .with("duration_s", 60.0)
         .with("users", USERS)
         .with("loss", 0.05)
-        .with("crash_rate", 0.05)
-        .with("seeds", seeds)
-        .to_pretty_string();
-    if std::env::var_os("MOBIQUERY_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &got).expect("the golden file is writable");
-        return;
-    }
-    assert!(
-        got == GOLDEN,
-        "faulted-run values diverged from tests/golden/faulted_modes.json.\n\
-         got:\n{got}\n\
-         Refactoring must not change simulation results; if this change is \
-         deliberate, regenerate the snapshot (see this test's module docs)."
+        .with("crash_rate", 0.05);
+    faulted::check(
+        header,
+        run,
+        include_str!("golden/faulted_modes.json"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/faulted_modes.json"
+        ),
     );
 }
