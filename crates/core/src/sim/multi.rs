@@ -224,11 +224,6 @@ impl QuerySet {
     pub fn active_users(&self, k: u64) -> usize {
         self.users.iter().filter(|u| u.active_in(k)).count()
     }
-
-    /// Total number of query installs over the whole trial.
-    pub fn total_queries(&self) -> u64 {
-        self.users.iter().map(|u| u.query_count()).sum()
-    }
 }
 
 /// Aggregated output of one multi-user run.
