@@ -288,9 +288,9 @@ impl MultiUserOutput {
         self.per_user.iter().map(|u| u.mean_fidelity).sum::<f64>() / self.per_user.len() as f64
     }
 
-    /// Trees built over trees the naive baseline builds, in `(0, 1]`:
-    /// 1.0 means no sharing happened, small values mean most installs joined
-    /// an existing tree.
+    /// Trees built per install, in `(0, 1]` without faults: 1.0 means no
+    /// sharing happened, small values mean most installs joined an existing
+    /// tree.
     pub fn sharing_ratio(&self) -> f64 {
         if self.installs == 0 {
             return 1.0;

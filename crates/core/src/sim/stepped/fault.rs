@@ -430,7 +430,9 @@ mod tests {
         while sim.next_boundary() < sim.max_k() {
             // The queries of the period this boundary resolves, none of them
             // repaired yet: the cell each serves, and its tree.
-            let standing: Vec<_> = (sim.active.values())
+            let standing: Vec<_> = sim
+                .active
+                .values()
                 .map(|aq| {
                     let QueryTree::Shared(handle) = aq.tree else {
                         panic!("an install in shared mode stands a shared tree");

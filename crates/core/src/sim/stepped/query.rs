@@ -158,20 +158,17 @@ impl Trees {
     /// The wake-up cost of `tree`, just built for `key`: every duty-cycled
     /// node in the key's area with an in-tree relay in range pays
     /// [`Trees::sleeper_wake_s`]. An install key's tree content is a pure
-    /// function of the key, so its cost is memoised; a repair key's is
-    /// computed from the tree each time, since a repair builds its tree
-    /// once.
+    /// function of the key, so its cost is memoised; a repair key never
+    /// enters the memo, since a repair builds its tree once, so its cost is
+    /// computed from the tree.
     fn wake_cost(
         &mut self,
         deployment: &Deployment,
         key: TreeKey,
         tree: &QueryTree,
     ) -> Result<f64, ConfigError> {
-        let install = key.crash_boundary().is_none();
-        if install {
-            if let Some(&cost) = self.cost.get(&key) {
-                return Ok(cost);
-            }
+        if let Some(&cost) = self.cost.get(&key) {
+            return Ok(cost);
         }
         // On error the index is dropped, but an erroring step poisons the
         // run anyway.
@@ -182,7 +179,7 @@ impl Trees {
             cost += self.sleeper_wake_s;
         }
         self.relays = relays;
-        if install {
+        if key.crash_boundary().is_none() {
             self.cost.insert(key, cost);
         }
         Ok(cost)

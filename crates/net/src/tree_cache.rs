@@ -430,6 +430,9 @@ mod tests {
         assert_eq!(repaired.crash_boundary(), Some(boundary(4)));
         assert_ne!(repaired, k, "a repair never shares an install's tree");
         assert_ne!(repaired, k.with_crash_boundary(boundary(5)));
-        assert_eq!(std::mem::size_of::<TreeKey>(), 40);
+        assert!(
+            std::mem::size_of::<TreeKey>() <= 40,
+            "the crash tag fits the key's padding"
+        );
     }
 }
