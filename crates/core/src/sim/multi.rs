@@ -13,7 +13,7 @@
 //! each user's predicted pickup point to a lattice cell of side `Rq` before
 //! building a tree, so a shared tree's construction inputs are bit-identical
 //! to what the naive one-tree-per-user path would use, and a tree key names
-//! every one of them, the crash boundary a repair floods around included;
+//! every one of them, whether a repair left crash victims out included;
 //! [`TreeSharing::Naive`] builds every tree afresh through an independent
 //! scratch (never touching the cache) and serves as the reference
 //! implementation, in the style of `elect_backbone_reference`. All random
@@ -223,6 +223,11 @@ impl QuerySet {
     /// job count sees the same concurrency.
     pub fn active_users(&self, k: u64) -> usize {
         self.users.iter().filter(|u| u.active_in(k)).count()
+    }
+
+    /// Total number of query installs over the whole trial.
+    pub fn total_queries(&self) -> u64 {
+        self.users.iter().map(|u| u.query_count()).sum()
     }
 }
 

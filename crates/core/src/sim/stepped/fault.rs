@@ -6,7 +6,6 @@ use super::query::{ActiveQuery, QueryTree, Trees};
 use crate::error::ConfigError;
 use crate::sim::deploy::Deployment;
 use std::collections::HashMap;
-use std::num::NonZeroU32;
 use wsn_geom::Point;
 use wsn_metrics::FaultBatch;
 use wsn_net::{FaultConfig, FaultPlan, FloodTree, NodeId, TreeKey};
@@ -200,27 +199,27 @@ impl FaultState {
         self.pending.crashes = self.crashed.len();
         self.pending.blackout = batch.blackout;
         if !self.crashed.is_empty() && self.plan.config().recovery {
-            self.repair_trees(boundary, trees, active, deployment)?;
+            self.repair_trees(trees, active, deployment)?;
         }
         Ok(())
     }
 
-    /// The health check at `boundary`: every standing query whose tree
+    /// The per-boundary tree health check: every standing query whose tree
     /// contains a crash victim is poisoned. A poisoned query lets go of its
     /// tree and re-roots: at its old root if that survived, else at the
     /// nearest live backbone node; with no live root in reach it is dropped
     /// (an install failure). A shared query that kept its root re-acquires
     /// through the cache with the victims excluded (re-homing their
-    /// descendants; a rebuild), under a key tagged with `boundary`: poisoned
-    /// queries with one root and cell share the rebuilt tree, and no install
-    /// or repair at another boundary can join it. A shared query whose root
-    /// crashed degrades to a tree of its own (a naive fallback), and a naive
-    /// query rebuilds its own tree the same way (a rebuild). Keys are
-    /// visited in sorted order so cache bookkeeping — and therefore every
-    /// output byte — is independent of hash-map iteration order.
+    /// descendants; a rebuild), under a repair key: poisoned queries with one
+    /// root and cell share the rebuilt tree, and no install can join it. The
+    /// queries standing here all resolve at this boundary, so no repaired
+    /// tree outlives it. A shared query whose root crashed degrades to a
+    /// tree of its own (a naive fallback), and a naive query rebuilds its
+    /// own tree the same way (a rebuild). Keys are visited in sorted order
+    /// so cache bookkeeping — and therefore every output byte — is
+    /// independent of hash-map iteration order.
     fn repair_trees(
         &mut self,
-        boundary: u64,
         trees: &mut Trees,
         active: &mut HashMap<(u32, u64), ActiveQuery>,
         deployment: &Deployment,
@@ -228,12 +227,6 @@ impl FaultState {
         if active.is_empty() {
             return Ok(());
         }
-        let tag = u32::try_from(boundary)
-            .ok()
-            .and_then(NonZeroU32::new)
-            .ok_or_else(|| {
-                ConfigError::new(format!("boundary {boundary} cannot tag a tree key"))
-            })?;
         let mut standing: Vec<(u32, u64)> = active.keys().copied().collect();
         standing.sort_unstable();
         let excluded = Some(self.is_crashed.as_slice());
@@ -263,7 +256,7 @@ impl FaultState {
             };
             let key = TreeKey::new(root, aq.center, deployment.tree_radius())
                 .with_epoch(trees.epoch())
-                .with_crash_boundary(tag);
+                .with_repair();
             let naive = !shared || root != old_root;
             aq.tree = trees.stand(deployment, key, naive, excluded)?;
             if shared && naive {

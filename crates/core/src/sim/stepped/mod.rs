@@ -452,6 +452,7 @@ mod tests {
     fn boundary_count_and_event_accounting() {
         let mut sim = stepped(3, 4, TreeSharing::Shared);
         let max_k = sim.max_k();
+        let total_queries = sim.query_set().total_queries();
         let mut boundaries = 0u64;
         while !sim.is_finished() {
             assert_eq!(sim.step_period().unwrap(), boundaries);
@@ -460,9 +461,7 @@ mod tests {
         assert_eq!(boundaries, max_k + 1, "boundaries 0..=max_k");
         assert!(sim.step_period().is_err(), "stepping past the end errors");
         let out = sim.finish();
-        // One event per installing boundary, one per query resolved.
-        let resolved: usize = out.logs.iter().map(|log| log.len()).sum();
-        assert_eq!(out.events_processed, max_k + resolved as u64);
+        assert_eq!(out.events_processed, max_k + total_queries);
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub(super) struct Trees {
     /// Folded into every [`TreeKey`]. Only a churn batch that changes the
     /// topology bumps it ([`Trees::bump_epoch`]), so a key minted before the
     /// batch can never be minted after it. Crashes leave it alone: an
-    /// install floods over crashed nodes too, and a repair's key carries its
-    /// crash boundary instead.
+    /// install floods over crashed nodes too, and a repair's key carries a
+    /// repair marker instead.
     epoch: u32,
     cache: TreeCache,
     naive_scratch: FloodScratch,
@@ -179,7 +179,7 @@ impl Trees {
             cost += self.sleeper_wake_s;
         }
         self.relays = relays;
-        if key.crash_boundary().is_none() {
+        if !key.is_repair() {
             self.cost.insert(key, cost);
         }
         Ok(cost)
@@ -496,7 +496,7 @@ mod tests {
             sim.run_to_end().unwrap();
             let trees = &sim.trees;
             assert_eq!(trees.epoch() > 0, churn.is_some());
-            let current = |k: &TreeKey| k.epoch() == trees.epoch() && k.crash_boundary().is_none();
+            let current = |k: &TreeKey| k.epoch() == trees.epoch() && !k.is_repair();
             assert!(
                 !trees.cost.is_empty() && trees.cost.keys().all(current),
                 "{options:?}: the memo kept a repair key or an older epoch's"

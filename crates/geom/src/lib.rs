@@ -92,6 +92,16 @@ pub fn mps_to_mph(mps: f64) -> f64 {
     mps / MPH_TO_MPS
 }
 
+/// Converts a speed in miles per hour to metres per second.
+///
+/// ```
+/// let mps = wsn_geom::mph_to_mps(469.0);
+/// assert!((mps - 209.66).abs() < 0.1);
+/// ```
+pub fn mph_to_mps(mph: f64) -> f64 {
+    mph * MPH_TO_MPS
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +129,13 @@ mod tests {
             let by_grid = grid.query_range(center, r).any(|id| id == i);
             assert_eq!(by_fn, by_grid, "grid disagrees at {p}");
             grid.remove(i);
+        }
+    }
+
+    #[test]
+    fn mph_round_trip() {
+        for v in [0.0, 1.0, 4.0, 20.0, 469.0] {
+            assert!((mph_to_mps(mps_to_mph(v)) - v).abs() < 1e-9);
         }
     }
 

@@ -12,8 +12,8 @@
 //! scratch pool, so the steady state allocates nothing — exactly the
 //! discipline the single-user world already follows, extended to sharing.
 //!
-//! Because the key captures *all* build inputs — the topology epoch and the
-//! crash boundary a repair floods around included — a cache hit returns a
+//! Because the key captures *all* build inputs — the topology epoch and
+//! whether a repair left crash victims out included — a cache hit returns a
 //! tree byte-identical to the one a fresh build would produce; the naive
 //! one-tree-per-query path therefore serves as a drop-in reference
 //! implementation, and `tests/tree_cache_equivalence.rs` pins the
@@ -25,7 +25,6 @@ use crate::node::NodeId;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::num::NonZeroU32;
 use wsn_geom::Point;
 
 /// A [`TreeCache`] access through a handle whose tree is no longer alive.
@@ -68,8 +67,8 @@ impl Error for TreeCacheError {}
 ///
 /// Two acquisitions share a tree exactly when their keys are equal: the same
 /// root collector, bit-identical area centre coordinates and bit-identical
-/// flood radius, in the same topology epoch, around the same crash boundary
-/// (or none). Centres are compared by their IEEE-754 bit patterns, so
+/// flood radius, in the same topology epoch, and both or neither a repair.
+/// Centres are compared by their IEEE-754 bit patterns, so
 /// callers that want spatial sharing must quantise the centre *before*
 /// building the key (the stepped engine snaps pickup points to a lattice);
 /// the cache itself never rounds, which is what keeps hits provably
@@ -86,18 +85,17 @@ pub struct TreeKey {
     /// after it — the root/centre/radius triple alone no longer pins the tree
     /// content once the underlying neighbour table can differ.
     epoch: u32,
-    /// The boundary whose crash victims the flood left out: set for a tree
-    /// rebuilt around a crash, `None` for a flood over every backbone node.
-    /// A repaired tree is therefore never shared with an install, nor with a
-    /// repair around another boundary's victims. Like the epoch it is 32
-    /// bits wide, which keeps the key at 40 bytes.
-    crash_boundary: Option<NonZeroU32>,
+    /// Set for a tree rebuilt around crash victims, clear for a flood over
+    /// every backbone node, so a repaired tree is never shared with an
+    /// install. Repairs at different boundaries may mint equal keys: the
+    /// stepped engine releases every repaired tree before its boundary ends.
+    repair: bool,
 }
 
 impl TreeKey {
     /// Builds the key for a flood rooted at `root` spanning nodes within
-    /// `radius_m` of `center`, in the initial topology epoch (0) and around
-    /// no crash — the right key for static deployments.
+    /// `radius_m` of `center`, in the initial topology epoch (0) and not a
+    /// repair — the right key for static deployments.
     pub fn new(root: NodeId, center: Point, radius_m: f64) -> Self {
         TreeKey {
             root,
@@ -105,7 +103,7 @@ impl TreeKey {
             center_y_bits: center.y.to_bits(),
             radius_bits: radius_m.to_bits(),
             epoch: 0,
-            crash_boundary: None,
+            repair: false,
         }
     }
 
@@ -117,12 +115,11 @@ impl TreeKey {
         self
     }
 
-    /// The same key for a flood that leaves out the nodes that crashed at
-    /// `boundary`; it never compares equal to a key without that tag. (At
-    /// boundary 0 no tree stands yet, so no repair happens there.)
+    /// The same key for a flood that leaves out crash victims; it never
+    /// compares equal to an install's key.
     #[must_use]
-    pub fn with_crash_boundary(mut self, boundary: NonZeroU32) -> Self {
-        self.crash_boundary = Some(boundary);
+    pub fn with_repair(mut self) -> Self {
+        self.repair = true;
         self
     }
 
@@ -131,9 +128,9 @@ impl TreeKey {
         self.epoch
     }
 
-    /// The boundary whose crash victims the flood left out, if any.
-    pub fn crash_boundary(&self) -> Option<NonZeroU32> {
-        self.crash_boundary
+    /// Whether the flood left crash victims out.
+    pub fn is_repair(&self) -> bool {
+        self.repair
     }
 
     /// The root (collector) node the tree is flooded from.
@@ -263,6 +260,20 @@ impl TreeCache {
             .get(handle.0 as usize)
             .and_then(|slot| slot.as_ref())
             .map(|e| &e.tree)
+            .ok_or(TreeCacheError::dead(handle))
+    }
+
+    /// The key the tree behind `handle` was built from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TreeCacheError`] when the handle has already been fully
+    /// released (or never came from this cache).
+    pub fn key(&self, handle: TreeHandle) -> Result<TreeKey, TreeCacheError> {
+        self.slots
+            .get(handle.0 as usize)
+            .and_then(|slot| slot.as_ref())
+            .map(|e| e.key)
             .ok_or(TreeCacheError::dead(handle))
     }
 
@@ -408,6 +419,7 @@ mod tests {
         let err = cache.release(a).unwrap_err();
         assert_eq!(err.slot(), 0);
         assert!(cache.tree(a).is_err());
+        assert!(cache.key(a).is_err());
         assert_eq!(cache.refs(a), 0);
         assert!(!format!("{err}").is_empty());
         // A handle that never came from this cache is equally refused.
@@ -424,15 +436,7 @@ mod tests {
         assert_eq!(k.root(), NodeId(7));
         assert_eq!(k.center(), Point::new(123.25, -4.5));
         assert_eq!(k.radius_m(), 255.0);
-        assert_eq!(k.crash_boundary(), None);
-        let boundary = |b| NonZeroU32::new(b).unwrap();
-        let repaired = k.with_crash_boundary(boundary(4));
-        assert_eq!(repaired.crash_boundary(), Some(boundary(4)));
-        assert_ne!(repaired, k, "a repair never shares an install's tree");
-        assert_ne!(repaired, k.with_crash_boundary(boundary(5)));
-        assert!(
-            std::mem::size_of::<TreeKey>() <= 40,
-            "the crash tag fits the key's padding"
-        );
+        assert!(!k.is_repair() && k.with_repair().is_repair());
+        assert_ne!(k.with_repair(), k, "a repair never meets an install");
     }
 }

@@ -1,5 +1,5 @@
 //! What the two faulted goldens share. A tree key names everything its
-//! flood read, the crash boundary a repair flooded around included, so
+//! flood read, whether a repair left crash victims out included, so
 //! sharing changes no user's results under crashes either: per seed,
 //! [`check`] requires every user's query log to be the same in both
 //! tree-sharing modes and sharing to wake the sleeping nodes for less, then
