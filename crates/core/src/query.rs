@@ -12,10 +12,8 @@ use std::fmt;
 use wsn_sim::{Duration, SimTime};
 
 /// The in-network aggregation function `F` applied to sensor readings.
-///
-/// It is part of the paper's query model and of a query's spec, but neither
-/// engine aggregates readings: they score how many readings reach the
-/// collector in time, so no reported metric depends on `F`.
+/// Neither engine aggregates readings (they score how many reach the
+/// collector in time), so no reported metric depends on `F`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateKind {
     /// Report the minimum reading in the area.

@@ -174,9 +174,8 @@ impl FaultState {
     /// Advances the fault schedule across `boundary`: last boundary's crash
     /// victims reboot, the per-node channel chains step, this boundary's
     /// victims strike, and — when recovery is armed and anything crashed —
-    /// every standing tree gets a health check. The tree epoch stays: a
-    /// tree that holds no victim keeps standing, and the boundary's installs
-    /// can still join it.
+    /// every standing tree gets a health check; a tree that holds no victim
+    /// keeps standing, and the boundary's installs can still join it.
     pub(super) fn step(
         &mut self,
         boundary: u64,
@@ -423,17 +422,14 @@ mod tests {
         while sim.next_boundary() < sim.max_k() {
             // The queries of the period this boundary resolves, none of them
             // repaired yet: the cell each serves, and its tree.
-            let standing: Vec<_> = sim
-                .active
-                .values()
-                .map(|aq| {
-                    let QueryTree::Shared(handle) = aq.tree else {
-                        panic!("an install in shared mode stands a shared tree");
-                    };
-                    let members = sim.trees.get(&aq.tree).unwrap().order().to_vec();
-                    (aq.center, handle, members)
-                })
-                .collect();
+            let mut standing = Vec::new();
+            for aq in sim.active.values() {
+                let QueryTree::Shared(handle) = aq.tree else {
+                    panic!("an install in shared mode stands a shared tree");
+                };
+                let members = sim.trees.get(&aq.tree).unwrap().order().to_vec();
+                standing.push((aq.center, handle, members));
+            }
             let b = sim.step_period().unwrap();
             let crashed = &sim.fault.as_ref().unwrap().is_crashed;
             for (center, handle, members) in standing {

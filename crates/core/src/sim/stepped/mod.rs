@@ -47,8 +47,7 @@ pub struct SimOptions {
     /// crashes) advances at every boundary, installs walk an ack/retry
     /// state machine, and — when `recovery` is on — the trees that hold a
     /// crash victim are rebuilt around it or degraded to naive per-user
-    /// trees, while every other tree keeps standing. Shared and naive runs
-    /// still give every user the same query log.
+    /// trees; every other tree keeps standing.
     pub faults: Option<FaultConfig>,
 }
 

@@ -62,9 +62,8 @@ pub(super) struct ScoreScratch {
 pub(super) struct Trees {
     /// Folded into every [`TreeKey`]. Only a churn batch that changes the
     /// topology bumps it ([`Trees::bump_epoch`]), so a key minted before the
-    /// batch can never be minted after it. Crashes leave it alone: an
-    /// install floods over crashed nodes too, and a repair's key carries a
-    /// repair marker instead.
+    /// batch can never be minted after it. Crashes leave it alone: installs
+    /// flood over crashed nodes too, and repair keys carry a repair marker.
     epoch: u32,
     cache: TreeCache,
     naive_scratch: FloodScratch,
@@ -157,10 +156,8 @@ impl Trees {
 
     /// The wake-up cost of `tree`, just built for `key`: every duty-cycled
     /// node in the key's area with an in-tree relay in range pays
-    /// [`Trees::sleeper_wake_s`]. An install key's tree content is a pure
-    /// function of the key, so its cost is memoised; a repair key never
-    /// enters the memo, since a repair builds its tree once, so its cost is
-    /// computed from the tree.
+    /// [`Trees::sleeper_wake_s`]. An install key fixes its tree's content,
+    /// so its cost is memoised; a repair's is computed from its tree.
     fn wake_cost(
         &mut self,
         deployment: &Deployment,

@@ -68,11 +68,10 @@ impl Error for TreeCacheError {}
 /// Two acquisitions share a tree exactly when their keys are equal: the same
 /// root collector, bit-identical area centre coordinates and bit-identical
 /// flood radius, in the same topology epoch, and both or neither a repair.
-/// Centres are compared by their IEEE-754 bit patterns, so
-/// callers that want spatial sharing must quantise the centre *before*
-/// building the key (the stepped engine snaps pickup points to a lattice);
-/// the cache itself never rounds, which is what keeps hits provably
-/// equivalent to fresh builds.
+/// Centres are compared by their IEEE-754 bit patterns, so callers that want
+/// spatial sharing must quantise the centre *before* building the key (the
+/// stepped engine snaps pickup points to a lattice); the cache itself never
+/// rounds, which is what keeps hits provably equivalent to fresh builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreeKey {
     root: NodeId,
@@ -85,10 +84,9 @@ pub struct TreeKey {
     /// after it — the root/centre/radius triple alone no longer pins the tree
     /// content once the underlying neighbour table can differ.
     epoch: u32,
-    /// Set for a tree rebuilt around crash victims, clear for a flood over
-    /// every backbone node, so a repaired tree is never shared with an
-    /// install. Repairs at different boundaries may mint equal keys: the
-    /// stepped engine releases every repaired tree before its boundary ends.
+    /// Set for a tree rebuilt around crash victims, so it is never shared
+    /// with an install. Repairs at different boundaries may mint equal keys:
+    /// the stepped engine releases every repaired tree before its boundary ends.
     repair: bool,
 }
 
