@@ -109,11 +109,14 @@ run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
     --nodes 1000 --out target/load-run2.json
 run cmp target/load-run1.json target/load-run2.json
 
-# Bench trajectory: quick-mode per-figure wall clock (serial vs parallel)
-# plus a small --scale smoke sweep (the committed snapshot carries the full
-# 1k-20k sweep). Writes under target/ so a green run leaves the tree clean;
-# copy it over the committed snapshot when a PR deliberately updates the
-# perf trajectory:
+# Bench trajectory: quick-mode per-figure wall clock (serial vs parallel),
+# a small --scale smoke sweep (the committed snapshot carries the full
+# 1k-100k sweep), and the multiuser and churn sections at the largest scale
+# and the resilience section at 1000 nodes. Those three run the same sweeps
+# as the targets of the same name: each entry is the point's --format json
+# object plus the section's timing keys. Writes under target/ so a green
+# run leaves the tree clean; copy it over the committed snapshot when a PR
+# deliberately updates the perf trajectory:
 #   cargo run --release -q --bin repro -- --quick --users 250 \
 #       --bench BENCH_repro.json --scale 1000,2000,5000,10000,20000,100000 all
 run cargo run --release -q --bin repro -- --quick --users 100 \

@@ -137,11 +137,16 @@ pub fn run_json() -> JsonValue {
 mod tests {
     use super::*;
 
+    /// A table's compact JSON, where each row reads `["cell",…]`.
+    fn json(table: &Table) -> String {
+        table.to_json().to_string()
+    }
+
     #[test]
     fn tables_contain_the_papers_headline_numbers() {
-        let storage = storage_table().to_csv();
-        assert!(storage.contains("PL_jit (Eq. 12),4"));
-        let contention = contention_table().to_csv();
+        let storage = json(&storage_table());
+        assert!(storage.contains(r#"["PL_jit (Eq. 12)","4"]"#));
+        let contention = json(&contention_table());
         // v* ≈ 131 mph appears in the table.
         assert!(contention.contains("v*"));
         assert_eq!(run().len(), 4);
@@ -149,15 +154,19 @@ mod tests {
 
     #[test]
     fn multiuser_contention_table_pins_the_shared_advantage() {
-        let csv = multiuser_contention_table().to_csv();
+        let table = json(&multiuser_contention_table());
         // Naive interference scales with the fleet; the shared cache stays
         // at the single-user Mjit = 3 whatever n is.
-        assert!(csv.contains("100,300,3"), "unexpected table: {csv}");
-        assert!(csv.contains("1,3,3"));
+        assert!(
+            table.contains(r#"["100","300","3"]"#),
+            "unexpected table: {table}"
+        );
+        assert!(table.contains(r#"["1","3","3"]"#));
     }
 
     #[test]
     fn warmup_table_has_a_row_per_advance_time() {
-        assert_eq!(warmup_table().row_count(), 7);
+        // Title, header and separator, then one line per row.
+        assert_eq!(format!("{}", warmup_table()).lines().count(), 3 + 7);
     }
 }

@@ -12,17 +12,15 @@
 //!
 //! Deterministic outputs (`--format json churn`) deliberately exclude every
 //! wall-clock field so the bytes are identical for every `--jobs` setting;
-//! the `--bench` section keeps the timings (repair vs full election) as a
-//! trajectory snapshot.
+//! the `--bench` section ([`run_bench`]) is the same points' JSON plus the
+//! timings (repair vs full election) as a trajectory snapshot.
 
-use crate::runner::trial_seed;
+use crate::runner::TrialPlan;
 use crate::scale::scale_scenario;
-use crate::{round2, ExperimentConfig};
-use mobiquery::config::Scheme;
+use crate::{best_of, round2, ExperimentConfig};
+use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{ChurnConfig, QuerySet, SteppedSim, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{ChurnSummary, JsonValue, Table};
-use wsn_sim::pool;
 
 /// Largest deployment whose churn runs cross-check *every batch* against a
 /// full re-election. Above this, per-batch verification would dominate the
@@ -89,16 +87,16 @@ pub fn backbone_digest(slots: &[u32]) -> u64 {
     hash
 }
 
-/// Runs one churn trial to completion and asserts repair ≡ re-election on
-/// the final deployment.
+/// Runs one churn trial on `scenario` to completion and asserts repair ≡
+/// re-election on the final deployment.
 ///
 /// # Panics
 ///
 /// Panics if the repaired backbone differs from a from-scratch priority
 /// election over the surviving nodes — the equivalence the whole repair
 /// design guarantees.
-pub fn run_point(nodes: usize, rate: f64, users: usize, seed: u64) -> ChurnPoint {
-    let scenario = scale_scenario(nodes, Scheme::JustInTime, seed);
+pub fn run_point(scenario: Scenario, rate: f64, users: usize) -> ChurnPoint {
+    let (nodes, seed) = (scenario.node_count, scenario.seed);
     let verify = nodes <= VERIFY_MAX_NODES;
     let set = QuerySet::generate(&scenario, users);
     let mut sim = SteppedSim::with_churn(
@@ -117,9 +115,7 @@ pub fn run_point(nodes: usize, rate: f64, users: usize, seed: u64) -> ChurnPoint
         !sim.churn_log().is_empty() && sim.churn_log().iter().all(|b| b.verified == Some(true));
     let backbone = sim.backbone_slots();
 
-    let start = Instant::now();
-    let reference = sim.reference_reelection();
-    let full_ccp_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (reference, full_ccp_ms) = best_of(1, || (), |()| sim.reference_reelection());
     assert_eq!(
         backbone, reference,
         "incremental repair diverged from full re-election at {nodes} nodes, rate {rate}, seed {seed}"
@@ -148,19 +144,24 @@ pub fn run_point(nodes: usize, rate: f64, users: usize, seed: u64) -> ChurnPoint
     }
 }
 
-/// Runs every (scale × replicate) trial — fanned out over `config.jobs`
-/// workers — at one churn rate, in deterministic trial order.
-pub fn run_points(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Vec<ChurnPoint> {
-    let runs = config.runs.max(1);
-    let mut trials = Vec::new();
-    for (point, &nodes) in scales.iter().enumerate() {
-        for replicate in 0..runs {
-            trials.push((nodes, trial_seed(config.base_seed, point, replicate)));
+/// Runs every (scale × rate × replicate) trial — fanned out over
+/// `config.jobs` workers — in deterministic trial order. The grid is
+/// scale-major, and the seed derives from the (scale, rate) point's index
+/// and the replicate.
+pub fn run_points(config: &ExperimentConfig, scales: &[usize], rates: &[f64]) -> Vec<ChurnPoint> {
+    let mut plan = TrialPlan::new();
+    for &nodes in scales {
+        for _ in rates {
+            plan.push_point(config, scale_scenario(nodes, Scheme::JustInTime, 0));
         }
     }
-    pool::run_indexed(config.jobs, trials, |_, (nodes, seed)| {
-        run_point(nodes, rate, config.users, seed)
+    plan.run_trials(config.jobs, |spec| {
+        let rate = rates[spec.point_index % rates.len()];
+        run_point(spec.scenario.clone(), rate, config.users)
     })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn table_from_points(points: &[ChurnPoint]) -> Table {
@@ -196,9 +197,10 @@ fn table_from_points(points: &[ChurnPoint]) -> Table {
     table
 }
 
-/// Runs the sweep and formats it as a table (rows: scale × replicate).
+/// Runs the sweep at one rate and formats it as a table (rows: scale ×
+/// replicate).
 pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Table {
-    table_from_points(&run_points(config, scales, rate))
+    table_from_points(&run_points(config, scales, &[rate]))
 }
 
 /// The deterministic JSON view of one point: every field except wall-clock.
@@ -221,11 +223,11 @@ fn point_json(p: &ChurnPoint) -> JsonValue {
         .with("mean_fidelity", p.mean_fidelity)
 }
 
-/// Runs the sweep and renders it as JSON with **no timing fields**, so the
-/// bytes are identical for every `--jobs` setting — the CI churn gate
-/// `cmp`s this output across job counts.
+/// Runs the sweep at one rate and renders it as JSON with **no timing
+/// fields**, so the bytes are identical for every `--jobs` setting — the CI
+/// churn gate `cmp`s this output across job counts.
 pub fn run_json(config: &ExperimentConfig, scales: &[usize], rate: f64) -> JsonValue {
-    let points = run_points(config, scales, rate);
+    let points = run_points(config, scales, &[rate]);
     table_from_points(&points)
         .to_json()
         .with("rate", rate)
@@ -235,27 +237,16 @@ pub fn run_json(config: &ExperimentConfig, scales: &[usize], rate: f64) -> JsonV
         )
 }
 
-/// The `--bench` churn section: at one deployment size, sweep churn rates
-/// and report the incremental-repair cost next to what one full re-election
-/// costs — the numbers `check_bench.py` holds the repair path to
-/// (`mean_repair_ms ≪ full_ccp_ms` at low rates and large scales).
-pub fn bench_sweep(nodes: usize, rates: &[f64], users: usize, base_seed: u64) -> JsonValue {
-    let mut entries = Vec::new();
-    for (point, &rate) in rates.iter().enumerate() {
-        eprintln!("churn bench: {nodes} nodes at rate {rate}, repair vs full election");
-        let p = run_point(nodes, rate, users, trial_seed(base_seed, point, 0));
-        entries.push(
-            JsonValue::object()
-                .with("nodes", p.nodes)
-                .with("rate", p.rate)
-                .with("batches", p.batches)
-                .with("deaths", p.deaths)
-                .with("evaluated", p.evaluated)
-                .with("promoted", p.promoted)
-                .with("demoted", p.demoted)
-                .with("backbone_count", p.backbone_count)
-                .with("backbone_digest", format!("{:016x}", p.backbone_digest))
-                .with("per_batch_verified", p.per_batch_verified)
+/// The `--bench` churn section: the sweep over `scales` × `rates`, one
+/// replicate on one thread, each entry the point's JSON plus the
+/// incremental-repair cost next to what one full re-election costs — the
+/// numbers `check_bench.py` holds the repair path to (`mean_repair_ms ≪
+/// full_ccp_ms` at low rates and large scales).
+pub fn run_bench(config: &ExperimentConfig, scales: &[usize], rates: &[f64]) -> JsonValue {
+    let entries = run_points(&config.single_trial(), scales, rates)
+        .iter()
+        .map(|p| {
+            point_json(p)
                 .with("repair_ms", round2(p.repair_ms))
                 .with("mean_repair_ms", round2(p.mean_repair_ms))
                 .with("apply_ms", round2(p.apply_ms))
@@ -263,9 +254,9 @@ pub fn bench_sweep(nodes: usize, rates: &[f64], users: usize, base_seed: u64) ->
                 .with(
                     "speedup_vs_full",
                     round2(p.full_ccp_ms / p.mean_repair_ms.max(1e-9)),
-                ),
-        );
-    }
+                )
+        })
+        .collect();
     JsonValue::Array(entries)
 }
 
@@ -282,16 +273,17 @@ mod tests {
 
     #[test]
     fn point_runs_verify_and_report() {
-        let p = run_point(200, 0.05, 2, 7);
+        let scenario = scale_scenario(200, Scheme::JustInTime, 7);
+        let p = run_point(scenario.clone(), 0.05, 2);
         assert!(p.batches > 0);
         assert!(p.deaths > 0, "5% of 200 nodes must churn every batch");
         assert!(p.per_batch_verified, "200 nodes is under the verify cap");
         assert!(p.backbone_count > 0);
-        assert_eq!(p.backbone_digest, backbone_digest_of_rerun(&p));
-    }
-
-    fn backbone_digest_of_rerun(p: &ChurnPoint) -> u64 {
-        run_point(p.nodes, p.rate, p.users, p.seed).backbone_digest
+        assert_eq!((p.nodes, p.seed), (200, 7));
+        assert_eq!(
+            p.backbone_digest,
+            run_point(scenario, 0.05, 2).backbone_digest
+        );
     }
 
     #[test]
@@ -306,29 +298,35 @@ mod tests {
                 .map(|p| point_json(&p).to_string())
                 .collect::<Vec<_>>()
         };
-        let serial = strip(run_points(&config.with_jobs(1), &[150, 250], 0.1));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150, 250], 0.1));
+        let serial = strip(run_points(&config.with_jobs(1), &[150, 250], &[0.1]));
+        let parallel = strip(run_points(&config.with_jobs(4), &[150, 250], &[0.1]));
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 2 * config.runs.max(1) as usize);
     }
 
     #[test]
-    fn bench_sweep_reports_one_entry_per_rate() {
-        let doc = bench_sweep(200, &[0.02, 0.1], 2, 11);
-        let JsonValue::Array(entries) = doc else {
-            panic!("churn bench must be an array");
+    fn bench_entries_are_the_points_json_plus_timing() {
+        let config = ExperimentConfig {
+            users: 2,
+            ..ExperimentConfig::quick()
         };
-        assert_eq!(entries.len(), 2);
-        let text = entries[0].to_string();
-        for field in [
-            "\"rate\"",
-            "\"repair_ms\"",
-            "\"mean_repair_ms\"",
-            "\"full_ccp_ms\"",
-            "\"backbone_digest\"",
-            "\"per_batch_verified\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
+        let JsonValue::Array(entries) = run_bench(&config, &[200], &[0.02, 0.1]) else {
+            panic!("the bench section must be an array");
+        };
+        let points = run_points(&config, &[200], &[0.02, 0.1]);
+        assert_eq!(entries.len(), points.len());
+        for (entry, point) in entries.iter().zip(&points) {
+            let timing = [
+                "repair_ms",
+                "mean_repair_ms",
+                "apply_ms",
+                "full_ccp_ms",
+                "speedup_vs_full",
+            ];
+            assert_eq!(
+                crate::tests::without_timing(entry, &timing),
+                point_json(point)
+            );
         }
     }
 }

@@ -8,14 +8,16 @@
 //! the tree cache rides inside the experiment itself, so a sweep that
 //! completes *is* the proof that sharing changed no user's results, in the
 //! style of the `elect_backbone_reference` cross-check.
+//!
+//! `repro --format json multiuser` ([`run_json`]) and the bench document's
+//! `multiuser` section ([`run_bench`]) run this one sweep and render each
+//! point as the same JSON object; a bench entry only appends timing keys.
 
-use crate::runner::trial_seed;
-use crate::{round2, ExperimentConfig};
+use crate::runner::TrialPlan;
+use crate::{best_of, round2, ExperimentConfig};
 use mobiquery::config::Scenario;
 use mobiquery::sim::{MultiUserOutput, QuerySet, SteppedSim, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{JsonValue, Table, UserSummary};
-use wsn_sim::pool;
 
 /// The fleet sizes swept by the figure: powers of two from a single user up
 /// to and including `config.users`.
@@ -80,7 +82,9 @@ pub fn run_trial(scenario: &Scenario, users: usize, sharing: TreeSharing) -> Mul
 }
 
 /// Runs one scenario under both sharing modes and asserts the shared run is
-/// result-identical per user to the naive reference.
+/// result-identical per user to the naive reference. Each mode runs
+/// `samples` times through [`best_of`]; its output comes back with the
+/// fastest sample's wall-clock in milliseconds, shared mode first.
 ///
 /// # Panics
 ///
@@ -90,84 +94,94 @@ pub fn run_trial(scenario: &Scenario, users: usize, sharing: TreeSharing) -> Mul
 pub fn run_equivalent_pair(
     scenario: &Scenario,
     users: usize,
-) -> (MultiUserOutput, MultiUserOutput) {
-    let shared = run_trial(scenario, users, TreeSharing::Shared);
-    let naive = run_trial(scenario, users, TreeSharing::Naive);
+    samples: usize,
+) -> [(MultiUserOutput, f64); 2] {
+    let run = |sharing| best_of(samples, || (), |()| run_trial(scenario, users, sharing));
+    let shared = run(TreeSharing::Shared);
+    let naive = run(TreeSharing::Naive);
     assert_eq!(
-        shared.logs, naive.logs,
+        shared.0.logs, naive.0.logs,
         "tree sharing changed per-user results at {users} users (seed {})",
         scenario.seed
     );
-    (shared, naive)
+    [shared, naive]
 }
 
-/// Runs the sweep — every (fleet size × replicate) trial fans out over
-/// `config.jobs` workers — and returns one aggregated point per fleet size.
-pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
-    let ladder = user_ladder(config);
-    let runs = config.runs.max(1);
-    let mut trials = Vec::new();
-    for (point, &users) in ladder.iter().enumerate() {
-        for replicate in 0..runs {
-            trials.push((point, users, trial_seed(config.base_seed, point, replicate)));
-        }
-    }
-    let outputs = pool::run_indexed(config.jobs, trials, |_, (point, users, seed)| {
-        let scenario = config.base_scenario().with_seed(seed);
-        let (shared, naive) = run_equivalent_pair(&scenario, users);
-        (point, shared, naive)
-    });
+/// What the bench section reports beside a point: the first replicate's
+/// wall-clock per sharing mode and the events its shared run processed.
+struct Timing {
+    shared_ms: f64,
+    naive_ms: f64,
+    shared_events: u64,
+}
 
-    ladder
-        .iter()
-        .enumerate()
-        .map(|(point, &users)| {
-            let replicates: Vec<&(usize, MultiUserOutput, MultiUserOutput)> =
-                outputs.iter().filter(|(p, _, _)| *p == point).collect();
-            let n = replicates.len() as f64;
-            let installs: u64 = replicates.iter().map(|(_, s, _)| s.installs).sum();
-            let trees_built_shared: u64 = replicates.iter().map(|(_, s, _)| s.trees_built).sum();
-            let trees_built_naive: u64 = replicates.iter().map(|(_, _, nv)| nv.trees_built).sum();
-            MultiuserPoint {
-                users,
-                mean_success_ratio: replicates
-                    .iter()
-                    .map(|(_, s, _)| s.mean_success_ratio())
-                    .sum::<f64>()
-                    / n,
-                min_success_ratio: replicates
-                    .iter()
-                    .map(|(_, s, _)| s.min_success_ratio())
-                    .fold(f64::INFINITY, f64::min),
-                mean_fidelity: replicates
-                    .iter()
-                    .map(|(_, s, _)| s.mean_fidelity())
-                    .sum::<f64>()
-                    / n,
-                installs,
-                trees_built_shared,
-                trees_built_naive,
-                sharing_ratio: trees_built_shared as f64 / trees_built_naive.max(1) as f64,
-                shared_hits: replicates.iter().map(|(_, s, _)| s.shared_hits).sum(),
-                peak_live_trees: replicates
-                    .iter()
-                    .map(|(_, s, _)| s.peak_live_trees)
-                    .max()
-                    .unwrap_or(0),
-                node_wake_seconds_shared: replicates
-                    .iter()
-                    .map(|(_, s, _)| s.node_wake_seconds)
-                    .sum(),
-                node_wake_seconds_naive: replicates
-                    .iter()
-                    .map(|(_, _, nv)| nv.node_wake_seconds)
-                    .sum(),
-                per_user: replicates
-                    .first()
-                    .map(|(_, s, _)| s.per_user.clone())
-                    .unwrap_or_default(),
-            }
-        })
+/// Plans one point per fleet size of `ladder` on `scenario`, replicated
+/// `config.runs` times and fanned out over `config.jobs` workers, runs each
+/// trial through [`run_equivalent_pair`] with `samples` timed runs per mode
+/// and aggregates one point per fleet size.
+fn sweep(
+    config: &ExperimentConfig,
+    scenario: &Scenario,
+    ladder: &[usize],
+    samples: usize,
+) -> Vec<(MultiuserPoint, Timing)> {
+    let mut plan = TrialPlan::new();
+    for _ in ladder {
+        plan.push_point(config, scenario.clone());
+    }
+    plan.run_trials(config.jobs, |spec| {
+        run_equivalent_pair(&spec.scenario, ladder[spec.point_index], samples)
+    })
+    .into_iter()
+    .zip(ladder)
+    .map(|(replicates, &users)| {
+        let [(shared, shared_ms), (_, naive_ms)] = &replicates[0];
+        let timing = Timing {
+            shared_ms: *shared_ms,
+            naive_ms: *naive_ms,
+            shared_events: shared.events_processed,
+        };
+        (point(users, &replicates), timing)
+    })
+    .collect()
+}
+
+/// Aggregates one fleet size's replicates, each a shared and a naive run.
+fn point(users: usize, replicates: &[[(MultiUserOutput, f64); 2]]) -> MultiuserPoint {
+    let shared = || replicates.iter().map(|[(s, _), _]| s);
+    let naive = || replicates.iter().map(|[_, (nv, _)]| nv);
+    let n = replicates.len() as f64;
+    let trees_built_shared: u64 = shared().map(|s| s.trees_built).sum();
+    let trees_built_naive: u64 = naive().map(|nv| nv.trees_built).sum();
+    MultiuserPoint {
+        users,
+        mean_success_ratio: shared().map(|s| s.mean_success_ratio()).sum::<f64>() / n,
+        min_success_ratio: shared()
+            .map(|s| s.min_success_ratio())
+            .fold(f64::INFINITY, f64::min),
+        mean_fidelity: shared().map(|s| s.mean_fidelity()).sum::<f64>() / n,
+        installs: shared().map(|s| s.installs).sum(),
+        trees_built_shared,
+        trees_built_naive,
+        sharing_ratio: trees_built_shared as f64 / trees_built_naive.max(1) as f64,
+        shared_hits: shared().map(|s| s.shared_hits).sum(),
+        peak_live_trees: shared().map(|s| s.peak_live_trees).max().unwrap_or(0),
+        node_wake_seconds_shared: shared().map(|s| s.node_wake_seconds).sum(),
+        node_wake_seconds_naive: naive().map(|nv| nv.node_wake_seconds).sum(),
+        per_user: shared()
+            .next()
+            .map(|s| s.per_user.clone())
+            .unwrap_or_default(),
+    }
+}
+
+/// Runs the sweep over [`user_ladder`] on the configuration's base scenario
+/// — every (fleet size × replicate) trial fans out over `config.jobs`
+/// workers — and returns one aggregated point per fleet size.
+pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
+    sweep(config, &config.base_scenario(), &user_ladder(config), 1)
+        .into_iter()
+        .map(|(point, _)| point)
         .collect()
 }
 
@@ -246,65 +260,26 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
         .with("users_max", config.users)
 }
 
-/// The `--bench` multi-user section: at one deployment size, sweep fleet
-/// sizes and time the shared run against the naive one-tree-per-user run —
-/// asserting, per entry, that they are result-identical per user.
+/// The `--bench` multi-user section: the sweep over `ladder` on `scenario`,
+/// one replicate on one thread, each entry the point's JSON plus the
+/// best-of-3 wall-clock of each sharing mode.
 ///
-/// Timings are a trajectory snapshot (machine-dependent), best-of-3 per
-/// sharing mode — the engine is deterministic, so repeats do identical work
-/// and the minimum is the least-noisy estimate; the tree counts and
-/// per-user aggregates are deterministic.
-pub fn bench_sweep(scenario_for: impl Fn(u64) -> Scenario, users_list: &[usize]) -> JsonValue {
-    fn best_of_3(
-        scenario: &Scenario,
-        users: usize,
-        sharing: TreeSharing,
-    ) -> (MultiUserOutput, f64) {
-        let mut best: Option<(MultiUserOutput, f64)> = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let out = run_trial(scenario, users, sharing);
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            if best.as_ref().map_or(true, |(_, ms)| elapsed < *ms) {
-                best = Some((out, elapsed));
-            }
-        }
-        best.expect("three timed runs happened")
-    }
-
-    let mut entries = Vec::new();
-    for (point, &users) in users_list.iter().enumerate() {
-        let scenario = scenario_for(point as u64);
-        eprintln!("multiuser bench: {users} users, shared vs naive");
-        let (shared, shared_ms) = best_of_3(&scenario, users, TreeSharing::Shared);
-        let (naive, naive_ms) = best_of_3(&scenario, users, TreeSharing::Naive);
-        assert_eq!(
-            shared.logs, naive.logs,
-            "tree sharing changed per-user results at {users} users in the bench sweep"
-        );
-        entries.push(
-            JsonValue::object()
-                .with("users", users)
-                .with("installs", shared.installs)
-                .with("trees_built_shared", shared.trees_built)
-                .with("trees_built_naive", naive.trees_built)
-                .with("sharing_ratio", shared.sharing_ratio())
-                .with("shared_hits", shared.shared_hits)
-                .with("peak_live_trees", shared.peak_live_trees)
-                .with("mean_success_ratio", shared.mean_success_ratio())
-                .with("min_success_ratio", shared.min_success_ratio())
-                .with("mean_fidelity", shared.mean_fidelity())
-                .with("node_wake_seconds_shared", shared.node_wake_seconds)
-                .with("node_wake_seconds_naive", naive.node_wake_seconds)
-                .with("shared_ms", round2(shared_ms))
-                .with("naive_ms", round2(naive_ms))
+/// Timings are a trajectory snapshot (machine-dependent); the rest of each
+/// entry is deterministic.
+pub fn run_bench(config: &ExperimentConfig, scenario: &Scenario, ladder: &[usize]) -> JsonValue {
+    let entries = sweep(&config.single_trial(), scenario, ladder, 3)
+        .iter()
+        .map(|(p, t)| {
+            point_json(p)
+                .with("shared_ms", round2(t.shared_ms))
+                .with("naive_ms", round2(t.naive_ms))
                 .with(
                     "events_per_sec",
-                    round2(shared.events_processed as f64 / (shared_ms / 1e3).max(1e-9)),
+                    round2(t.shared_events as f64 / (t.shared_ms / 1e3).max(1e-9)),
                 )
-                .with("speedup", round2(naive_ms / shared_ms.max(1e-9))),
-        );
-    }
+                .with("speedup", round2(t.naive_ms / t.shared_ms.max(1e-9)))
+        })
+        .collect();
     JsonValue::Array(entries)
 }
 
@@ -354,29 +329,22 @@ mod tests {
     }
 
     #[test]
-    fn bench_sweep_reports_one_entry_per_fleet_size() {
-        let doc = bench_sweep(
-            |point| {
-                ExperimentConfig::quick()
-                    .base_scenario()
-                    .with_duration_secs(30.0)
-                    .with_seed(trial_seed(11, point as usize, 0))
-            },
-            &[1, 3],
-        );
-        let JsonValue::Array(entries) = doc else {
-            panic!("bench sweep must be an array");
+    fn bench_entries_are_the_points_json_plus_timing() {
+        let config = ExperimentConfig::quick();
+        let scenario = config.base_scenario().with_duration_secs(30.0);
+        let JsonValue::Array(entries) = run_bench(&config, &scenario, &[1, 3]) else {
+            panic!("the bench section must be an array");
         };
-        assert_eq!(entries.len(), 2);
-        let text = entries[1].to_string();
-        for field in [
-            "\"users\"",
-            "\"trees_built_shared\"",
-            "\"trees_built_naive\"",
-            "\"sharing_ratio\"",
-            "\"min_success_ratio\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
+        let points = sweep(&config, &scenario, &[1, 3], 1);
+        assert_eq!(entries.len(), points.len());
+        for (entry, (point, _)) in entries.iter().zip(&points) {
+            assert_eq!(
+                crate::tests::without_timing(
+                    entry,
+                    &["shared_ms", "naive_ms", "events_per_sec", "speedup"]
+                ),
+                point_json(point)
+            );
         }
     }
 }

@@ -11,15 +11,15 @@
 //! Deterministic outputs (`--format json resilience`) deliberately exclude
 //! every wall-clock field so the bytes are identical for every `--jobs`
 //! setting; the CI chaos gate `cmp`s them across job counts. The `--bench`
-//! section is where `check_bench.py` holds recovery-on to strictly higher
-//! mean delivery than recovery-off at every nonzero loss rate.
+//! section ([`run_bench`]) is the same points' JSON plus each trial's
+//! wall-clock, and is where `check_bench.py` holds recovery-on to strictly
+//! higher mean delivery than recovery-off at every nonzero loss rate.
 
 use crate::runner::trial_seed;
 use crate::scale::scale_scenario;
-use crate::{round2, ExperimentConfig};
+use crate::{best_of, round2, ExperimentConfig};
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
 use wsn_sim::pool;
 
@@ -108,19 +108,25 @@ fn mean_delivery(out: &MultiUserOutput) -> f64 {
 /// experiment code builds its configs from CLI-validated rates, so a
 /// failure here is a programming error, not user input.
 pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> ResiliencePoint {
-    let scenario = scale_scenario(nodes, Scheme::JustInTime, seed);
-    let set = QuerySet::generate(&scenario, users);
-    let start = Instant::now();
-    let options = SimOptions {
-        faults: Some(fault),
-        ..SimOptions::default()
-    };
-    let mut sim = SteppedSim::with_options(scenario, set, TreeSharing::Shared, options)
-        .expect("resilience fault configs are valid by construction");
-    sim.run_to_end().expect("fault walks complete");
-    let summary = ResilienceSummary::from_batches(sim.fault_log());
-    let out = sim.finish();
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let ((summary, out), elapsed_ms) = best_of(
+        1,
+        || {
+            let scenario = scale_scenario(nodes, Scheme::JustInTime, seed);
+            let set = QuerySet::generate(&scenario, users);
+            (scenario, set)
+        },
+        |(scenario, set)| {
+            let options = SimOptions {
+                faults: Some(fault),
+                ..SimOptions::default()
+            };
+            let mut sim = SteppedSim::with_options(scenario, set, TreeSharing::Shared, options)
+                .expect("resilience fault configs are valid by construction");
+            sim.run_to_end().expect("fault walks complete");
+            let summary = ResilienceSummary::from_batches(sim.fault_log());
+            (summary, sim.finish())
+        },
+    );
     let delivered: usize = out
         .logs
         .iter()
@@ -157,20 +163,23 @@ pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> R
     }
 }
 
-/// Runs every (scale × ladder loss × recovery × replicate) trial — fanned
-/// out over `config.jobs` workers — in deterministic trial order. The seed
-/// depends on the (scale, loss) point and replicate but NOT on the recovery
-/// flag, so each on/off pair faces the identical fault schedule.
+/// Runs every (scale × loss × replicate × recovery) trial — fanned out over
+/// `config.jobs` workers — in deterministic trial order. `fault` sets every
+/// fault parameter but the loss and the recovery flag. The grid is
+/// scale-major; the seed derives from the (scale, loss) point's index and
+/// the replicate but NOT from the recovery flag, so each on/off pair faces
+/// the identical fault schedule.
 pub fn run_points(
     config: &ExperimentConfig,
     scales: &[usize],
+    losses: &[f64],
     fault: FaultConfig,
 ) -> Vec<ResiliencePoint> {
     let runs = config.runs.max(1);
     let mut trials = Vec::new();
     let mut point = 0usize;
     for &nodes in scales {
-        for &loss in &loss_ladder(fault.loss) {
+        for &loss in losses {
             for replicate in 0..runs {
                 let seed = trial_seed(config.base_seed, point, replicate);
                 for recovery in [true, false] {
@@ -215,10 +224,10 @@ fn table_from_points(points: &[ResiliencePoint]) -> Table {
     table
 }
 
-/// Runs the sweep and formats it as a table (rows: scale × loss × recovery
-/// × replicate).
+/// Runs the sweep over [`loss_ladder`]`(fault.loss)` and formats it as a
+/// table (rows: scale × loss × replicate × recovery).
 pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> Table {
-    table_from_points(&run_points(config, scales, fault))
+    table_from_points(&run_points(config, scales, &loss_ladder(fault.loss), fault))
 }
 
 /// The deterministic JSON view of one point: every field except wall-clock.
@@ -250,11 +259,11 @@ fn point_json(p: &ResiliencePoint) -> JsonValue {
         .with("mean_delivery_ratio", p.mean_delivery_ratio)
 }
 
-/// Runs the sweep and renders it as JSON with **no timing fields**, so the
-/// bytes are identical for every `--jobs` setting — the CI chaos gate
-/// `cmp`s this output across job counts.
+/// Runs the sweep over [`loss_ladder`]`(fault.loss)` and renders it as JSON
+/// with **no timing fields**, so the bytes are identical for every `--jobs`
+/// setting — the CI chaos gate `cmp`s this output across job counts.
 pub fn run_json(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> JsonValue {
-    let points = run_points(config, scales, fault);
+    let points = run_points(config, scales, &loss_ladder(fault.loss), fault);
     table_from_points(&points)
         .to_json()
         .with("loss", fault.loss)
@@ -265,46 +274,22 @@ pub fn run_json(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig)
         )
 }
 
-/// The `--bench` resilience section: at one deployment size, sweep a fixed
-/// loss ladder with recovery on and off on the identical fault schedule.
+/// The `--bench` resilience section: the sweep over `scales` × `losses`,
+/// one replicate on one thread, with recovery on and off on the identical
+/// fault schedule, each entry the point's JSON plus the trial's wall-clock.
 /// `check_bench.py` holds recovery-on to strictly higher
 /// `mean_delivery_ratio` than recovery-off at every nonzero loss.
-pub fn bench_sweep(nodes: usize, losses: &[f64], users: usize, base_seed: u64) -> JsonValue {
-    let mut entries = Vec::new();
-    for (point, &loss) in losses.iter().enumerate() {
-        let seed = trial_seed(base_seed, point, 0);
-        for recovery in [true, false] {
-            eprintln!(
-                "resilience bench: {nodes} nodes at loss {loss}, recovery {}",
-                if recovery { "on" } else { "off" }
-            );
-            let p = run_point(
-                nodes,
-                FaultConfig::new(loss).with_recovery(recovery),
-                users,
-                seed,
-            );
-            entries.push(
-                JsonValue::object()
-                    .with("nodes", p.nodes)
-                    .with("loss", p.loss)
-                    .with("recovery", p.recovery)
-                    .with("retries", p.retries as usize)
-                    .with("install_failures", p.install_failures as usize)
-                    .with("retries_per_delivered", round4(p.retries_per_delivered))
-                    .with("mean_outage_periods", round4(p.mean_outage_periods))
-                    .with("mean_success_ratio", round4(p.mean_success_ratio))
-                    .with("mean_fidelity", round4(p.mean_fidelity))
-                    .with("mean_delivery_ratio", round4(p.mean_delivery_ratio))
-                    .with("elapsed_ms", round2(p.elapsed_ms)),
-            );
-        }
-    }
+pub fn run_bench(
+    config: &ExperimentConfig,
+    scales: &[usize],
+    losses: &[f64],
+    fault: FaultConfig,
+) -> JsonValue {
+    let entries = run_points(&config.single_trial(), scales, losses, fault)
+        .iter()
+        .map(|p| point_json(p).with("elapsed_ms", round2(p.elapsed_ms)))
+        .collect();
     JsonValue::Array(entries)
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 10_000.0).round() / 10_000.0
 }
 
 #[cfg(test)]
@@ -357,29 +342,31 @@ mod tests {
                 .map(|p| point_json(&p).to_string())
                 .collect::<Vec<_>>()
         };
-        let serial = strip(run_points(&config.with_jobs(1), &[150], fault));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150], fault));
+        let ladder = loss_ladder(fault.loss);
+        let serial = strip(run_points(&config.with_jobs(1), &[150], &ladder, fault));
+        let parallel = strip(run_points(&config.with_jobs(4), &[150], &ladder, fault));
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 3 * 2, "ladder of three, on and off each");
     }
 
     #[test]
-    fn bench_sweep_reports_on_off_pairs_per_loss() {
-        let doc = bench_sweep(150, &[0.1, 0.3], 2, 11);
-        let JsonValue::Array(entries) = doc else {
-            panic!("resilience bench must be an array");
+    fn bench_entries_are_the_points_json_plus_timing() {
+        let config = ExperimentConfig {
+            users: 2,
+            ..ExperimentConfig::quick()
         };
+        let fault = FaultConfig::new(0.0);
+        let JsonValue::Array(entries) = run_bench(&config, &[150], &[0.1, 0.3], fault) else {
+            panic!("the bench section must be an array");
+        };
+        let points = run_points(&config, &[150], &[0.1, 0.3], fault);
         assert_eq!(entries.len(), 4, "two losses, on and off each");
-        let text = entries[0].to_string();
-        for field in [
-            "\"loss\"",
-            "\"recovery\"",
-            "\"retries\"",
-            "\"mean_delivery_ratio\"",
-            "\"mean_outage_periods\"",
-            "\"elapsed_ms\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
+        assert_eq!(entries.len(), points.len());
+        for (entry, point) in entries.iter().zip(&points) {
+            assert_eq!(
+                crate::tests::without_timing(entry, &["elapsed_ms"]),
+                point_json(point)
+            );
         }
     }
 }

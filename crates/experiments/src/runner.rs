@@ -2,12 +2,13 @@
 //! simulation trials, executed serially or fanned out across worker threads
 //! with bit-identical results either way.
 //!
-//! Every figure sweep is the same shape — a grid of *points* (one scenario
-//! each), each point replicated over a few independent topologies — and the
-//! trials are embarrassingly parallel because the simulator is deliberately
-//! single-threaded per run. This module makes that structure explicit:
+//! Every figure sweep, like the multi-user and churn sweeps, is the same
+//! shape — a grid of *points* (one scenario each), each point replicated
+//! over a few independent topologies — and the trials are embarrassingly
+//! parallel because both engines are deliberately single-threaded per run.
+//! This module makes that structure explicit:
 //!
-//! 1. a figure module *flattens* its nested parameter loops into a
+//! 1. a sweep *flattens* its nested parameter loops into a
 //!    [`TrialPlan`] (a `Vec<TrialSpec>` of scenario + derived seed + point
 //!    coordinates) instead of running anything inline,
 //! 2. the plan executes on the [`wsn_sim::pool`] work-stealing pool with
@@ -64,6 +65,7 @@ pub struct TrialSpec {
 ///
 /// Build one by [`push_point`](TrialPlan::push_point)-ing each scenario of a
 /// sweep in figure order, then execute the whole batch at once with
+/// [`run_trials`](TrialPlan::run_trials), or through the event engine with
 /// [`run_map`](TrialPlan::run_map) or
 /// [`run_summaries`](TrialPlan::run_summaries).
 ///
@@ -123,29 +125,41 @@ impl TrialPlan {
         &self.trials
     }
 
-    /// Runs every trial on up to `jobs` worker threads, reduces each trial's
-    /// output through `extract`, and returns the extracted values grouped by
-    /// point in plan order.
+    /// Runs `trial` on every trial spec on up to `jobs` worker threads and
+    /// returns the results grouped by point in plan order.
     ///
-    /// `extract` runs on the worker thread that simulated the trial, so heavy
-    /// outputs (query logs, series) can be reduced to small values before
-    /// crossing back; what it returns must not depend on anything but the
-    /// trial itself, or determinism across job counts is lost.
+    /// `trial` runs on a worker thread, so heavy outputs (query logs, series)
+    /// can be reduced to small values before crossing back; what it returns
+    /// must not depend on anything but the spec, or determinism across job
+    /// counts is lost.
+    pub fn run_trials<R, F>(self, jobs: usize, trial: F) -> Vec<Vec<R>>
+    where
+        R: Send,
+        F: Fn(&TrialSpec) -> R + Sync,
+    {
+        let points = self.points;
+        let results = pool::run_indexed(jobs, self.trials, |_, spec| {
+            (spec.point_index, trial(&spec))
+        });
+        let mut grouped: Vec<Vec<R>> = (0..points).map(|_| Vec::new()).collect();
+        for (point_index, value) in results {
+            grouped[point_index].push(value);
+        }
+        grouped
+    }
+
+    /// Runs every trial's scenario through the event engine, reduces each
+    /// output through `extract` and returns the extracted values grouped by
+    /// point in plan order, under [`run_trials`](TrialPlan::run_trials)'
+    /// rules.
     pub fn run_map<R, F>(self, jobs: usize, extract: F) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(&TrialSpec, &SimulationOutput) -> R + Sync,
     {
-        let points = self.points;
-        let extracted = pool::run_indexed(jobs, self.trials, |_, spec| {
-            let output = run_scenario(spec.scenario.clone());
-            (spec.point_index, extract(&spec, &output))
-        });
-        let mut grouped: Vec<Vec<R>> = (0..points).map(|_| Vec::new()).collect();
-        for (point_index, value) in extracted {
-            grouped[point_index].push(value);
-        }
-        grouped
+        self.run_trials(jobs, |spec| {
+            extract(spec, &run_scenario(spec.scenario.clone()))
+        })
     }
 
     /// Runs every trial and summarises a single scalar `metric` per point.

@@ -14,10 +14,9 @@
 //! unlike `--format json` output they are a trajectory snapshot, not a
 //! determinism artifact.
 
-use crate::round2;
+use crate::{best_of, round2};
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::Simulation;
-use std::time::Instant;
 use wsn_metrics::JsonValue;
 
 /// Density-preserving scenario for a deployment of `nodes` nodes: the region
@@ -41,23 +40,13 @@ pub fn scale_scenario(nodes: usize, scheme: Scheme, seed: u64) -> Scenario {
 /// regression bound has order-of-magnitude headroom.
 fn timed_run(nodes: usize, scheme: Scheme, seed: u64) -> JsonValue {
     let scenario = scale_scenario(nodes, scheme, seed);
-    let start = Instant::now();
-    let sim = Simulation::new(scenario.clone()).expect("scale scenarios are valid by construction");
-    let setup_ms = start.elapsed().as_secs_f64() * 1e3;
+    let build =
+        || Simulation::new(scenario.clone()).expect("scale scenarios are valid by construction");
+    let (sim, setup_ms) = best_of(1, || (), |()| build());
     let phases = sim.setup_breakdown();
-    let start = Instant::now();
-    let mut out = sim.run();
-    let mut run_ms = start.elapsed().as_secs_f64() * 1e3;
-    for _ in 0..2 {
-        let sim = Simulation::new(scenario.clone()).expect("scenario validated above");
-        let start = Instant::now();
-        let repeat = sim.run();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        if elapsed < run_ms {
-            run_ms = elapsed;
-            out = repeat;
-        }
-    }
+    // The first run reuses the simulation whose set-up was just timed.
+    let mut first = Some(sim);
+    let (out, run_ms) = best_of(3, || first.take().unwrap_or_else(build), Simulation::run);
     JsonValue::object()
         .with("setup_ms", round2(setup_ms))
         .with(

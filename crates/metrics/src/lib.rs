@@ -14,7 +14,7 @@
 //!
 //! [`QueryRecord`]/[`QueryLog`] capture per-query outcomes, [`Series`] holds
 //! the per-period time series of Figure 5, and [`Table`] renders the aligned
-//! text/CSV tables the experiment harness prints for every figure. The
+//! text tables the experiment harness prints for every figure. The
 //! [`json`] module is the deterministic JSON emitter behind
 //! `repro --format json` and the committed bench trajectory.
 

@@ -56,16 +56,6 @@ impl Series {
             .with("name", self.name.as_str())
             .with("points", points)
     }
-
-    /// Renders the series as CSV lines `x,y` preceded by a header naming the
-    /// series.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("x,{}\n", self.name);
-        for &(x, y) in &self.points {
-            out.push_str(&format!("{x},{y}\n"));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Series {
@@ -107,12 +97,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_contains_header_and_rows() {
+    fn json_names_the_series_and_lists_its_points() {
         let mut s = Series::new("mq-jit");
         s.push(1.0, 0.5);
-        let csv = s.to_csv();
-        assert!(csv.starts_with("x,mq-jit\n"));
-        assert!(csv.contains("1,0.5"));
+        assert_eq!(
+            s.to_json().to_string(),
+            r#"{"name":"mq-jit","points":[[1,0.5]]}"#
+        );
     }
 
     #[test]

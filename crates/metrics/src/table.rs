@@ -1,8 +1,9 @@
-//! Plain-text result tables (aligned console output and CSV).
+//! Result tables: aligned console text and the JSON `repro --format json`
+//! emits.
 //!
-//! Every experiment runner prints one of these per figure; keeping the
-//! formatting here means the benches, the `repro` binary and the examples all
-//! produce identical output.
+//! Every experiment runner returns one of these per figure; keeping the
+//! formatting here means the `repro` binary and the examples all produce
+//! identical output.
 
 use std::fmt;
 
@@ -29,11 +30,6 @@ impl Table {
         Table::new(title, columns.iter().map(|c| c.to_string()).collect())
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Adds a row of already-formatted cells.
     ///
     /// # Panics
@@ -58,11 +54,6 @@ impl Table {
         self.push_row(cells);
     }
 
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Renders the table as a JSON object `{title, header, rows}` with the
     /// cells kept as their already-formatted strings.
     pub fn to_json(&self) -> crate::json::JsonValue {
@@ -79,18 +70,6 @@ impl Table {
                 JsonValue::Array(self.header.iter().map(|h| h.as_str().into()).collect()),
             )
             .with("rows", rows)
-    }
-
-    /// Renders the table as CSV (header first, no title).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -140,12 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn dimensions() {
-        let t = sample();
-        assert_eq!(t.row_count(), 2);
-    }
-
-    #[test]
     #[should_panic]
     fn wrong_row_length_panics() {
         let mut t = Table::with_columns("x", &["a", "b"]);
@@ -153,11 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_values() {
-        let csv = sample().to_csv();
-        assert!(csv.starts_with("scheme,sleep=3s,sleep=15s\n"));
-        assert!(csv.contains("MQ-JIT,0.9900,0.9800"));
-        assert!(csv.contains("NP,0.3500,0.1000"));
+    fn json_keeps_the_header_and_formatted_cells() {
+        assert_eq!(
+            sample().to_json().to_string(),
+            r#"{"title":"Figure 4","header":["scheme","sleep=3s","sleep=15s"],"rows":[["MQ-JIT","0.9900","0.9800"],["NP","0.3500","0.1000"]]}"#
+        );
     }
 
     #[test]
@@ -168,13 +141,17 @@ mod tests {
         assert!(text.contains("0.3500"));
         // Header separator present.
         assert!(text.contains("---"));
+        // Title, header and separator, then one line per row.
+        assert_eq!(text.lines().count(), 3 + 2);
     }
 
     #[test]
     fn empty_table_displays() {
         let t = Table::with_columns("empty", &["a"]);
-        assert_eq!(t.row_count(), 0);
-        assert!(!format!("{t}").is_empty());
-        assert_eq!(t.to_csv(), "a\n");
+        assert_eq!(format!("{t}").lines().count(), 3);
+        assert_eq!(
+            t.to_json().to_string(),
+            r#"{"title":"empty","header":["a"],"rows":[]}"#
+        );
     }
 }

@@ -169,6 +169,8 @@ def service_table(doc):
 
 
 def resilience_table(doc):
+    # The entries carry full-precision ratios: show them at 4 decimals, and
+    # delivery and fidelity at 3 of those 4.
     rows = [
         [
             e["nodes"],
@@ -176,10 +178,10 @@ def resilience_table(doc):
             "on" if e["recovery"] else "off",
             e["retries"],
             e["install_failures"],
-            e["retries_per_delivered"],
-            e["mean_outage_periods"],
-            f"{e['mean_delivery_ratio']:.3f}",
-            f"{e['mean_fidelity']:.3f}",
+            round(e["retries_per_delivered"], 4),
+            round(e["mean_outage_periods"], 4),
+            f"{round(e['mean_delivery_ratio'], 4):.3f}",
+            f"{round(e['mean_fidelity'], 4):.3f}",
         ]
         for e in doc.get("resilience", [])
     ]

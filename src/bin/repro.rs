@@ -18,9 +18,8 @@
 
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, TreeSharing};
-use mobiquery_experiments::runner::trial_seed;
 use mobiquery_experiments::{
-    analysis_tables, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
+    analysis_tables, best_of, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
     ExperimentConfig,
 };
 use mobiquery_service::load::run_load;
@@ -28,7 +27,6 @@ use mobiquery_service::serve::run_serve;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use wsn_metrics::JsonValue;
 use wsn_sim::pool;
 
@@ -454,14 +452,16 @@ fn bench_json(
 ) -> Option<JsonValue> {
     let mut figures = Vec::new();
     for target in targets {
-        let serial_config = config.with_jobs(1);
-        let start = Instant::now();
-        let serial = target_json(target, &serial_config, churn_spec, fault_spec)?;
-        let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let parallel = target_json(target, config, churn_spec, fault_spec)?;
-        let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
+        let timed = |config: &ExperimentConfig| {
+            let (json, ms) = best_of(
+                1,
+                || (),
+                |()| target_json(target, config, churn_spec, fault_spec),
+            );
+            Some((json?, ms))
+        };
+        let (serial, serial_ms) = timed(&config.with_jobs(1))?;
+        let (parallel, parallel_ms) = timed(config)?;
 
         assert_eq!(
             serial, parallel,
@@ -502,17 +502,9 @@ fn bench_json(
                 .collect();
             ladder.sort_unstable();
             ladder.dedup();
-            let base_seed = config.base_seed;
-            multiuser::bench_sweep(
-                |point| {
-                    scale::scale_scenario(
-                        nodes,
-                        mobiquery::config::Scheme::JustInTime,
-                        trial_seed(base_seed, point as usize, 0),
-                    )
-                },
-                &ladder,
-            )
+            eprintln!("multiuser bench: {nodes} nodes, fleets {ladder:?}, shared vs naive");
+            let scenario = scale::scale_scenario(nodes, Scheme::JustInTime, config.base_seed);
+            multiuser::run_bench(config, &scenario, &ladder)
         }
     };
     // The incremental-repair section rides on the largest requested scale
@@ -520,12 +512,14 @@ fn bench_json(
     // trajectory must show mean_repair_ms ≪ full_ccp_ms at low rates.
     let churn_section = match scales.iter().max() {
         None => JsonValue::Array(Vec::new()),
-        Some(&nodes) => churn::bench_sweep(
-            nodes,
-            &BENCH_CHURN_RATES,
-            BENCH_CHURN_USERS,
-            config.base_seed,
-        ),
+        Some(&nodes) => {
+            eprintln!("churn bench: {nodes} nodes at rates {BENCH_CHURN_RATES:?}");
+            churn::run_bench(
+                &config.with_users(BENCH_CHURN_USERS),
+                &[nodes],
+                &BENCH_CHURN_RATES,
+            )
+        }
     };
     // The zero-alloc proof is a scale-independent fixture.
     let steady_allocs = steady_allocs_per_period();
@@ -545,11 +539,14 @@ fn bench_json(
     // the fixed loss ladder, recovery on vs off on identical schedules.
     // `check_bench.py` holds recovery-on to strictly higher mean delivery at
     // every nonzero loss — the whole point of the retry/repair machinery.
-    let resilience_section = resilience::bench_sweep(
-        BENCH_FAULT_NODES,
+    eprintln!("resilience bench: {BENCH_FAULT_NODES} nodes at losses {BENCH_FAULT_LOSSES:?}");
+    // `FaultConfig::new` gives the default profile (burst 4, no crashes);
+    // the sweep sets each rung's loss and recovery flag.
+    let resilience_section = resilience::run_bench(
+        &config.with_users(BENCH_FAULT_USERS),
+        &[BENCH_FAULT_NODES],
         &BENCH_FAULT_LOSSES,
-        BENCH_FAULT_USERS,
-        config.base_seed,
+        FaultConfig::new(0.0),
     );
     Some(
         JsonValue::object()

@@ -15,39 +15,19 @@
 //!     --out tests/golden/fig4_quick.json fig4
 //! ```
 
-use std::process::Command;
+mod cli_golden;
 
 const GOLDEN: &str = include_str!("golden/fig4_quick.json");
+const ARGS: [&str; 3] = ["--quick", "--format", "json"];
 
 #[test]
 fn repro_quick_fig4_json_matches_golden_snapshot() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--quick", "--format", "json", "fig4"])
-        .output()
-        .expect("repro binary runs");
-    assert!(
-        output.status.success(),
-        "repro exited with {:?}: {}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
+    cli_golden::check_golden(
+        &ARGS,
+        "fig4",
+        GOLDEN,
+        "Performance work must not change simulation results",
     );
-    let got = String::from_utf8(output.stdout).expect("repro emits UTF-8 JSON");
-    if got != GOLDEN {
-        // Show the first divergent line: the full documents are hundreds of
-        // lines and the interesting part is where they split.
-        let line = got
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()) + 1);
-        panic!(
-            "fig4 quick JSON diverged from tests/golden/fig4_quick.json at line {line}.\n\
-             Performance work must not change simulation results; if this \
-             change is deliberate, regenerate the snapshot (see this test's \
-             module docs)."
-        );
-    }
 }
 
 #[test]
@@ -55,13 +35,5 @@ fn repro_quick_fig4_is_jobs_invariant() {
     // The golden bytes must not depend on the worker count either; this is
     // the same property ci.sh checks with a jobs-1-vs-4 diff, pinned here so
     // `cargo test` alone exercises it.
-    let run = |jobs: &str| {
-        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--quick", "--format", "json", "--jobs", jobs, "fig4"])
-            .output()
-            .expect("repro binary runs");
-        assert!(output.status.success());
-        output.stdout
-    };
-    assert_eq!(run("1"), run("3"), "--jobs must never change results");
+    cli_golden::check_jobs_invariant(&ARGS, "fig4", "--jobs must never change results");
 }

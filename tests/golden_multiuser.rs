@@ -15,47 +15,22 @@
 //!     --out tests/golden/multiuser_quick.json multiuser
 //! ```
 
-use std::process::Command;
+mod cli_golden;
 
 const GOLDEN: &str = include_str!("golden/multiuser_quick.json");
+const ARGS: [&str; 3] = ["--quick", "--format", "json"];
 
 #[test]
 fn repro_quick_multiuser_json_matches_golden_snapshot() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--quick", "--format", "json", "multiuser"])
-        .output()
-        .expect("repro binary runs");
-    assert!(
-        output.status.success(),
-        "repro exited with {:?}: {}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
+    cli_golden::check_golden(
+        &ARGS,
+        "multiuser",
+        GOLDEN,
+        "Tree sharing must not change per-user results",
     );
-    let got = String::from_utf8(output.stdout).expect("repro emits UTF-8 JSON");
-    if got != GOLDEN {
-        let line = got
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()) + 1);
-        panic!(
-            "multiuser quick JSON diverged from tests/golden/multiuser_quick.json at line \
-             {line}.\nTree sharing must not change per-user results; if this change is \
-             deliberate, regenerate the snapshot (see this test's module docs)."
-        );
-    }
 }
 
 #[test]
 fn repro_quick_multiuser_is_jobs_invariant() {
-    let run = |jobs: &str| {
-        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--quick", "--format", "json", "--jobs", jobs, "multiuser"])
-            .output()
-            .expect("repro binary runs");
-        assert!(output.status.success());
-        output.stdout
-    };
-    assert_eq!(run("1"), run("3"), "--jobs must never change results");
+    cli_golden::check_jobs_invariant(&ARGS, "multiuser", "--jobs must never change results");
 }

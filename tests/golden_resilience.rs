@@ -16,7 +16,7 @@
 //!     --out tests/golden/resilience_quick.json resilience
 //! ```
 
-use std::process::Command;
+mod cli_golden;
 
 const GOLDEN: &str = include_str!("golden/resilience_quick.json");
 const ARGS: [&str; 7] = [
@@ -31,48 +31,19 @@ const ARGS: [&str; 7] = [
 
 #[test]
 fn repro_quick_resilience_json_matches_golden_snapshot() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(ARGS)
-        .arg("resilience")
-        .output()
-        .expect("repro binary runs");
-    assert!(
-        output.status.success(),
-        "repro exited with {:?}: {}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
+    cli_golden::check_golden(
+        &ARGS,
+        "resilience",
+        GOLDEN,
+        "The fault schedule and every recovery decision are pure functions of the seed",
     );
-    let got = String::from_utf8(output.stdout).expect("repro emits UTF-8 JSON");
-    if got != GOLDEN {
-        let line = got
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()) + 1);
-        panic!(
-            "resilience quick JSON diverged from tests/golden/resilience_quick.json at line \
-             {line}.\nThe fault schedule and every recovery decision are pure functions of \
-             the seed; if this change is deliberate, regenerate the snapshot (see this \
-             test's module docs)."
-        );
-    }
 }
 
 #[test]
 fn repro_quick_resilience_is_jobs_invariant() {
-    let run = |jobs: &str| {
-        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(ARGS)
-            .args(["--jobs", jobs, "resilience"])
-            .output()
-            .expect("repro binary runs");
-        assert!(output.status.success());
-        output.stdout
-    };
-    assert_eq!(
-        run("1"),
-        run("3"),
-        "--jobs must never change resilience results"
+    cli_golden::check_jobs_invariant(
+        &ARGS,
+        "resilience",
+        "--jobs must never change resilience results",
     );
 }
