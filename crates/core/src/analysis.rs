@@ -134,10 +134,15 @@ pub fn warmup_interval_s(p: &AnalysisParams, advance_time_s: f64) -> f64 {
     if ratio <= 0.0 {
         return f64::INFINITY;
     }
-    let k = ((p.sleep_s + 2.0 * p.freshness_s - ratio * advance_time_s) / (p.period_s * ratio))
-        .ceil()
-        .max(0.0);
-    k * p.period_s
+    let k =
+        ((p.sleep_s + 2.0 * p.freshness_s - ratio * advance_time_s) / (p.period_s * ratio)).ceil();
+    // `ceil` maps (−1, 0) to −0.0, and `f64::max` may return either zero, so
+    // compare instead: a vanished warm-up is a positive zero in every build.
+    if k > 0.0 {
+        k * p.period_s
+    } else {
+        0.0
+    }
 }
 
 /// The advance time beyond which the warm-up interval vanishes:
@@ -339,6 +344,9 @@ mod tests {
         let threshold = zero_warmup_advance_s(&p);
         assert!((threshold - 11.0 / (1.0 - 4.0 / 200.0)).abs() < 1e-9);
         assert_eq!(warmup_interval_s(&p, threshold + 0.5), 0.0);
+        // Ta = 12 s puts the bound's ceiling in (−1, 0): it must still print
+        // as 0.0, never −0.0, in the warm-up table.
+        assert!(warmup_interval_s(&p, 12.0).is_sign_positive());
     }
 
     #[test]

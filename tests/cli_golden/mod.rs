@@ -1,4 +1,4 @@
-//! What the four CLI goldens share: run the real `repro` binary, compare its
+//! What the five CLI goldens share: run the real `repro` binary, compare its
 //! output with a committed snapshot and name the first line where they part,
 //! and require the same bytes whatever the worker count.
 
@@ -21,12 +21,18 @@ fn repro<'a>(args: impl IntoIterator<Item = &'a str>) -> Vec<u8> {
 }
 
 /// Requires `repro <args> <target>` to print `golden`, the committed
-/// `tests/golden/<target>_quick.json`. A difference fails with the first
-/// divergent line — the documents are hundreds of lines, and the interesting
-/// part is where they split — and `why` the bytes must not move.
+/// `tests/golden/<target>_quick.json`, or `<target>_quick.txt` when `args`
+/// ask for no JSON. A difference fails with the first divergent line — the
+/// documents are hundreds of lines, and the interesting part is where they
+/// split — and `why` the bytes must not move.
 pub fn check_golden(args: &[&str], target: &str, golden: &str, why: &str) {
-    let got = String::from_utf8(repro(args.iter().copied().chain([target])))
-        .expect("repro emits UTF-8 JSON");
+    let (format, ext) = if args.contains(&"json") {
+        ("JSON", "json")
+    } else {
+        ("text", "txt")
+    };
+    let got =
+        String::from_utf8(repro(args.iter().copied().chain([target]))).expect("repro emits UTF-8");
     if got != golden {
         let line = got
             .lines()
@@ -35,7 +41,7 @@ pub fn check_golden(args: &[&str], target: &str, golden: &str, why: &str) {
             .map(|i| i + 1)
             .unwrap_or_else(|| got.lines().count().min(golden.lines().count()) + 1);
         panic!(
-            "{target} quick JSON diverged from tests/golden/{target}_quick.json at line \
+            "{target} quick {format} diverged from tests/golden/{target}_quick.{ext} at line \
              {line}.\n{why}; if this change is deliberate, regenerate the snapshot (see this \
              test's module docs)."
         );
