@@ -131,7 +131,7 @@ impl PeriodResult {
     fn from_record(record: &QueryRecord, threshold: f64) -> Self {
         PeriodResult {
             period: record.seq,
-            delivered: record.delivered_at.is_some(),
+            delivered: record.met_deadline(),
             fidelity: record.fidelity(),
             succeeded: record.succeeded(threshold),
             contributing: record.contributing_nodes,
@@ -384,7 +384,7 @@ impl ServiceSim {
 mod tests {
     use super::*;
     use mobiquery::config::Scheme;
-    use wsn_sim::Duration;
+    use wsn_sim::{Duration, SimTime};
 
     fn small_scenario(seed: u64) -> Scenario {
         Scenario::paper_default()
@@ -399,6 +399,24 @@ mod tests {
         let mut spec = scenario.query.clone();
         spec.lifetime = spec.period * lifetime_periods;
         spec
+    }
+
+    #[test]
+    fn a_result_delivered_after_its_deadline_is_not_delivered() {
+        let on_time = QueryRecord {
+            seq: 3,
+            deadline: SimTime::from_secs(6),
+            delivered_at: Some(SimTime::from_secs(6)),
+            contributing_nodes: 10,
+            nodes_in_area: 10,
+        };
+        let late = QueryRecord {
+            delivered_at: Some(SimTime::from_secs(7)),
+            ..on_time
+        };
+        assert!(PeriodResult::from_record(&on_time, 0.95).delivered);
+        let result = PeriodResult::from_record(&late, 0.95);
+        assert!(!result.delivered && !result.succeeded);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct LoadReport {
     pub submitted: u64,
     /// Scheduled arrivals the service could not admit (no period left).
     pub rejected: u64,
-    /// Admitted queries that never received a single result.
+    /// Admitted queries that never received a single result by its deadline.
     pub starved: u64,
     /// Query periods whose result missed its deadline (0 only when every
     /// admitted period delivered on time).
@@ -92,8 +92,9 @@ pub struct LoadReport {
     pub mean_success_ratio: f64,
     /// Worst per-query success ratio.
     pub min_success_ratio: f64,
-    /// Submission-to-first-result latency in periods, over served queries.
-    /// `None` when no query was served.
+    /// Submission-to-first-result latency in periods, over served queries,
+    /// counting only results delivered by their deadline. `None` when no
+    /// query was served.
     pub latency_periods: Option<LatencyStats>,
     /// Query installs the service performed.
     pub installs: u64,
@@ -207,38 +208,25 @@ pub fn run_load(
     }
     rejected += pending.count() as u64;
 
-    let threshold = svc.scenario().fidelity_threshold;
     let query_set = svc.query_set().clone();
     let faults = ResilienceSummary::from_batches(svc.fault_log());
     let output = svc.finish();
 
-    let mut success_ratios = Vec::with_capacity(admitted.len());
     let mut latency_samples = Vec::new();
     let mut starved = 0u64;
     let mut deadline_misses = 0u64;
     for (arrival, log) in admitted.iter().zip(output.logs.iter()) {
-        success_ratios.push(log.success_ratio(threshold));
         deadline_misses += log.records().iter().filter(|r| !r.met_deadline()).count() as u64;
         match log
             .records()
             .iter()
-            .find(|r| r.delivered_at.is_some())
+            .find(|r| r.met_deadline())
             .map(|r| r.seq)
         {
             Some(first_k) => latency_samples.push(first_k as f64 - arrival.at_s / period_s),
             None => starved += 1,
         }
     }
-    let mean_success_ratio = if success_ratios.is_empty() {
-        0.0
-    } else {
-        success_ratios.iter().sum::<f64>() / success_ratios.len() as f64
-    };
-    let min_success_ratio = success_ratios
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min)
-        .clamp(0.0, 1.0);
 
     let report = LoadReport {
         qps,
@@ -250,8 +238,8 @@ pub fn run_load(
         deadline_misses,
         retries: faults.retries,
         degraded: faults.trees_rebuilt + faults.naive_fallbacks,
-        mean_success_ratio,
-        min_success_ratio,
+        mean_success_ratio: output.mean_success_ratio(),
+        min_success_ratio: output.min_success_ratio(),
         latency_periods: LatencyStats::from_samples(&latency_samples),
         installs: output.installs,
         trees_built: output.trees_built,
