@@ -7,6 +7,7 @@
 //!   under greedy, and the speed threshold `v* ≈ 131 mph` (Section 5.4),
 //! * the warm-up bound of Equation 16 for a range of advance times.
 
+use crate::Report;
 use mobiquery::analysis::{
     contention_speed_threshold_mps, interference_length_greedy, interference_length_jit,
     interference_length_jit_n, paper_prefetch_speed_mph, prefetch_length_greedy,
@@ -117,20 +118,20 @@ pub fn multiuser_contention_table() -> Table {
     t
 }
 
-/// All analytical tables, in presentation order. They are closed forms (no
-/// simulation), so they are built in turn on the calling thread.
-pub fn run() -> Vec<Table> {
-    vec![
+/// All analytical tables, in presentation order, as text and as a JSON
+/// array. They are closed forms (no simulation), so they are built in turn
+/// on the calling thread.
+pub fn run() -> Report {
+    let tables = [
         storage_table(),
         contention_table(),
         multiuser_contention_table(),
         warmup_table(),
-    ]
-}
-
-/// All analytical tables rendered as a JSON array, in presentation order.
-pub fn run_json() -> JsonValue {
-    JsonValue::Array(run().iter().map(Table::to_json).collect())
+    ];
+    Report {
+        text: tables.iter().map(|table| format!("{table}\n")).collect(),
+        json: JsonValue::Array(tables.iter().map(Table::to_json).collect()),
+    }
 }
 
 #[cfg(test)]
@@ -149,7 +150,10 @@ mod tests {
         let contention = json(&contention_table());
         // v* ≈ 131 mph appears in the table.
         assert!(contention.contains("v*"));
-        assert_eq!(run().len(), 4);
+        let JsonValue::Array(tables) = run().json else {
+            panic!("the analysis JSON must be an array of tables");
+        };
+        assert_eq!(tables.len(), 4);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! [`VERIFY_MAX_NODES`] the engine additionally cross-checks every single
 //! batch (`ChurnConfig::verify`).
 //!
-//! Deterministic outputs (`--format json churn`) deliberately exclude every
+//! Deterministic outputs (`repro churn`, [`run`]) deliberately exclude every
 //! wall-clock field so the bytes are identical for every `--jobs` setting;
 //! the `--bench` section ([`run_bench`]) is the same points' JSON plus the
 //! timings (repair vs full election) as a trajectory snapshot.
 
 use crate::runner::TrialPlan;
 use crate::scale::scale_scenario;
-use crate::{best_of, round2, ExperimentConfig};
+use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{ChurnConfig, QuerySet, SteppedSim, TreeSharing};
 use wsn_metrics::{ChurnSummary, JsonValue, Table};
@@ -197,12 +197,6 @@ fn table_from_points(points: &[ChurnPoint]) -> Table {
     table
 }
 
-/// Runs the sweep at one rate and formats it as a table (rows: scale ×
-/// replicate).
-pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Table {
-    table_from_points(&run_points(config, scales, &[rate]))
-}
-
 /// The deterministic JSON view of one point: every field except wall-clock.
 fn point_json(p: &ChurnPoint) -> JsonValue {
     JsonValue::object()
@@ -223,18 +217,20 @@ fn point_json(p: &ChurnPoint) -> JsonValue {
         .with("mean_fidelity", p.mean_fidelity)
 }
 
-/// Runs the sweep at one rate and renders it as JSON with **no timing
-/// fields**, so the bytes are identical for every `--jobs` setting — the CI
-/// churn gate `cmp`s this output across job counts.
-pub fn run_json(config: &ExperimentConfig, scales: &[usize], rate: f64) -> JsonValue {
+/// Runs the sweep at one rate and reports it as a table (rows: scale ×
+/// replicate) and as JSON with **no timing fields**, so the bytes are
+/// identical for every `--jobs` setting — the CI churn gate `cmp`s this
+/// output across job counts.
+pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Report {
     let points = run_points(config, scales, &[rate]);
-    table_from_points(&points)
-        .to_json()
-        .with("rate", rate)
-        .with(
+    let table = table_from_points(&points);
+    Report {
+        text: format!("{table}\n"),
+        json: table.to_json().with("rate", rate).with(
             "points",
             points.iter().map(point_json).collect::<Vec<JsonValue>>(),
-        )
+        ),
+    }
 }
 
 /// The `--bench` churn section: the sweep over `scales` × `rates`, one

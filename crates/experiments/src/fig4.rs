@@ -6,7 +6,7 @@
 //! success threshold 95 % fidelity, averaged over 3 topologies.
 
 use crate::runner::TrialPlan;
-use crate::ExperimentConfig;
+use crate::{ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Table};
 use wsn_mobility::ProfileSource;
@@ -87,12 +87,6 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig4Point> {
         .collect()
 }
 
-/// Runs the sweep and formats it as the paper's Figure 4 table
-/// (rows: scheme × speed range, columns: sleep period).
-pub fn run(config: &ExperimentConfig) -> Table {
-    table_from_points(config, &run_points(config))
-}
-
 /// Formats already-computed points as the Figure 4 table.
 fn table_from_points(config: &ExperimentConfig, points: &[Fig4Point]) -> Table {
     let sleeps = sleep_periods(config);
@@ -125,9 +119,10 @@ fn table_from_points(config: &ExperimentConfig, points: &[Fig4Point]) -> Table {
     table
 }
 
-/// Runs the sweep and renders it as JSON: the formatted table plus every raw
+/// Runs the sweep and reports it as the paper's Figure 4 table (rows:
+/// scheme × speed range, columns: sleep period); the JSON adds every raw
 /// data point at full float precision.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
+pub fn run(config: &ExperimentConfig) -> Report {
     let computed = run_points(config);
     let points: Vec<JsonValue> = computed
         .iter()
@@ -141,9 +136,11 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
                 .with("ci95", p.ci95)
         })
         .collect();
-    table_from_points(config, &computed)
-        .to_json()
-        .with("points", points)
+    let table = table_from_points(config, &computed);
+    Report {
+        text: format!("{table}\n"),
+        json: table.to_json().with("points", points),
+    }
 }
 
 #[cfg(test)]

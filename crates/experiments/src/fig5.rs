@@ -7,31 +7,13 @@
 //! congestion losses.
 
 use crate::runner::TrialPlan;
-use crate::ExperimentConfig;
+use crate::{ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Series};
 use wsn_mobility::ProfileSource;
 
-/// Per-scheme fidelity time series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig5Output {
-    /// Per-period fidelity of just-in-time prefetching.
-    pub jit: Series,
-    /// Per-period fidelity of greedy prefetching.
-    pub greedy: Series,
-}
-
-impl Fig5Output {
-    /// Mean fidelity of MQ-JIT after the warm-up phase (periods > `skip`).
-    pub fn jit_steady_state_mean(&self, skip: usize) -> f64 {
-        steady_mean(&self.jit, skip)
-    }
-
-    /// Mean fidelity of MQ-GP after the warm-up phase.
-    pub fn greedy_steady_state_mean(&self, skip: usize) -> f64 {
-        steady_mean(&self.greedy, skip)
-    }
-}
+/// Periods each scheme's steady-state mean skips as its warm-up.
+const WARMUP_PERIODS: usize = 10;
 
 fn steady_mean(series: &Series, skip: usize) -> f64 {
     let pts: Vec<f64> = series.points().iter().skip(skip).map(|&(_, y)| y).collect();
@@ -43,8 +25,9 @@ fn steady_mean(series: &Series, skip: usize) -> f64 {
 }
 
 /// Runs the two schemes (one trial each, in parallel when `config.jobs > 1`)
-/// and returns their fidelity series.
-pub fn run(config: &ExperimentConfig) -> Fig5Output {
+/// and reports their per-period fidelity series and the steady-state mean
+/// fidelity of each after its warm-up.
+pub fn run(config: &ExperimentConfig) -> Report {
     let base = config
         .base_scenario()
         .with_sleep_period_secs(15.0)
@@ -60,29 +43,27 @@ pub fn run(config: &ExperimentConfig) -> Fig5Output {
     }
     let mut traces = plan.run_map(config.jobs, |_, output| output.fidelity_series());
 
-    let mut out = Fig5Output {
-        jit: Series::new("MQ-JIT"),
-        greedy: Series::new("MQ-GP"),
-    };
+    let mut jit = Series::new("MQ-JIT");
+    let mut greedy = Series::new("MQ-GP");
     let greedy_trace = traces.pop().and_then(|mut t| t.pop()).unwrap_or_default();
     let jit_trace = traces.pop().and_then(|mut t| t.pop()).unwrap_or_default();
-    for (trace, series) in [(jit_trace, &mut out.jit), (greedy_trace, &mut out.greedy)] {
+    for (trace, series) in [(jit_trace, &mut jit), (greedy_trace, &mut greedy)] {
         for (k, fidelity) in trace {
             series.push(k as f64, fidelity);
         }
     }
-    out
-}
-
-/// Runs the two schemes and renders the series plus steady-state means as
-/// JSON.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
-    let out = run(config);
-    JsonValue::object()
-        .with("jit", out.jit.to_json())
-        .with("greedy", out.greedy.to_json())
-        .with("jit_steady_state_mean", out.jit_steady_state_mean(10))
-        .with("greedy_steady_state_mean", out.greedy_steady_state_mean(10))
+    let jit_mean = steady_mean(&jit, WARMUP_PERIODS);
+    let greedy_mean = steady_mean(&greedy, WARMUP_PERIODS);
+    Report {
+        text: format!(
+            "{jit}\n{greedy}\nsteady-state mean fidelity: MQ-JIT {jit_mean:.3}, MQ-GP {greedy_mean:.3}\n"
+        ),
+        json: JsonValue::object()
+            .with("jit", jit.to_json())
+            .with("greedy", greedy.to_json())
+            .with("jit_steady_state_mean", jit_mean)
+            .with("greedy_steady_state_mean", greedy_mean),
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! threshold of Equation 16; shorter sleep periods need less advance notice.
 
 use crate::runner::TrialPlan;
-use crate::ExperimentConfig;
+use crate::{ExperimentConfig, Report};
 use mobiquery::analysis;
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Table};
@@ -80,14 +80,10 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig6Point> {
         .collect()
 }
 
-/// Runs the sweep and formats it as a table (rows: sleep period, columns: Ta).
-pub fn run(config: &ExperimentConfig) -> Table {
-    table_from_points(config, &run_points(config))
-}
-
-/// Runs the sweep and renders it as JSON: the formatted table plus every raw
-/// data point (success ratio and Eq.-16 warm-up bound) at full precision.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
+/// Runs the sweep and reports it as a table (rows: sleep period, columns:
+/// Ta); the JSON adds every raw data point (success ratio and Eq.-16
+/// warm-up bound) at full precision.
+pub fn run(config: &ExperimentConfig) -> Report {
     let computed = run_points(config);
     let points: Vec<JsonValue> = computed
         .iter()
@@ -99,9 +95,11 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
                 .with("warmup_bound_s", p.warmup_bound_s)
         })
         .collect();
-    table_from_points(config, &computed)
-        .to_json()
-        .with("points", points)
+    let table = table_from_points(config, &computed);
+    Report {
+        text: format!("{table}\n"),
+        json: table.to_json().with("points", points),
+    }
 }
 
 /// Formats already-computed points as the Figure 6 table.

@@ -8,7 +8,7 @@
 //! grows with the interval; larger errors cost a few per cent.
 
 use crate::runner::TrialPlan;
-use crate::ExperimentConfig;
+use crate::{ExperimentConfig, Report};
 use mobiquery::config::{Scenario, Scheme};
 use wsn_metrics::{JsonValue, Table};
 
@@ -116,14 +116,9 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig7Point> {
         .collect()
 }
 
-/// Runs the sweep and formats it as a table (rows: variant, columns: interval).
-pub fn run(config: &ExperimentConfig) -> Table {
-    table_from_points(config, &run_points(config))
-}
-
-/// Runs the sweep and renders it as JSON: the formatted table plus every raw
-/// data point at full precision.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
+/// Runs the sweep and reports it as a table (rows: variant, columns:
+/// interval); the JSON adds every raw data point at full precision.
+pub fn run(config: &ExperimentConfig) -> Report {
     let computed = run_points(config);
     let points: Vec<JsonValue> = computed
         .iter()
@@ -134,9 +129,11 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
                 .with("success_ratio", p.success_ratio)
         })
         .collect();
-    table_from_points(config, &computed)
-        .to_json()
-        .with("points", points)
+    let table = table_from_points(config, &computed);
+    Report {
+        text: format!("{table}\n"),
+        json: table.to_json().with("points", points),
+    }
 }
 
 /// Formats already-computed points as the Figure 7 table.

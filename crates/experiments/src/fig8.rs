@@ -9,7 +9,7 @@
 //! early one (`Ta = 9 s`) because warm-up periods wake fewer nodes.
 
 use crate::runner::TrialPlan;
-use crate::ExperimentConfig;
+use crate::{ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Table};
 use wsn_sim::stats::Summary;
@@ -78,15 +78,9 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig8Point> {
         .collect()
 }
 
-/// Runs the sweep and formats it as a table (rows: configuration, columns:
-/// sleep period).
-pub fn run(config: &ExperimentConfig) -> Table {
-    table_from_points(config, &run_points(config))
-}
-
-/// Runs the sweep and renders it as JSON: the formatted table plus every raw
-/// data point at full precision.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
+/// Runs the sweep and reports it as a table (rows: configuration, columns:
+/// sleep period); the JSON adds every raw data point at full precision.
+pub fn run(config: &ExperimentConfig) -> Report {
     let computed = run_points(config);
     let points: Vec<JsonValue> = computed
         .iter()
@@ -98,9 +92,11 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
                 .with("jit_early_power_w", p.jit_early_power_w)
         })
         .collect();
-    table_from_points(config, &computed)
-        .to_json()
-        .with("points", points)
+    let table = table_from_points(config, &computed);
+    Report {
+        text: format!("{table}\n"),
+        json: table.to_json().with("points", points),
+    }
 }
 
 /// Formats already-computed points as the Figure 8 table.

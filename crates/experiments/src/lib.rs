@@ -4,10 +4,12 @@
 //! paper's evaluation (Section 6) and the worked analytical examples of
 //! Section 5.
 //!
-//! Each `figN` module exposes a `run(&ExperimentConfig)` function returning
-//! the corresponding table or series; the `repro` binary prints them,
-//! `repro --bench` times them, and the integration tests assert the
-//! qualitative shapes (who wins, how trends go) that the paper reports.
+//! Each experiment module exposes one entry point, `run`, returning a
+//! [`Report`]: the figure's table or series as display text and as JSON,
+//! rendered from one computation. The `repro` binary prints either
+//! rendering, `repro --bench` times the call, and the integration tests
+//! assert the qualitative shapes (who wins, how trends go) that the paper
+//! reports.
 //!
 //! Experiments come in two sizes:
 //!
@@ -35,6 +37,17 @@ pub mod scale;
 use mobiquery::config::Scenario;
 use mobiquery::sim::{Simulation, SimulationOutput};
 use std::time::Instant;
+use wsn_metrics::JsonValue;
+
+/// One experiment's result in both of `repro`'s output formats, rendered
+/// from a single computation so the two cannot disagree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// What `repro` prints in text mode, newline-terminated.
+    pub text: String,
+    /// What `repro --format json` files under the target's name.
+    pub json: JsonValue,
+}
 
 /// Controls how heavy each experiment is and how many worker threads run it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,9 +135,9 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Rounds `v` to two decimals, the precision the JSON sections report
+/// Rounds `v` to two decimals, the precision the bench document reports
 /// timings and ratios at.
-pub(crate) fn round2(v: f64) -> f64 {
+pub fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
 }
 
@@ -169,7 +182,6 @@ pub fn run_scenario(scenario: Scenario) -> SimulationOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_metrics::JsonValue;
 
     /// Checks that a `--bench` entry ends with exactly the `timing` keys, in
     /// order, and returns the entry without them: what must equal the

@@ -9,12 +9,12 @@
 //! completes *is* the proof that sharing changed no user's results, in the
 //! style of the `elect_backbone_reference` cross-check.
 //!
-//! `repro --format json multiuser` ([`run_json`]) and the bench document's
-//! `multiuser` section ([`run_bench`]) run this one sweep and render each
-//! point as the same JSON object; a bench entry only appends timing keys.
+//! `repro multiuser` ([`run`]) and the bench document's `multiuser` section
+//! ([`run_bench`]) run this one sweep and render each point as the same JSON
+//! object; a bench entry only appends timing keys.
 
 use crate::runner::TrialPlan;
-use crate::{best_of, round2, ExperimentConfig};
+use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::Scenario;
 use mobiquery::sim::{MultiUserOutput, QuerySet, SteppedSim, TreeSharing};
 use wsn_metrics::{JsonValue, Table, UserSummary};
@@ -185,11 +185,6 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
         .collect()
 }
 
-/// Runs the sweep and formats it as a table (rows: fleet size).
-pub fn run(config: &ExperimentConfig) -> Table {
-    table_from_points(&run_points(config))
-}
-
 fn table_from_points(points: &[MultiuserPoint]) -> Table {
     let mut table = Table::with_columns(
         "Multi-user multiplexing: shared flood trees vs one tree per user",
@@ -245,19 +240,23 @@ fn point_json(p: &MultiuserPoint) -> JsonValue {
         .with("per_user", per_user)
 }
 
-/// Runs the sweep and renders it as JSON: the formatted table plus every
-/// data point at full float precision (including per-user summaries of the
-/// first replicate). Deliberately excludes timing so the bytes are identical
-/// for every job count.
-pub fn run_json(config: &ExperimentConfig) -> JsonValue {
+/// Runs the sweep and reports it as a table (rows: fleet size); the JSON
+/// adds every data point at full float precision (including per-user
+/// summaries of the first replicate). Deliberately excludes timing so the
+/// bytes are identical for every job count.
+pub fn run(config: &ExperimentConfig) -> Report {
     let points = run_points(config);
-    table_from_points(&points)
-        .to_json()
-        .with(
-            "points",
-            points.iter().map(point_json).collect::<Vec<JsonValue>>(),
-        )
-        .with("users_max", config.users)
+    let table = table_from_points(&points);
+    Report {
+        text: format!("{table}\n"),
+        json: table
+            .to_json()
+            .with(
+                "points",
+                points.iter().map(point_json).collect::<Vec<JsonValue>>(),
+            )
+            .with("users_max", config.users),
+    }
 }
 
 /// The `--bench` multi-user section: the sweep over `ladder` on `scenario`,

@@ -8,7 +8,7 @@
 //! without — across a ladder of loss rates, so the output directly compares
 //! the two protocol variants the tentpole exists to separate.
 //!
-//! Deterministic outputs (`--format json resilience`) deliberately exclude
+//! Deterministic outputs (`repro resilience`, [`run`]) deliberately exclude
 //! every wall-clock field so the bytes are identical for every `--jobs`
 //! setting; the CI chaos gate `cmp`s them across job counts. The `--bench`
 //! section ([`run_bench`]) is the same points' JSON plus each trial's
@@ -17,7 +17,7 @@
 
 use crate::runner::trial_seed;
 use crate::scale::scale_scenario;
-use crate::{best_of, round2, ExperimentConfig};
+use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing};
 use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
@@ -224,12 +224,6 @@ fn table_from_points(points: &[ResiliencePoint]) -> Table {
     table
 }
 
-/// Runs the sweep over [`loss_ladder`]`(fault.loss)` and formats it as a
-/// table (rows: scale × loss × replicate × recovery).
-pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> Table {
-    table_from_points(&run_points(config, scales, &loss_ladder(fault.loss), fault))
-}
-
 /// The deterministic JSON view of one point: every field except wall-clock.
 fn point_json(p: &ResiliencePoint) -> JsonValue {
     JsonValue::object()
@@ -259,19 +253,24 @@ fn point_json(p: &ResiliencePoint) -> JsonValue {
         .with("mean_delivery_ratio", p.mean_delivery_ratio)
 }
 
-/// Runs the sweep over [`loss_ladder`]`(fault.loss)` and renders it as JSON
-/// with **no timing fields**, so the bytes are identical for every `--jobs`
-/// setting — the CI chaos gate `cmp`s this output across job counts.
-pub fn run_json(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> JsonValue {
+/// Runs the sweep over [`loss_ladder`]`(fault.loss)` and reports it as a
+/// table (rows: scale × loss × replicate × recovery) and as JSON with **no
+/// timing fields**, so the bytes are identical for every `--jobs` setting —
+/// the CI chaos gate `cmp`s this output across job counts.
+pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> Report {
     let points = run_points(config, scales, &loss_ladder(fault.loss), fault);
-    table_from_points(&points)
-        .to_json()
-        .with("loss", fault.loss)
-        .with("burst", fault.burst)
-        .with(
-            "points",
-            points.iter().map(point_json).collect::<Vec<JsonValue>>(),
-        )
+    let table = table_from_points(&points);
+    Report {
+        text: format!("{table}\n"),
+        json: table
+            .to_json()
+            .with("loss", fault.loss)
+            .with("burst", fault.burst)
+            .with(
+                "points",
+                points.iter().map(point_json).collect::<Vec<JsonValue>>(),
+            ),
+    }
 }
 
 /// The `--bench` resilience section: the sweep over `scales` × `losses`,

@@ -17,15 +17,16 @@
 #![allow(unsafe_code)]
 
 use mobiquery::config::Scheme;
-use mobiquery::sim::{FaultConfig, TreeSharing};
+use mobiquery::sim::{ChurnConfig, FaultConfig, TreeSharing};
 use mobiquery_experiments::{
-    analysis_tables, best_of, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
-    ExperimentConfig,
+    analysis_tables, best_of, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, round2,
+    scale, ExperimentConfig, Report,
 };
 use mobiquery_service::load::run_load;
 use mobiquery_service::serve::run_serve;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wsn_metrics::JsonValue;
 use wsn_sim::pool;
@@ -111,34 +112,264 @@ Service options:
   --out PATH         write the JSON to PATH instead of stdout
   -h, --help         print this help and exit";
 
-const ALL_TARGETS: [&str; 7] = [
-    "analysis",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "multiuser",
+/// Every batch target, once. `all` runs those with `in_all`: the figures and
+/// tables that reproduce the paper's static evaluation. Churn and fault
+/// injection are explicit opt-ins with their own required rate.
+const TARGETS: [Target; 9] = [
+    Target::in_all("analysis", |_, _| analysis_tables::run()),
+    Target::in_all("fig4", |config, _| fig4::run(config)),
+    Target::in_all("fig5", |config, _| fig5::run(config)),
+    Target::in_all("fig6", |config, _| fig6::run(config)),
+    Target::in_all("fig7", |config, _| fig7::run(config)),
+    Target::in_all("fig8", |config, _| fig8::run(config)),
+    Target::in_all("multiuser", |config, _| multiuser::run(config)),
+    Target::opt_in("churn", "--churn-rate", |config, cli| {
+        let churn = cli.churn.expect("the churn target requires --churn-rate");
+        churn::run(config, &cli.scales_or(5_000, 20_000), churn.rate)
+    }),
+    Target::opt_in("resilience", "--fault-loss", |config, cli| {
+        let fault = cli
+            .fault
+            .expect("the resilience target requires --fault-loss");
+        resilience::run(config, &cli.scales_or(2_000, 10_000), fault)
+    }),
 ];
 
+/// One row of [`TARGETS`].
+struct Target {
+    name: &'static str,
+    /// Whether `all` runs the target.
+    in_all: bool,
+    /// The rate option the target cannot run without. These targets are the
+    /// deployment-size sweeps, the only ones `--scale` sizes outside
+    /// `--bench`.
+    requires: Option<&'static str>,
+    run: RunTarget,
+}
+
+/// Runs a target under a configuration (the bench passes two job counts)
+/// and the parsed options.
+type RunTarget = fn(&ExperimentConfig, &Cli) -> Report;
+
+impl Target {
+    /// A target that `all` runs and that needs no option of its own.
+    const fn in_all(name: &'static str, run: RunTarget) -> Self {
+        Target {
+            name,
+            in_all: true,
+            requires: None,
+            run,
+        }
+    }
+
+    /// A target that runs only when named, and only with the option `flag`.
+    const fn opt_in(name: &'static str, flag: &'static str, run: RunTarget) -> Self {
+        Target {
+            name,
+            in_all: false,
+            requires: Some(flag),
+            run,
+        }
+    }
+}
+
+/// `repro`'s modes: the batch targets, or one of the service subcommands.
 #[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
+enum Mode {
+    Batch,
+    Serve,
+    Load,
 }
 
-/// Parameters of the `churn` target: the deployment sizes to churn and the
-/// per-boundary death/join rate.
-struct ChurnSpec {
-    scales: Vec<usize>,
-    rate: f64,
+impl Mode {
+    /// The name error messages start with.
+    fn prog(self) -> &'static str {
+        match self {
+            Mode::Batch => "repro",
+            Mode::Serve => "repro serve",
+            Mode::Load => "repro load",
+        }
+    }
+
+    fn usage(self) -> &'static str {
+        match self {
+            Mode::Batch => USAGE,
+            Mode::Serve | Mode::Load => SERVICE_USAGE,
+        }
+    }
 }
 
-/// Parameters of the `resilience` target: the deployment sizes to fault and
-/// the fault profile whose loss tops the swept ladder.
-struct FaultSpec {
+/// Every mode's options, parsed and checked; each mode leaves the options it
+/// does not take at their defaults.
+#[derive(Default)]
+struct Cli {
+    /// `--quick`, `--runs`, `--jobs` and `--users` applied to the quick or
+    /// full configuration.
+    config: ExperimentConfig,
+    out: Option<String>,
+    /// `--fault-loss`, `--fault-burst` and `--no-recovery`, validated.
+    fault: Option<FaultConfig>,
+    format: Option<String>,
+    bench: Option<String>,
     scales: Vec<usize>,
-    config: FaultConfig,
+    /// `--churn-rate`, validated.
+    churn: Option<ChurnConfig>,
+    targets: Vec<String>,
+    periods: Option<u64>,
+    qps: Option<f64>,
+    duration: Option<u64>,
+    nodes: Option<usize>,
+}
+
+impl Cli {
+    /// Whether the rate option `flag`, which some target requires, was given.
+    fn has(&self, flag: &str) -> bool {
+        match flag {
+            "--churn-rate" => self.churn.is_some(),
+            "--fault-loss" => self.fault.is_some(),
+            _ => unreachable!("no target requires {flag}"),
+        }
+    }
+
+    /// The `--scale` deployment sizes, or the sweep's default size for the
+    /// quick or full configuration.
+    fn scales_or(&self, quick: usize, full: usize) -> Vec<usize> {
+        if self.scales.is_empty() {
+            vec![if self.config.quick { quick } else { full }]
+        } else {
+            self.scales.clone()
+        }
+    }
+}
+
+/// Why `repro` stops before running anything.
+enum Stop {
+    /// `--help`: print the mode's usage on stdout and succeed.
+    Help,
+    /// A usage error: print the reason, if there is one, and the mode's usage
+    /// on stderr, and fail.
+    Usage(Option<String>),
+}
+
+/// A usage error with its reason.
+fn usage(why: impl Into<String>) -> Stop {
+    Stop::Usage(Some(why.into()))
+}
+
+/// Takes the value after an option and parses it, accepting it only if
+/// `accept` holds.
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    accept: impl FnOnce(&T) -> bool,
+) -> Result<T, Stop> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(accept)
+        .ok_or(Stop::Usage(None))
+}
+
+/// Parses every mode's options in one pass. A mode rejects the options it
+/// does not take; the rate options are checked by their configs' own
+/// `validate`.
+fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop> {
+    let (batch, service) = (mode == Mode::Batch, mode != Mode::Batch);
+    let mut cli = Cli::default();
+    let (mut quick, mut runs, mut jobs, mut users) = (false, None, None, None);
+    let (mut fault_loss, mut fault_burst, mut no_recovery) = (None, None, false);
+    let mut churn_rate = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => cli.out = Some(value(&mut args, |_: &String| true)?),
+            "--fault-loss" => fault_loss = Some(value(&mut args, |_: &f64| true)?),
+            "--fault-burst" => fault_burst = Some(value(&mut args, |_: &f64| true)?),
+            "--no-recovery" if service => no_recovery = true,
+            "--nodes" if service => cli.nodes = Some(value(&mut args, |&n: &usize| n >= 1)?),
+            "--periods" if mode == Mode::Serve => {
+                cli.periods = Some(value(&mut args, |&n: &u64| n >= 1)?);
+            }
+            "--qps" if mode == Mode::Load => {
+                cli.qps = Some(value(&mut args, |q: &f64| q.is_finite() && *q > 0.0)?);
+            }
+            "--duration" if mode == Mode::Load => {
+                cli.duration = Some(value(&mut args, |&n: &u64| n >= 1)?);
+            }
+            "--runs" if batch => runs = Some(value(&mut args, |&n: &u64| n >= 1)?),
+            "--jobs" if batch => jobs = Some(value(&mut args, |&n: &usize| n >= 1)?),
+            "--users" if batch => users = Some(value(&mut args, |&n: &usize| n >= 1)?),
+            "--format" if batch => {
+                cli.format = Some(value(&mut args, |f: &String| f == "text" || f == "json")?);
+            }
+            "--bench" if batch => cli.bench = Some(value(&mut args, |_: &String| true)?),
+            "--churn-rate" if batch => churn_rate = Some(value(&mut args, |_: &f64| true)?),
+            "--scale" if batch => {
+                cli.scales = value(&mut args, |_: &String| true)?
+                    .split(',')
+                    .map(|n| n.trim().parse().ok().filter(|&n: &usize| n > 0))
+                    .collect::<Option<_>>()
+                    .ok_or(Stop::Usage(None))?;
+            }
+            "--help" | "-h" => return Err(Stop::Help),
+            other if service => {
+                return Err(usage(format!(
+                    "{}: unexpected argument {other}",
+                    mode.prog()
+                )));
+            }
+            other if other.starts_with('-') => {
+                return Err(usage(format!("repro: unknown option {other}")));
+            }
+            other => cli.targets.push(other.to_string()),
+        }
+    }
+
+    match fault_loss {
+        Some(loss) => {
+            let mut fault = FaultConfig::new(loss).with_recovery(!no_recovery);
+            if let Some(burst) = fault_burst {
+                fault = fault.with_burst(burst);
+            }
+            fault
+                .validate()
+                .map_err(|e| usage(format!("{}: {e}", mode.prog())))?;
+            cli.fault = Some(fault);
+        }
+        None if fault_burst.is_some() || no_recovery => {
+            let flag = if no_recovery {
+                "--no-recovery"
+            } else {
+                "--fault-burst"
+            };
+            return Err(usage(format!("{}: {flag} needs --fault-loss", mode.prog())));
+        }
+        None => {}
+    }
+    if let Some(rate) = churn_rate {
+        // Each churn trial sets its own `verify` by deployment size.
+        let churn = ChurnConfig {
+            rate,
+            verify: false,
+        };
+        churn
+            .validate()
+            .map_err(|e| usage(format!("{}: {e}", mode.prog())))?;
+        cli.churn = Some(churn);
+    }
+
+    let mut config = if quick {
+        ExperimentConfig::quick()
+    } else {
+        ExperimentConfig::full()
+    };
+    if let Some(n) = runs {
+        config.runs = n;
+    }
+    config = config.with_jobs(jobs.unwrap_or_else(pool::available_jobs));
+    if let Some(n) = users {
+        config = config.with_users(n);
+    }
+    cli.config = config;
+    Ok(cli)
 }
 
 /// Churn rates of the `--bench` churn section: low enough that incremental
@@ -221,265 +452,136 @@ fn steady_allocs_per_period() -> u64 {
     worst
 }
 
-fn bad_usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::FAILURE
-}
-
-fn bad_service_usage() -> ExitCode {
-    eprintln!("{SERVICE_USAGE}");
-    ExitCode::FAILURE
-}
-
 /// The `repro serve` / `repro load` subcommands.
-fn service_main(kind: &str, mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut periods: Option<u64> = None;
-    let mut qps: Option<f64> = None;
-    let mut duration: Option<u64> = None;
-    let mut nodes: Option<usize> = None;
-    let mut quick = false;
-    let mut out_path: Option<String> = None;
-    let mut fault_loss: Option<f64> = None;
-    let mut fault_burst: Option<f64> = None;
-    let mut no_recovery = false;
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--periods" if kind == "serve" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => periods = Some(n),
-                _ => return bad_service_usage(),
-            },
-            "--qps" if kind == "load" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(q) if q.is_finite() && q > 0.0 => qps = Some(q),
-                _ => return bad_service_usage(),
-            },
-            "--duration" if kind == "load" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => duration = Some(n),
-                _ => return bad_service_usage(),
-            },
-            "--nodes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => nodes = Some(n),
-                _ => return bad_service_usage(),
-            },
-            "--quick" => quick = true,
-            "--fault-loss" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r.is_finite() && (0.0..1.0).contains(&r) => fault_loss = Some(r),
-                _ => return bad_service_usage(),
-            },
-            "--fault-burst" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(l) if l.is_finite() && l >= 1.0 => fault_burst = Some(l),
-                _ => return bad_service_usage(),
-            },
-            "--no-recovery" => no_recovery = true,
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path),
-                None => return bad_service_usage(),
-            },
-            "--help" | "-h" => {
-                println!("{SERVICE_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("repro {kind}: unexpected argument {other}\n");
-                return bad_service_usage();
-            }
-        }
-    }
-
-    if (fault_burst.is_some() || no_recovery) && fault_loss.is_none() {
-        eprintln!("repro {kind}: --fault-burst/--no-recovery need --fault-loss\n");
-        return bad_service_usage();
-    }
-    let fault = fault_loss.map(|loss| {
-        let mut config = FaultConfig::new(loss).with_recovery(!no_recovery);
-        if let Some(burst) = fault_burst {
-            config = config.with_burst(burst);
-        }
-        config
-    });
-
-    let config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::full()
-    };
-    let scenario = match nodes {
+fn run_service(mode: Mode, cli: &Cli) -> Result<ExitCode, Stop> {
+    let config = &cli.config;
+    let scenario = match cli.nodes {
         Some(n) => scale::scale_scenario(n, Scheme::JustInTime, config.base_seed),
         None => config.base_scenario(),
     };
-    let body = match kind {
-        "serve" => {
-            let Some(periods) = periods else {
-                eprintln!("repro serve: --periods is required\n");
-                return bad_service_usage();
-            };
-            match run_serve(scenario, periods, fault) {
-                Ok(report) => report.to_json(),
-                Err(e) => {
-                    eprintln!("repro serve: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        _ => {
-            let (Some(qps), Some(duration)) = (qps, duration) else {
-                eprintln!("repro load: --qps and --duration are required\n");
-                return bad_service_usage();
-            };
-            match run_load(scenario, qps, duration, TreeSharing::Shared, fault) {
-                Ok(outcome) => outcome.report.to_json(),
-                Err(e) => {
-                    eprintln!("repro load: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let (kind, body) = if mode == Mode::Serve {
+        let periods = cli
+            .periods
+            .ok_or_else(|| usage("repro serve: --periods is required"))?;
+        let report = run_serve(scenario, periods, cli.fault);
+        ("serve", report.map(|report| report.to_json()))
+    } else {
+        let (Some(qps), Some(duration)) = (cli.qps, cli.duration) else {
+            return Err(usage("repro load: --qps and --duration are required"));
+        };
+        let outcome = run_load(scenario, qps, duration, TreeSharing::Shared, cli.fault);
+        ("load", outcome.map(|outcome| outcome.report.to_json()))
+    };
+    let body = match body {
+        Ok(body) => body,
+        Err(e) => {
+            eprintln!("repro {kind}: {e}");
+            return Ok(ExitCode::FAILURE);
         }
     };
     let doc = JsonValue::object()
         .with("schema", "mobiquery-repro/service/v1")
-        .with("mode", if quick { "quick" } else { "full" })
+        .with("mode", if config.quick { "quick" } else { "full" })
         .with("base_seed", config.base_seed)
         .with(kind, body);
-    emit(&doc.to_pretty_string(), out_path.as_deref())
+    Ok(emit(&doc.to_pretty_string(), cli.out.as_deref()))
 }
 
-/// Renders one target as display text.
-fn target_text(
-    name: &str,
-    config: &ExperimentConfig,
-    churn_spec: Option<&ChurnSpec>,
-    fault_spec: Option<&FaultSpec>,
-) -> Option<String> {
-    let out = match name {
-        "churn" => {
-            let spec = churn_spec?;
-            format!("{}\n", churn::run(config, &spec.scales, spec.rate))
-        }
-        "resilience" => {
-            let spec = fault_spec?;
-            format!("{}\n", resilience::run(config, &spec.scales, spec.config))
-        }
-        "fig4" => format!("{}\n", fig4::run(config)),
-        "fig5" => {
-            let out = fig5::run(config);
-            format!(
-                "{}\n{}\nsteady-state mean fidelity: MQ-JIT {:.3}, MQ-GP {:.3}\n",
-                out.jit,
-                out.greedy,
-                out.jit_steady_state_mean(10),
-                out.greedy_steady_state_mean(10)
-            )
-        }
-        "fig6" => format!("{}\n", fig6::run(config)),
-        "fig7" => format!("{}\n", fig7::run(config)),
-        "fig8" => format!("{}\n", fig8::run(config)),
-        "multiuser" => format!("{}\n", multiuser::run(config)),
-        "analysis" => {
-            let mut s = String::new();
-            for table in analysis_tables::run() {
-                s.push_str(&format!("{table}\n"));
-            }
-            s
-        }
-        _ => return None,
-    };
-    Some(out)
-}
-
-/// Renders one target as a JSON value.
-fn target_json(
-    name: &str,
-    config: &ExperimentConfig,
-    churn_spec: Option<&ChurnSpec>,
-    fault_spec: Option<&FaultSpec>,
-) -> Option<JsonValue> {
-    let out = match name {
-        "churn" => {
-            let spec = churn_spec?;
-            churn::run_json(config, &spec.scales, spec.rate)
-        }
-        "resilience" => {
-            let spec = fault_spec?;
-            resilience::run_json(config, &spec.scales, spec.config)
-        }
-        "fig4" => fig4::run_json(config),
-        "fig5" => fig5::run_json(config),
-        "fig6" => fig6::run_json(config),
-        "fig7" => fig7::run_json(config),
-        "fig8" => fig8::run_json(config),
-        "multiuser" => multiuser::run_json(config),
-        "analysis" => analysis_tables::run_json(),
-        _ => return None,
-    };
-    Some(out)
-}
-
-/// The `--format json` document for a list of targets. Deliberately excludes
-/// the job count and any timing: the bytes must be identical for every
-/// `--jobs N`.
-fn results_json(
-    targets: &[String],
-    config: &ExperimentConfig,
-    churn_spec: Option<&ChurnSpec>,
-    fault_spec: Option<&FaultSpec>,
-) -> Option<JsonValue> {
-    let mut results = JsonValue::object();
-    for target in targets {
-        results = results.with(
-            target.as_str(),
-            target_json(target, config, churn_spec, fault_spec)?,
-        );
+/// A batch run: the named targets, as text, as JSON or timed for the bench.
+fn run_batch(cli: &Cli) -> Result<ExitCode, Stop> {
+    if cli.targets.is_empty() {
+        return Err(Stop::Usage(None));
     }
-    Some(
+    let targets: Vec<&Target> = if cli.targets.iter().any(|t| t == "all") {
+        TARGETS.iter().filter(|t| t.in_all).collect()
+    } else {
+        cli.targets
+            .iter()
+            .map(|name| {
+                TARGETS
+                    .iter()
+                    .find(|t| t.name == name)
+                    .ok_or_else(|| usage(format!("repro: unknown target {name}")))
+            })
+            .collect::<Result<_, _>>()?
+    };
+    for target in &targets {
+        if let Some(flag) = target.requires.filter(|flag| !cli.has(flag)) {
+            let name = target.name;
+            return Err(usage(format!("repro: the {name} target requires {flag}")));
+        }
+    }
+
+    let config = &cli.config;
+    if let Some(path) = &cli.bench {
+        // --bench is its own output mode: it writes the timing document to
+        // its PATH and nothing else, so combining it with --out/--format
+        // would silently drop those — reject instead.
+        if cli.out.is_some() || cli.format.is_some() {
+            return Err(usage(
+                "repro: --bench cannot be combined with --out or --format",
+            ));
+        }
+        let doc = bench_json(&targets, cli);
+        return Ok(emit(&doc.to_pretty_string(), Some(path)));
+    }
+    if !cli.scales.is_empty() && targets.iter().all(|t| t.requires.is_none()) {
+        return Err(usage(
+            "repro: --scale requires --bench, the churn target or the resilience target \
+             (the sweep lands in the bench document)",
+        ));
+    }
+
+    let reports = targets.iter().map(|t| (t.name, (t.run)(config, cli)));
+    let content = if cli.format.as_deref() == Some("json") {
+        // Deliberately excludes the job count and any timing: the bytes must
+        // be identical for every `--jobs N`.
+        let mut results = JsonValue::object();
+        for (name, report) in reports {
+            results = results.with(name, report.json);
+        }
         JsonValue::object()
             .with("schema", "mobiquery-repro/results/v1")
             .with("mode", if config.quick { "quick" } else { "full" })
             .with("runs", config.runs)
             .with("base_seed", config.base_seed)
-            .with("results", results),
-    )
+            .with("results", results)
+            .to_pretty_string()
+    } else {
+        reports.map(|(_, report)| report.text).collect()
+    };
+    Ok(emit(&content, cli.out.as_deref()))
 }
 
 /// The `--bench` document: per-target wall-clock, serial vs parallel, plus a
 /// determinism cross-check that both job counts produced identical results,
 /// and (when `--scale` is given) the deployment-size sweep.
-fn bench_json(
-    targets: &[String],
-    config: &ExperimentConfig,
-    scales: &[usize],
-    churn_spec: Option<&ChurnSpec>,
-    fault_spec: Option<&FaultSpec>,
-) -> Option<JsonValue> {
+fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
+    let (config, scales) = (&cli.config, &cli.scales);
     let mut figures = Vec::new();
     for target in targets {
-        let timed = |config: &ExperimentConfig| {
-            let (json, ms) = best_of(
-                1,
-                || (),
-                |()| target_json(target, config, churn_spec, fault_spec),
-            );
-            Some((json?, ms))
-        };
-        let (serial, serial_ms) = timed(&config.with_jobs(1))?;
-        let (parallel, parallel_ms) = timed(config)?;
+        let timed = |config: &ExperimentConfig| best_of(1, || (), |()| (target.run)(config, cli));
+        let (serial, serial_ms) = timed(&config.with_jobs(1));
+        let (parallel, parallel_ms) = timed(config);
 
         assert_eq!(
             serial, parallel,
-            "{target}: --jobs 1 and --jobs {} disagree",
-            config.jobs
+            "{}: --jobs 1 and --jobs {} disagree",
+            target.name, config.jobs
         );
         eprintln!(
-            "bench {target}: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms \
+            "bench {}: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms \
              ({:.2}x, {} jobs)",
+            target.name,
             serial_ms / parallel_ms.max(1e-9),
             config.jobs
         );
         figures.push(
             JsonValue::object()
-                .with("name", target.as_str())
-                .with("serial_ms", round_ms(serial_ms))
-                .with("parallel_ms", round_ms(parallel_ms))
-                .with("speedup", round_ms(serial_ms / parallel_ms.max(1e-9))),
+                .with("name", target.name)
+                .with("serial_ms", round2(serial_ms))
+                .with("parallel_ms", round2(parallel_ms))
+                .with("speedup", round2(serial_ms / parallel_ms.max(1e-9))),
         );
     }
     let scale = if scales.is_empty() {
@@ -548,29 +650,23 @@ fn bench_json(
         &BENCH_FAULT_LOSSES,
         FaultConfig::new(0.0),
     );
-    Some(
-        JsonValue::object()
-            .with("schema", "mobiquery-repro/bench/v10")
-            .with("mode", if config.quick { "quick" } else { "full" })
-            .with("runs", config.runs)
-            .with("users", config.users)
-            // Per-figure speedup numbers are only interpretable relative to
-            // the host: on a 1-core container the parallel path is pure
-            // overhead and speedup < 1 is expected.
-            .with("host_cores", pool::available_jobs())
-            .with("parallel_jobs", config.jobs)
-            .with("figures", figures)
-            .with("steady_allocs_per_period", steady_allocs)
-            .with("scale", scale)
-            .with("multiuser", multiuser)
-            .with("churn", churn_section)
-            .with("service", service)
-            .with("resilience", resilience_section),
-    )
-}
-
-fn round_ms(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
+    JsonValue::object()
+        .with("schema", "mobiquery-repro/bench/v10")
+        .with("mode", if config.quick { "quick" } else { "full" })
+        .with("runs", config.runs)
+        .with("users", config.users)
+        // Per-figure speedup numbers are only interpretable relative to the
+        // host: on a 1-core container the parallel path is pure overhead and
+        // speedup < 1 is expected.
+        .with("host_cores", pool::available_jobs())
+        .with("parallel_jobs", config.jobs)
+        .with("figures", figures)
+        .with("steady_allocs_per_period", steady_allocs)
+        .with("scale", scale)
+        .with("multiuser", multiuser)
+        .with("churn", churn_section)
+        .with("service", service)
+        .with("resilience", resilience_section)
 }
 
 fn emit(content: &str, out_path: Option<&str>) -> ExitCode {
@@ -590,203 +686,31 @@ fn emit(content: &str, out_path: Option<&str>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut runs: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut users: Option<usize> = None;
-    let mut format: Option<Format> = None;
-    let mut out_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
-    let mut scales: Vec<usize> = Vec::new();
-    let mut churn_rate: Option<f64> = None;
-    let mut fault_loss: Option<f64> = None;
-    let mut fault_burst: Option<f64> = None;
-    let mut targets: Vec<String> = Vec::new();
-
     let mut args = std::env::args().skip(1).peekable();
-    // `serve` / `load` are subcommands with their own option set.
-    if let Some(kind) = args.peek().filter(|a| a == &"serve" || a == &"load") {
-        let kind = kind.clone();
+    let mode = match args.peek().map(String::as_str) {
+        Some("serve") => Mode::Serve,
+        Some("load") => Mode::Load,
+        _ => Mode::Batch,
+    };
+    if mode != Mode::Batch {
         args.next();
-        return service_main(&kind, args);
     }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--runs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => runs = Some(n),
-                None => return bad_usage(),
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => return bad_usage(),
-            },
-            "--users" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => users = Some(n),
-                _ => return bad_usage(),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Some(Format::Text),
-                Some("json") => format = Some(Format::Json),
-                _ => return bad_usage(),
-            },
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path),
-                None => return bad_usage(),
-            },
-            "--bench" => match args.next() {
-                Some(path) => bench_path = Some(path),
-                None => return bad_usage(),
-            },
-            "--churn-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r.is_finite() && r > 0.0 && r < 1.0 => churn_rate = Some(r),
-                _ => return bad_usage(),
-            },
-            "--fault-loss" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r.is_finite() && (0.0..1.0).contains(&r) => fault_loss = Some(r),
-                _ => return bad_usage(),
-            },
-            "--fault-burst" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(l) if l.is_finite() && l >= 1.0 => fault_burst = Some(l),
-                _ => return bad_usage(),
-            },
-            "--scale" => {
-                let parsed: Option<Vec<usize>> = args
-                    .next()
-                    .map(|list| {
-                        list.split(',')
-                            .map(|n| n.trim().parse::<usize>().ok().filter(|&n| n > 0))
-                            .collect()
-                    })
-                    .unwrap_or(None);
-                match parsed {
-                    Some(list) if !list.is_empty() => scales = list,
-                    _ => return bad_usage(),
-                }
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("repro: unknown option {other}\n");
-                return bad_usage();
-            }
-            other => targets.push(other.to_string()),
-        }
-    }
-    if targets.is_empty() {
-        return bad_usage();
-    }
-
-    let mut config = if quick {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::full()
-    };
-    if let Some(n) = runs {
-        config.runs = n.max(1);
-    }
-    config = config.with_jobs(jobs.unwrap_or_else(pool::available_jobs));
-    if let Some(n) = users {
-        config = config.with_users(n);
-    }
-
-    // `all` deliberately excludes `churn` and `resilience`: the figures
-    // reproduce the paper's static evaluation; churn and fault injection are
-    // explicit opt-ins with their own required rate parameters.
-    let expanded: Vec<String> = if targets.iter().any(|t| t == "all") {
-        ALL_TARGETS.iter().map(|s| s.to_string()).collect()
-    } else {
-        targets
-    };
-    if let Some(bad) = expanded.iter().find(|t| {
-        !ALL_TARGETS.contains(&t.as_str()) && t.as_str() != "churn" && t.as_str() != "resilience"
-    }) {
-        eprintln!("repro: unknown target {bad}\n");
-        return bad_usage();
-    }
-    let churn_requested = expanded.iter().any(|t| t == "churn");
-    if churn_requested && churn_rate.is_none() {
-        eprintln!("repro: the churn target requires --churn-rate\n");
-        return bad_usage();
-    }
-    let resilience_requested = expanded.iter().any(|t| t == "resilience");
-    if resilience_requested && fault_loss.is_none() {
-        eprintln!("repro: the resilience target requires --fault-loss\n");
-        return bad_usage();
-    }
-    if fault_burst.is_some() && fault_loss.is_none() {
-        eprintln!("repro: --fault-burst needs --fault-loss\n");
-        return bad_usage();
-    }
-    let churn_spec = churn_rate.map(|rate| ChurnSpec {
-        scales: if scales.is_empty() {
-            vec![if quick { 5_000 } else { 20_000 }]
-        } else {
-            scales.clone()
-        },
-        rate,
+    let run = parse(mode, args).and_then(|cli| match mode {
+        Mode::Batch => run_batch(&cli),
+        Mode::Serve | Mode::Load => run_service(mode, &cli),
     });
-    let fault_spec = fault_loss.map(|loss| {
-        let mut config = FaultConfig::new(loss);
-        if let Some(burst) = fault_burst {
-            config = config.with_burst(burst);
+    match run {
+        Ok(code) => code,
+        Err(Stop::Help) => {
+            println!("{}", mode.usage());
+            ExitCode::SUCCESS
         }
-        FaultSpec {
-            scales: if scales.is_empty() {
-                vec![if quick { 2_000 } else { 10_000 }]
-            } else {
-                scales.clone()
-            },
-            config,
-        }
-    });
-
-    if let Some(path) = bench_path {
-        // --bench is its own output mode: it writes the timing document to
-        // its PATH and nothing else, so combining it with --out/--format
-        // would silently drop those — reject instead.
-        if out_path.is_some() || format.is_some() {
-            eprintln!("repro: --bench cannot be combined with --out or --format\n");
-            return bad_usage();
-        }
-        let Some(doc) = bench_json(
-            &expanded,
-            &config,
-            &scales,
-            churn_spec.as_ref(),
-            fault_spec.as_ref(),
-        ) else {
-            return bad_usage();
-        };
-        return emit(&doc.to_pretty_string(), Some(&path));
-    }
-    if !scales.is_empty() && !churn_requested && !resilience_requested {
-        eprintln!(
-            "repro: --scale requires --bench, the churn target or the resilience target \
-             (the sweep lands in the bench document)\n"
-        );
-        return bad_usage();
-    }
-
-    let content = match format.unwrap_or(Format::Text) {
-        Format::Json => {
-            match results_json(&expanded, &config, churn_spec.as_ref(), fault_spec.as_ref()) {
-                Some(doc) => doc.to_pretty_string(),
-                None => return bad_usage(),
+        Err(Stop::Usage(why)) => {
+            if let Some(why) = why {
+                eprintln!("{why}\n");
             }
+            eprintln!("{}", mode.usage());
+            ExitCode::FAILURE
         }
-        Format::Text => {
-            let mut s = String::new();
-            for target in &expanded {
-                match target_text(target, &config, churn_spec.as_ref(), fault_spec.as_ref()) {
-                    Some(text) => s.push_str(&text),
-                    None => return bad_usage(),
-                }
-            }
-            s
-        }
-    };
-    emit(&content, out_path.as_deref())
+    }
 }

@@ -59,6 +59,12 @@ fn zero_users_is_a_usage_error() {
 }
 
 #[test]
+fn zero_runs_is_a_usage_error() {
+    // Zero replicates per data point is not one replicate, it is a typo.
+    assert_usage_failure(&["--runs", "0", "fig4"]);
+}
+
+#[test]
 fn malformed_jobs_are_usage_errors() {
     // --jobs sets how many worker threads run independent trials, so a
     // nonsense worker count must die at argv: zero workers is not a serial

@@ -21,9 +21,13 @@ fn fig4_points_are_identical_serial_and_parallel() {
 fn fig8_json_is_identical_serial_and_parallel() {
     // fig8 exercises the multi-metric run_map path (power + baseline from
     // one trial); compare all the way down to the rendered bytes.
-    let serial = fig8::run_json(&ExperimentConfig::quick().with_jobs(1));
-    let parallel = fig8::run_json(&ExperimentConfig::quick().with_jobs(3));
-    assert_eq!(serial.to_pretty_string(), parallel.to_pretty_string());
+    let serial = fig8::run(&ExperimentConfig::quick().with_jobs(1));
+    let parallel = fig8::run(&ExperimentConfig::quick().with_jobs(3));
+    assert_eq!(
+        serial.json.to_pretty_string(),
+        parallel.json.to_pretty_string()
+    );
+    assert_eq!(serial.text, parallel.text);
 }
 
 #[test]
