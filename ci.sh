@@ -97,7 +97,9 @@ run cmp target/resilience-jobs1.json tests/golden/resilience_quick.json
 
 # Service smoke: a fixed seed yields byte-identical JSON from run to run.
 # Each run is a fresh process with a fresh hash seed, so a pair that
-# differs means hash iteration order leaked into the output.
+# differs means hash iteration order leaked into the output. The faulted
+# load carries the most per-boundary state: the fault plan, install retries
+# and their backoff.
 run cargo run --release -q --bin repro -- serve --periods 8 --quick \
     --out target/serve-run1.json
 run cargo run --release -q --bin repro -- serve --periods 8 --quick \
@@ -108,6 +110,11 @@ run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
 run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
     --nodes 1000 --out target/load-run2.json
 run cmp target/load-run1.json target/load-run2.json
+run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
+    --nodes 1000 --fault-loss 0.2 --out target/load-faulted-run1.json
+run cargo run --release -q --bin repro -- load --qps 4 --duration 40 \
+    --nodes 1000 --fault-loss 0.2 --out target/load-faulted-run2.json
+run cmp target/load-faulted-run1.json target/load-faulted-run2.json
 
 # Bench trajectory: quick-mode per-figure wall clock (serial vs parallel),
 # a small --scale smoke sweep (the committed snapshot carries the full

@@ -1,8 +1,14 @@
-//! `repro` — regenerate the MobiQuery paper's figures and analytical tables.
+//! `repro` — regenerate the MobiQuery paper's figures and analytical tables,
+//! run the churn and fault-injection sweeps, or run the query service.
 //!
 //! ```text
-//! repro [options] <fig4|fig5|fig6|fig7|fig8|analysis|all>
+//! repro [options] <fig4|fig5|fig6|fig7|fig8|analysis|multiuser|churn|resilience|all>
+//! repro <serve|load> [service options]
 //! ```
+//!
+//! One parser reads every mode's options, and one table (`TARGETS`) names
+//! every batch target with its run function; each run returns the target's
+//! text and JSON renderings of one computation.
 //!
 //! Full mode uses the paper's settings (200 nodes, 450 m field, 400–500 s
 //! runs); `--quick` runs a scaled-down variant that preserves the qualitative
@@ -191,6 +197,7 @@ impl Mode {
         }
     }
 
+    /// What `--help` prints and every usage error ends with.
     fn usage(self) -> &'static str {
         match self {
             Mode::Batch => USAGE,
@@ -272,7 +279,7 @@ fn value<T: FromStr>(
 /// does not take; the rate options are checked by their configs' own
 /// `validate`.
 fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop> {
-    let (batch, service) = (mode == Mode::Batch, mode != Mode::Batch);
+    let (batch, service, prog) = (mode == Mode::Batch, mode != Mode::Batch, mode.prog());
     let mut cli = Cli::default();
     let (mut quick, mut runs, mut jobs, mut users) = (false, None, None, None);
     let (mut fault_loss, mut fault_burst, mut no_recovery) = (None, None, false);
@@ -310,12 +317,7 @@ fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop
                     .ok_or(Stop::Usage(None))?;
             }
             "--help" | "-h" => return Err(Stop::Help),
-            other if service => {
-                return Err(usage(format!(
-                    "{}: unexpected argument {other}",
-                    mode.prog()
-                )));
-            }
+            other if service => return Err(usage(format!("{prog}: unexpected argument {other}"))),
             other if other.starts_with('-') => {
                 return Err(usage(format!("repro: unknown option {other}")));
             }
@@ -323,26 +325,22 @@ fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop
         }
     }
 
-    match fault_loss {
-        Some(loss) => {
-            let mut fault = FaultConfig::new(loss).with_recovery(!no_recovery);
-            if let Some(burst) = fault_burst {
-                fault = fault.with_burst(burst);
-            }
-            fault
-                .validate()
-                .map_err(|e| usage(format!("{}: {e}", mode.prog())))?;
-            cli.fault = Some(fault);
+    if let Some(loss) = fault_loss {
+        let mut fault = FaultConfig::new(loss).with_recovery(!no_recovery);
+        if let Some(burst) = fault_burst {
+            fault = fault.with_burst(burst);
         }
-        None if fault_burst.is_some() || no_recovery => {
-            let flag = if no_recovery {
-                "--no-recovery"
-            } else {
-                "--fault-burst"
-            };
-            return Err(usage(format!("{}: {flag} needs --fault-loss", mode.prog())));
-        }
-        None => {}
+        fault
+            .validate()
+            .map_err(|e| usage(format!("{prog}: {e}")))?;
+        cli.fault = Some(fault);
+    } else if fault_burst.is_some() || no_recovery {
+        let flag = if no_recovery {
+            "--no-recovery"
+        } else {
+            "--fault-burst"
+        };
+        return Err(usage(format!("{prog}: {flag} needs --fault-loss")));
     }
     if let Some(rate) = churn_rate {
         // Each churn trial sets its own `verify` by deployment size.
@@ -352,7 +350,7 @@ fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop
         };
         churn
             .validate()
-            .map_err(|e| usage(format!("{}: {e}", mode.prog())))?;
+            .map_err(|e| usage(format!("{prog}: {e}")))?;
         cli.churn = Some(churn);
     }
 
