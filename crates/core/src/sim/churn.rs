@@ -3,9 +3,9 @@
 //! Churn mode kills and joins a deterministic batch of nodes at every period
 //! boundary. Each batch is a pure function of `(scenario seed, boundary)` —
 //! its own RNG stream, independent of every other stream in the simulation —
-//! so the schedule is identical whatever admission pattern drives the engine
-//! and whichever worker runs the trial, which is what lets CI `cmp` churn
-//! outputs byte-for-byte across `--jobs` counts.
+//! so the schedule is identical whatever admission pattern drives the engine,
+//! which is what lets CI `cmp` churn outputs byte-for-byte across processes
+//! and `tests/golden/churn_quick.json` pin them.
 //!
 //! A batch kills `floor(rate × n)` distinct nodes of the `n` slots (a
 //! partial Fisher–Yates draw over `0..n`) and joins the same number of fresh

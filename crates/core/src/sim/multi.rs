@@ -95,7 +95,7 @@ impl UserQuery {
 /// A pure function of `(scenario, users)`: user `u` is derived from
 /// `mix_seed(scenario.seed, [FLEET_STREAM, u])` and its lifetime window from
 /// `mix_seed(user_seed, [LIFETIME_STREAM])`, so the set is identical across
-/// job counts, sharing modes and fleet sizes (prefix-stable in `users`).
+/// sharing modes and fleet sizes (prefix-stable in `users`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySet {
     users: Vec<UserQuery>,
@@ -219,8 +219,8 @@ impl QuerySet {
     }
 
     /// Number of users active in period `k` — the contention level every
-    /// query of that period is scored under. Pure, so every sharing mode and
-    /// job count sees the same concurrency.
+    /// query of that period is scored under. Pure, so every sharing mode sees
+    /// the same concurrency.
     pub fn active_users(&self, k: u64) -> usize {
         self.users.iter().filter(|u| u.active_in(k)).count()
     }

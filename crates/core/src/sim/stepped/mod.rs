@@ -241,8 +241,8 @@ impl SteppedSim {
     }
 
     /// The current backbone membership as ascending slot indices — the
-    /// deterministic digest the CI churn gate compares across `--jobs`
-    /// settings and against [`SteppedSim::reference_reelection`].
+    /// deterministic digest the churn golden pins and the churn sweep
+    /// compares against [`SteppedSim::reference_reelection`].
     pub fn backbone_slots(&self) -> Vec<u32> {
         self.deployment
             .plan

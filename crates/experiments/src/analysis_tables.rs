@@ -119,8 +119,7 @@ pub fn multiuser_contention_table() -> Table {
 }
 
 /// All analytical tables, in presentation order, as text and as a JSON
-/// array. They are closed forms (no simulation), so they are built in turn
-/// on the calling thread.
+/// array. They are closed forms (no simulation).
 pub fn run() -> Report {
     let tables = [
         storage_table(),

@@ -11,8 +11,8 @@
 //! batch (`ChurnConfig::verify`).
 //!
 //! Deterministic outputs (`repro churn`, [`run`]) deliberately exclude every
-//! wall-clock field so the bytes are identical for every `--jobs` setting;
-//! the `--bench` section ([`run_bench`]) is the same points' JSON plus the
+//! wall-clock field so the bytes are a pure function of the seed; the
+//! `--bench` section ([`run_bench`]) is the same points' JSON plus the
 //! timings (repair vs full election) as a trajectory snapshot.
 
 use crate::runner::TrialPlan;
@@ -54,7 +54,7 @@ pub struct ChurnPoint {
     /// Backbone size after the final batch.
     pub backbone_count: usize,
     /// FNV-1a digest of the ascending backbone slot list — the compact
-    /// byte-identity token the CI gate compares across `--jobs` settings.
+    /// byte-identity token the CI gate compares across processes.
     pub backbone_digest: u64,
     /// `true` when every batch was individually verified against a full
     /// re-election (always the case at or below [`VERIFY_MAX_NODES`]).
@@ -144,8 +144,7 @@ pub fn run_point(scenario: Scenario, rate: f64, users: usize) -> ChurnPoint {
     }
 }
 
-/// Runs every (scale × rate × replicate) trial — fanned out over
-/// `config.jobs` workers — in deterministic trial order. The grid is
+/// Runs every (scale × rate × replicate) trial in plan order. The grid is
 /// scale-major, and the seed derives from the (scale, rate) point's index
 /// and the replicate.
 pub fn run_points(config: &ExperimentConfig, scales: &[usize], rates: &[f64]) -> Vec<ChurnPoint> {
@@ -155,7 +154,7 @@ pub fn run_points(config: &ExperimentConfig, scales: &[usize], rates: &[f64]) ->
             plan.push_point(config, scale_scenario(nodes, Scheme::JustInTime, 0));
         }
     }
-    plan.run_trials(config.jobs, |spec| {
+    plan.run_trials(|spec| {
         let rate = rates[spec.point_index % rates.len()];
         run_point(spec.scenario.clone(), rate, config.users)
     })
@@ -218,9 +217,9 @@ fn point_json(p: &ChurnPoint) -> JsonValue {
 }
 
 /// Runs the sweep at one rate and reports it as a table (rows: scale ×
-/// replicate) and as JSON with **no timing fields**, so the bytes are
-/// identical for every `--jobs` setting — the CI churn gate `cmp`s this
-/// output across job counts.
+/// replicate) and as JSON with **no timing fields**, so the bytes are a pure
+/// function of the seed — the CI churn gate `cmp`s this output across two
+/// processes.
 pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Report {
     let points = run_points(config, scales, &[rate]);
     let table = table_from_points(&points);
@@ -234,7 +233,7 @@ pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Report {
 }
 
 /// The `--bench` churn section: the sweep over `scales` × `rates`, one
-/// replicate on one thread, each entry the point's JSON plus the
+/// replicate per point, each entry the point's JSON plus the
 /// incremental-repair cost next to what one full re-election costs — the
 /// numbers `check_bench.py` holds the repair path to (`mean_repair_ms ≪
 /// full_ccp_ms` at low rates and large scales).
@@ -283,21 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_jobs_invariant() {
+    fn sweep_runs_every_scale() {
         let config = ExperimentConfig {
             users: 2,
             ..ExperimentConfig::quick()
         };
-        let strip = |points: Vec<ChurnPoint>| {
-            points
-                .into_iter()
-                .map(|p| point_json(&p).to_string())
-                .collect::<Vec<_>>()
-        };
-        let serial = strip(run_points(&config.with_jobs(1), &[150, 250], &[0.1]));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150, 250], &[0.1]));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 2 * config.runs.max(1) as usize);
+        let points = run_points(&config, &[150, 250], &[0.1]);
+        assert_eq!(points.len(), 2 * config.runs.max(1) as usize);
     }
 
     #[test]

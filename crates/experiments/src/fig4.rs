@@ -49,8 +49,8 @@ pub struct Fig4Point {
     pub ci95: f64,
 }
 
-/// Runs the full sweep — all (speed × sleep × scheme × replicate) trials fan
-/// out over `config.jobs` workers — and returns every data point.
+/// Runs the full sweep — every (speed × sleep × scheme × replicate) trial, in
+/// plan order — and returns every data point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig4Point> {
     let mut plan = TrialPlan::new();
     let mut coords = Vec::new();
@@ -70,7 +70,7 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig4Point> {
             }
         }
     }
-    let summaries = plan.run_summaries(config.jobs, |o| o.success_ratio);
+    let summaries = plan.run_summaries(|o| o.success_ratio);
     coords
         .into_iter()
         .zip(summaries)

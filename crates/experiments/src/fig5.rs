@@ -24,9 +24,9 @@ fn steady_mean(series: &Series, skip: usize) -> f64 {
     }
 }
 
-/// Runs the two schemes (one trial each, in parallel when `config.jobs > 1`)
-/// and reports their per-period fidelity series and the steady-state mean
-/// fidelity of each after its warm-up.
+/// Runs the two schemes (one trial each) and reports their per-period
+/// fidelity series and the steady-state mean fidelity of each after its
+/// warm-up.
 pub fn run(config: &ExperimentConfig) -> Report {
     let base = config
         .base_scenario()
@@ -41,7 +41,7 @@ pub fn run(config: &ExperimentConfig) -> Report {
     for scheme in [Scheme::JustInTime, Scheme::Greedy] {
         plan.push_point(&single, base.clone().with_scheme(scheme));
     }
-    let mut traces = plan.run_map(config.jobs, |_, output| output.fidelity_series());
+    let mut traces = plan.run_map(|_, output| output.fidelity_series());
 
     let mut jit = Series::new("MQ-JIT");
     let mut greedy = Series::new("MQ-GP");

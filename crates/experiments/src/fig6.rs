@@ -45,8 +45,7 @@ pub struct Fig6Point {
     pub warmup_bound_s: f64,
 }
 
-/// Runs the sweep (all trials fanned out over `config.jobs` workers) and
-/// returns every data point.
+/// Runs the sweep and returns every data point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig6Point> {
     let mut plan = TrialPlan::new();
     let mut coords = Vec::new();
@@ -65,7 +64,7 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig6Point> {
             coords.push((sleep, ta, warmup));
         }
     }
-    let summaries = plan.run_summaries(config.jobs, |o| o.success_ratio);
+    let summaries = plan.run_summaries(|o| o.success_ratio);
     coords
         .into_iter()
         .zip(summaries)

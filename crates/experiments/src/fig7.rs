@@ -84,8 +84,7 @@ pub struct Fig7Point {
     pub success_ratio: f64,
 }
 
-/// Runs the sweep (all trials fanned out over `config.jobs` workers) and
-/// returns every data point.
+/// Runs the sweep and returns every data point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig7Point> {
     let mut plan = TrialPlan::new();
     let mut coords = Vec::new();
@@ -104,7 +103,7 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig7Point> {
             coords.push((variant, interval));
         }
     }
-    let summaries = plan.run_summaries(config.jobs, |o| o.success_ratio);
+    let summaries = plan.run_summaries(|o| o.success_ratio);
     coords
         .into_iter()
         .zip(summaries)

@@ -36,8 +36,7 @@ pub struct Fig8Point {
     pub jit_early_power_w: f64,
 }
 
-/// Runs the sweep (all trials fanned out over `config.jobs` workers) and
-/// returns every data point.
+/// Runs the sweep and returns every data point.
 ///
 /// Each sleep period contributes two plan points — a late profile
 /// (`Ta = −3 s`) and an early one (`Ta = 9 s`) — and every trial reports both
@@ -58,9 +57,7 @@ pub fn run_points(config: &ExperimentConfig) -> Vec<Fig8Point> {
         plan.push_point(config, base.with_planner_advance(9.0));
     }
 
-    let per_point = plan.run_map(config.jobs, |_, o| {
-        (o.mean_sleeping_power_w, o.baseline_sleeping_power_w)
-    });
+    let per_point = plan.run_map(|_, o| (o.mean_sleeping_power_w, o.baseline_sleeping_power_w));
     sleeps
         .iter()
         .zip(per_point.chunks_exact(2))

@@ -49,7 +49,7 @@ pub struct Report {
     pub json: JsonValue,
 }
 
-/// Controls how heavy each experiment is and how many worker threads run it.
+/// Controls how heavy each experiment is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Run the paper-scale version (`false`) or the scaled-down quick
@@ -60,9 +60,6 @@ pub struct ExperimentConfig {
     /// Base RNG seed; trial `r` of point `p` uses
     /// [`runner::trial_seed`]`(base_seed, p, r)`.
     pub base_seed: u64,
-    /// Worker threads for cross-trial fan-out (see [`wsn_sim::pool`]).
-    /// Results do not depend on this; only wall-clock does.
-    pub jobs: usize,
     /// Largest fleet size of the [`multiuser`] sweep (`--users`); the sweep
     /// ladders up to it in powers of two.
     pub users: usize,
@@ -75,7 +72,6 @@ impl ExperimentConfig {
             quick: false,
             runs: 3,
             base_seed: 42,
-            jobs: 1,
             users: 64,
         }
     }
@@ -86,16 +82,8 @@ impl ExperimentConfig {
             quick: true,
             runs: 1,
             base_seed: 42,
-            jobs: 1,
             users: 8,
         }
-    }
-
-    /// Returns the configuration with `jobs` worker threads for trial
-    /// fan-out. Pass [`wsn_sim::pool::available_jobs`] to use every core.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Returns the configuration with the multi-user sweep laddering up to
@@ -106,13 +94,9 @@ impl ExperimentConfig {
     }
 
     /// The configuration a `--bench` section runs its sweep under: one
-    /// replicate on one thread, so every timing is one trial's own.
+    /// replicate, so every timing is one trial's own.
     pub(crate) fn single_trial(self) -> Self {
-        ExperimentConfig {
-            runs: 1,
-            jobs: 1,
-            ..self
-        }
+        ExperimentConfig { runs: 1, ..self }
     }
 
     /// The base scenario for this configuration: the paper's Section 6.1

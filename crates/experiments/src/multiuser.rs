@@ -116,9 +116,8 @@ struct Timing {
 }
 
 /// Plans one point per fleet size of `ladder` on `scenario`, replicated
-/// `config.runs` times and fanned out over `config.jobs` workers, runs each
-/// trial through [`run_equivalent_pair`] with `samples` timed runs per mode
-/// and aggregates one point per fleet size.
+/// `config.runs` times, runs each trial through [`run_equivalent_pair`] with
+/// `samples` timed runs per mode and aggregates one point per fleet size.
 fn sweep(
     config: &ExperimentConfig,
     scenario: &Scenario,
@@ -129,21 +128,19 @@ fn sweep(
     for _ in ladder {
         plan.push_point(config, scenario.clone());
     }
-    plan.run_trials(config.jobs, |spec| {
-        run_equivalent_pair(&spec.scenario, ladder[spec.point_index], samples)
-    })
-    .into_iter()
-    .zip(ladder)
-    .map(|(replicates, &users)| {
-        let [(shared, shared_ms), (_, naive_ms)] = &replicates[0];
-        let timing = Timing {
-            shared_ms: *shared_ms,
-            naive_ms: *naive_ms,
-            shared_events: shared.events_processed,
-        };
-        (point(users, &replicates), timing)
-    })
-    .collect()
+    plan.run_trials(|spec| run_equivalent_pair(&spec.scenario, ladder[spec.point_index], samples))
+        .into_iter()
+        .zip(ladder)
+        .map(|(replicates, &users)| {
+            let [(shared, shared_ms), (_, naive_ms)] = &replicates[0];
+            let timing = Timing {
+                shared_ms: *shared_ms,
+                naive_ms: *naive_ms,
+                shared_events: shared.events_processed,
+            };
+            (point(users, &replicates), timing)
+        })
+        .collect()
 }
 
 /// Aggregates one fleet size's replicates, each a shared and a naive run.
@@ -176,8 +173,8 @@ fn point(users: usize, replicates: &[[(MultiUserOutput, f64); 2]]) -> MultiuserP
 }
 
 /// Runs the sweep over [`user_ladder`] on the configuration's base scenario
-/// — every (fleet size × replicate) trial fans out over `config.jobs`
-/// workers — and returns one aggregated point per fleet size.
+/// — every (fleet size × replicate) trial, in plan order — and returns one
+/// aggregated point per fleet size.
 pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
     sweep(config, &config.base_scenario(), &user_ladder(config), 1)
         .into_iter()
@@ -243,7 +240,7 @@ fn point_json(p: &MultiuserPoint) -> JsonValue {
 /// Runs the sweep and reports it as a table (rows: fleet size); the JSON
 /// adds every data point at full float precision (including per-user
 /// summaries of the first replicate). Deliberately excludes timing so the
-/// bytes are identical for every job count.
+/// bytes are a pure function of the configuration.
 pub fn run(config: &ExperimentConfig) -> Report {
     let points = run_points(config);
     let table = table_from_points(&points);
@@ -260,7 +257,7 @@ pub fn run(config: &ExperimentConfig) -> Report {
 }
 
 /// The `--bench` multi-user section: the sweep over `ladder` on `scenario`,
-/// one replicate on one thread, each entry the point's JSON plus the
+/// one replicate per point, each entry the point's JSON plus the
 /// best-of-3 wall-clock of each sharing mode.
 ///
 /// Timings are a trajectory snapshot (machine-dependent); the rest of each
@@ -303,22 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_jobs_invariant_and_shares_trees() {
+    fn sweep_shares_trees() {
         let config = ExperimentConfig {
             users: 4,
             ..ExperimentConfig::quick()
         };
-        let serial = run_points(&config.with_jobs(1));
-        let parallel = run_points(&config.with_jobs(4));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 3, "ladder 1, 2, 4");
+        let points = run_points(&config);
+        assert_eq!(points.len(), 3, "ladder 1, 2, 4");
         // The naive baseline builds one tree per install, always.
-        for p in &serial {
+        for p in &points {
             assert_eq!(p.trees_built_naive, p.installs);
             assert!(p.sharing_ratio <= 1.0);
         }
         // By 4 users on the quick 2×2 lattice, sharing must have kicked in.
-        let last = serial.last().unwrap();
+        let last = points.last().unwrap();
         assert!(
             last.trees_built_shared < last.trees_built_naive,
             "expected shared < naive trees at {} users",

@@ -9,8 +9,8 @@
 //! the two protocol variants the tentpole exists to separate.
 //!
 //! Deterministic outputs (`repro resilience`, [`run`]) deliberately exclude
-//! every wall-clock field so the bytes are identical for every `--jobs`
-//! setting; the CI chaos gate `cmp`s them across job counts. The `--bench`
+//! every wall-clock field so the bytes are a pure function of the seed;
+//! `tests/golden/resilience_quick.json` pins them. The `--bench`
 //! section ([`run_bench`]) is the same points' JSON plus each trial's
 //! wall-clock, and is where `check_bench.py` holds recovery-on to strictly
 //! higher mean delivery than recovery-off at every nonzero loss rate.
@@ -21,7 +21,6 @@ use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing};
 use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
-use wsn_sim::pool;
 
 /// The loss ladder swept for a top rate `R`: the sweep compares recovery
 /// on/off at `R/4`, `R/2` and `R` so one `--fault-loss` flag yields a
@@ -163,40 +162,36 @@ pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> R
     }
 }
 
-/// Runs every (scale × loss × replicate × recovery) trial — fanned out over
-/// `config.jobs` workers — in deterministic trial order. `fault` sets every
-/// fault parameter but the loss and the recovery flag. The grid is
-/// scale-major; the seed derives from the (scale, loss) point's index and
-/// the replicate but NOT from the recovery flag, so each on/off pair faces
-/// the identical fault schedule.
+/// Runs every (scale × loss × replicate × recovery) trial in grid order.
+/// `fault` sets every fault parameter but the loss and the recovery flag.
+/// The grid is scale-major; the seed derives from the (scale, loss) point's
+/// index and the replicate but NOT from the recovery flag, so each on/off
+/// pair faces the identical fault schedule.
 pub fn run_points(
     config: &ExperimentConfig,
     scales: &[usize],
     losses: &[f64],
     fault: FaultConfig,
 ) -> Vec<ResiliencePoint> {
-    let runs = config.runs.max(1);
-    let mut trials = Vec::new();
+    let mut points = Vec::new();
     let mut point = 0usize;
     for &nodes in scales {
         for &loss in losses {
-            for replicate in 0..runs {
+            for replicate in 0..config.runs.max(1) {
                 let seed = trial_seed(config.base_seed, point, replicate);
                 for recovery in [true, false] {
-                    let config = FaultConfig {
+                    let arm = FaultConfig {
                         loss,
                         recovery,
                         ..fault
                     };
-                    trials.push((nodes, config, seed));
+                    points.push(run_point(nodes, arm, config.users, seed));
                 }
             }
             point += 1;
         }
     }
-    pool::run_indexed(config.jobs, trials, |_, (nodes, fault, seed)| {
-        run_point(nodes, fault, config.users, seed)
-    })
+    points
 }
 
 fn table_from_points(points: &[ResiliencePoint]) -> Table {
@@ -255,8 +250,8 @@ fn point_json(p: &ResiliencePoint) -> JsonValue {
 
 /// Runs the sweep over [`loss_ladder`]`(fault.loss)` and reports it as a
 /// table (rows: scale × loss × replicate × recovery) and as JSON with **no
-/// timing fields**, so the bytes are identical for every `--jobs` setting —
-/// the CI chaos gate `cmp`s this output across job counts.
+/// timing fields**, so the bytes are a pure function of the seed —
+/// `tests/golden/resilience_quick.json` pins this output.
 pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> Report {
     let points = run_points(config, scales, &loss_ladder(fault.loss), fault);
     let table = table_from_points(&points);
@@ -274,7 +269,7 @@ pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> R
 }
 
 /// The `--bench` resilience section: the sweep over `scales` × `losses`,
-/// one replicate on one thread, with recovery on and off on the identical
+/// one replicate per point, with recovery on and off on the identical
 /// fault schedule, each entry the point's JSON plus the trial's wall-clock.
 /// `check_bench.py` holds recovery-on to strictly higher
 /// `mean_delivery_ratio` than recovery-off at every nonzero loss.
@@ -329,23 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_jobs_invariant() {
+    fn sweep_runs_recovery_on_and_off_at_every_loss() {
         let config = ExperimentConfig {
             users: 2,
             ..ExperimentConfig::quick()
         };
         let fault = FaultConfig::new(0.2);
-        let strip = |points: Vec<ResiliencePoint>| {
-            points
-                .into_iter()
-                .map(|p| point_json(&p).to_string())
-                .collect::<Vec<_>>()
-        };
-        let ladder = loss_ladder(fault.loss);
-        let serial = strip(run_points(&config.with_jobs(1), &[150], &ladder, fault));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150], &ladder, fault));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 3 * 2, "ladder of three, on and off each");
+        let points = run_points(&config, &[150], &loss_ladder(fault.loss), fault);
+        assert_eq!(points.len(), 3 * 2, "ladder of three, on and off each");
     }
 
     #[test]

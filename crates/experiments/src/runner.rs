@@ -1,30 +1,24 @@
 //! The trial-execution subsystem: declarative plans of independent
-//! simulation trials, executed serially or fanned out across worker threads
-//! with bit-identical results either way.
+//! simulation trials, run in plan order on the calling thread.
 //!
 //! Every figure sweep, like the multi-user and churn sweeps, is the same
 //! shape — a grid of *points* (one scenario each), each point replicated
-//! over a few independent topologies — and the trials are embarrassingly
-//! parallel because both engines are deliberately single-threaded per run.
-//! This module makes that structure explicit:
+//! over a few independent topologies. This module makes that structure
+//! explicit:
 //!
 //! 1. a sweep *flattens* its nested parameter loops into a
 //!    [`TrialPlan`] (a `Vec<TrialSpec>` of scenario + derived seed + point
 //!    coordinates) instead of running anything inline,
-//! 2. the plan executes on the [`wsn_sim::pool`] work-stealing pool with
-//!    up to [`ExperimentConfig::jobs`] workers, and
-//! 3. results come back grouped by point **in plan order**, regardless of
-//!    worker count or scheduling.
+//! 2. the plan runs its trials one after another, in plan order, and
+//! 3. results come back grouped by point in plan order.
 //!
-//! Determinism hinges on the seeds: each trial's seed is a pure function
-//! [`trial_seed`]`(base_seed, point_index, replicate)` — not a function of
-//! which thread ran it or when — so `--jobs 1` and `--jobs N` produce
-//! byte-identical figures, which CI enforces by diffing JSON output.
+//! Each trial's seed is a pure function
+//! [`trial_seed`]`(base_seed, point_index, replicate)` of its coordinates,
+//! so a trial's result does not depend on which other trials the plan holds.
 
 use crate::{run_scenario, ExperimentConfig};
 use mobiquery::config::Scenario;
 use mobiquery::sim::SimulationOutput;
-use wsn_sim::pool;
 use wsn_sim::stats::Summary;
 
 /// Derives the RNG seed for one trial from the experiment's base seed and
@@ -35,11 +29,10 @@ use wsn_sim::stats::Summary;
 /// replicates) still get statistically independent streams — unlike the
 /// additive `base_seed + r` scheme this replaces, which reused the same seeds
 /// at every point. The function is pure: the seed depends only on
-/// `(base_seed, point_index, replicate)`, never on execution order, which is
-/// what makes parallel and serial execution bit-identical. The multi-user
-/// simulation derives its per-user and per-query streams through the same
-/// mixer (with distinct stream tags), so one scheme covers the whole
-/// workspace; the exact output is pinned by `tests/parallel_determinism.rs`.
+/// `(base_seed, point_index, replicate)`, never on execution order. The
+/// multi-user simulation derives its per-user and per-query streams through
+/// the same mixer (with distinct stream tags), so one scheme covers the whole
+/// workspace; the exact output is pinned by this module's tests.
 pub fn trial_seed(base_seed: u64, point_index: usize, replicate: u64) -> u64 {
     wsn_sim::mix_seed(
         base_seed,
@@ -125,25 +118,15 @@ impl TrialPlan {
         &self.trials
     }
 
-    /// Runs `trial` on every trial spec on up to `jobs` worker threads and
-    /// returns the results grouped by point in plan order.
+    /// Runs `trial` on every trial spec in plan order and returns the
+    /// results grouped by point.
     ///
-    /// `trial` runs on a worker thread, so heavy outputs (query logs, series)
-    /// can be reduced to small values before crossing back; what it returns
-    /// must not depend on anything but the spec, or determinism across job
-    /// counts is lost.
-    pub fn run_trials<R, F>(self, jobs: usize, trial: F) -> Vec<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&TrialSpec) -> R + Sync,
-    {
-        let points = self.points;
-        let results = pool::run_indexed(jobs, self.trials, |_, spec| {
-            (spec.point_index, trial(&spec))
-        });
-        let mut grouped: Vec<Vec<R>> = (0..points).map(|_| Vec::new()).collect();
-        for (point_index, value) in results {
-            grouped[point_index].push(value);
+    /// Heavy outputs (query logs, series) can be reduced to small values
+    /// inside `trial`, so only those are kept.
+    pub fn run_trials<R>(self, mut trial: impl FnMut(&TrialSpec) -> R) -> Vec<Vec<R>> {
+        let mut grouped: Vec<Vec<R>> = (0..self.points).map(|_| Vec::new()).collect();
+        for spec in &self.trials {
+            grouped[spec.point_index].push(trial(spec));
         }
         grouped
     }
@@ -152,23 +135,16 @@ impl TrialPlan {
     /// output through `extract` and returns the extracted values grouped by
     /// point in plan order, under [`run_trials`](TrialPlan::run_trials)'
     /// rules.
-    pub fn run_map<R, F>(self, jobs: usize, extract: F) -> Vec<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&TrialSpec, &SimulationOutput) -> R + Sync,
-    {
-        self.run_trials(jobs, |spec| {
-            extract(spec, &run_scenario(spec.scenario.clone()))
-        })
+    pub fn run_map<R>(
+        self,
+        mut extract: impl FnMut(&TrialSpec, &SimulationOutput) -> R,
+    ) -> Vec<Vec<R>> {
+        self.run_trials(|spec| extract(spec, &run_scenario(spec.scenario.clone())))
     }
 
     /// Runs every trial and summarises a single scalar `metric` per point.
-    pub fn run_summaries(
-        self,
-        jobs: usize,
-        metric: impl Fn(&SimulationOutput) -> f64 + Sync,
-    ) -> Vec<Summary> {
-        self.run_map(jobs, |_, output| metric(output))
+    pub fn run_summaries(self, metric: impl Fn(&SimulationOutput) -> f64) -> Vec<Summary> {
+        self.run_map(|_, output| metric(output))
             .into_iter()
             .map(|values| values.into_iter().collect())
             .collect()
@@ -230,7 +206,7 @@ mod tests {
         let mut plan = TrialPlan::new();
         plan.push_point(&config, config.base_scenario().with_duration_secs(20.0));
         plan.push_point(&config, config.base_scenario().with_duration_secs(20.0));
-        let summaries = plan.run_summaries(2, |o| o.mean_fidelity);
+        let summaries = plan.run_summaries(|o| o.mean_fidelity);
         assert_eq!(summaries.len(), 2);
         for s in &summaries {
             assert_eq!(s.count(), 2);
@@ -238,26 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_plans_agree() {
-        let config = ExperimentConfig {
-            runs: 2,
-            ..ExperimentConfig::quick()
-        };
-        let build = || {
-            let mut plan = TrialPlan::new();
-            for sleep in [3.0, 15.0] {
-                plan.push_point(
-                    &config,
-                    config
-                        .base_scenario()
-                        .with_duration_secs(20.0)
-                        .with_sleep_period_secs(sleep),
-                );
-            }
-            plan
-        };
-        let serial = build().run_summaries(1, |o| o.success_ratio);
-        let parallel = build().run_summaries(4, |o| o.success_ratio);
-        assert_eq!(serial, parallel);
+    fn trial_seeds_are_stable_across_releases() {
+        // The committed BENCH/results artifacts depend on the seed derivation;
+        // pin a few values so an accidental change to the mixer is caught here
+        // rather than as a mysterious golden diff.
+        assert_eq!(trial_seed(42, 0, 0), 13675133952202209295);
+        assert_eq!(trial_seed(42, 3, 1), 1535636025250397661);
+        assert_ne!(trial_seed(42, 0, 1), trial_seed(42, 1, 0));
+        assert_ne!(trial_seed(42, 2, 0), trial_seed(43, 2, 0));
     }
 }

@@ -5,7 +5,7 @@
 //! re-electing from scratch. One [`ChurnBatch`] captures what each batch did
 //! and what the repair touched; [`ChurnSummary`] aggregates a run. The
 //! deterministic fields (everything except the wall-clock timings) are what
-//! the CI determinism gate compares across `--jobs` settings.
+//! the churn golden pins byte-for-byte.
 
 /// What one churn batch did and what its incremental repair cost.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,8 +7,8 @@
 //!
 //! * **Determinism.** Object keys render in insertion order and numbers render
 //!   via Rust's shortest-round-trip float formatting, so identical values
-//!   produce identical bytes. CI diffs `--jobs 1` against `--jobs N` output
-//!   byte-for-byte on the strength of this.
+//!   produce identical bytes. The CLI goldens and CI's cross-process reruns
+//!   compare output byte-for-byte on the strength of this.
 //! * **Validity.** Strings are escaped per RFC 8259 and non-finite floats
 //!   (which JSON cannot represent) render as `null`.
 

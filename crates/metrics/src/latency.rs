@@ -5,8 +5,8 @@
 //! load generator reports p50/p99 instead. Percentiles here use the
 //! **nearest-rank** definition — `p_q = sorted[⌈q/100 · n⌉ - 1]` — which
 //! always returns an actual sample: no interpolation, so the reported number
-//! is bit-identical across job counts and platforms (the JSON determinism
-//! gates rely on this).
+//! is bit-identical across runs and platforms (the JSON goldens rely on
+//! this).
 
 /// Latency distribution of a sample set, summarised by its tail.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,8 +6,8 @@
 //! One [`FaultBatch`] captures what each boundary injected and what the
 //! recovery machinery did about it; [`ResilienceSummary`] aggregates a run.
 //! Every field is deterministic in the scenario seed (there are no
-//! wall-clock timings here), so whole logs are compared byte-for-byte by
-//! the CI chaos gate across `--jobs` settings.
+//! wall-clock timings here), so whole logs are compared byte-for-byte
+//! against `tests/golden/resilience_quick.json`.
 
 use crate::query::QueryLog;
 

@@ -6,7 +6,7 @@
 //! scheme: user `u`'s generator is seeded with
 //! [`mix_seed`]`(base_seed, &[FLEET_STREAM, u])`, so the fleet is a pure
 //! function of `(config, source, users, base_seed)` — independent of
-//! generation order, job count, or which sharing mode consumes it — and
+//! generation order or which sharing mode consumes it — and
 //! member `u` of an `N`-user fleet is bit-identical to member `u` of an
 //! `M`-user fleet for any `M > u`.
 

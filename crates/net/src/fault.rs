@@ -37,11 +37,11 @@
 //! exactly like `ChurnBatchPlan`: the schedule for boundary `b` is a pure
 //! function of `(seed, b)` plus the chain state accumulated over boundaries
 //! `1..b`, and [`FaultPlan::advance`] is called once per boundary from the
-//! serial section of the stepped engine — so the schedule is byte-identical
-//! for any `--jobs`. A plan with `loss == 0`, `crash_rate == 0` and no
-//! blackout draws **zero** random numbers (`SimRng::gen_bool(0.0)` consumes
-//! no draw), which is what lets a rate-0 faulted engine stay byte-identical
-//! to the fault-free engine.
+//! serial section of the stepped engine — so the schedule does not depend on
+//! which queries ride the run. A plan with `loss == 0`, `crash_rate == 0` and
+//! no blackout draws **zero** random numbers (`SimRng::gen_bool(0.0)`
+//! consumes no draw), which is what lets a rate-0 faulted engine stay
+//! byte-identical to the fault-free engine.
 
 use std::error::Error;
 use std::fmt;
@@ -261,8 +261,7 @@ impl FaultPlan {
     /// Advance every node's channel state across one boundary and draw this
     /// boundary's crash victims. Call once per boundary, in ascending order,
     /// from serial code: the per-boundary sub-stream RNGs make the result a
-    /// pure function of `(seed, boundary)` and the prior state, independent
-    /// of worker count.
+    /// pure function of `(seed, boundary)` and the prior state.
     pub fn advance(&mut self, boundary: u64) -> FaultBatchPlan {
         let p_gb = self.config.good_to_bad();
         let p_bg = self.config.bad_to_good();

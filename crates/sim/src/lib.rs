@@ -17,10 +17,7 @@
 //! intentionally single-threaded: wireless protocol simulations of this
 //! scale (hundreds of nodes, hundreds of simulated seconds) are dominated by
 //! event ordering rather than raw compute, and determinism is worth far more
-//! than parallelism for reproducing published figures. Parallelism happens
-//! one level up instead: independent runs fan out across worker threads
-//! through the [`pool`] module, which preserves input order so results are
-//! identical whatever the worker count.
+//! than parallelism for reproducing published figures.
 //!
 //! ```
 //! use wsn_sim::{Duration, EventQueue, SimTime};
@@ -49,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod pool;
 mod rng;
 pub mod stats;
 mod time;

@@ -1,28 +1,25 @@
-//! Parallel sweep: build a custom `TrialPlan` and fan it out across every
-//! core, exactly as the figure modules do internally.
+//! Density sweep: build a custom `TrialPlan` and run it, exactly as the
+//! figure modules do internally.
 //!
 //! The sweep asks a deployment question the paper doesn't plot directly —
 //! how does the success ratio change with the *density* of the deployment? —
-//! and runs all (node count × replicate) trials through the work-stealing
-//! pool. Per-trial seeds are derived from the plan coordinates, so rerunning
-//! with any number of jobs prints identical numbers.
+//! and runs all (node count × replicate) trials in plan order. Per-trial
+//! seeds are derived from the plan coordinates, so every rerun prints
+//! identical numbers.
 //!
 //! ```text
-//! cargo run --release --example parallel_sweep
+//! cargo run --release --example density_sweep
 //! ```
 
 use mobiquery_repro::experiments::runner::TrialPlan;
 use mobiquery_repro::experiments::ExperimentConfig;
 use mobiquery_repro::metrics::Table;
-use mobiquery_repro::sim::pool;
 
 fn main() {
-    let jobs = pool::available_jobs();
     let config = ExperimentConfig {
         runs: 2,
         ..ExperimentConfig::quick()
-    }
-    .with_jobs(jobs);
+    };
 
     let node_counts = [60, 90, 120];
     let mut plan = TrialPlan::new();
@@ -30,13 +27,13 @@ fn main() {
         plan.push_point(&config, config.base_scenario().with_node_count(nodes));
     }
     println!(
-        "running {} trials ({} points x {} replicates) on {jobs} worker(s)...",
+        "running {} trials ({} points x {} replicates)...",
         plan.trial_count(),
         plan.point_count(),
         config.runs
     );
 
-    let summaries = plan.run_summaries(config.jobs, |out| out.success_ratio);
+    let summaries = plan.run_summaries(|out| out.success_ratio);
 
     let mut table = Table::with_columns(
         "Success ratio vs deployment density (MQ-JIT, quick scenario)",

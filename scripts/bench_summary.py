@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Render a mobiquery-repro/bench/v10 document as GitHub-flavored markdown.
+"""Render a mobiquery-repro/bench/v11 document as GitHub-flavored markdown.
 
-Used by .github/workflows/ci.yml to append both the fresh bench run and the
-committed BENCH_repro.json trajectory to $GITHUB_STEP_SUMMARY:
+ci.sh appends both the fresh bench run and the committed BENCH_repro.json
+trajectory to $GITHUB_STEP_SUMMARY (when that is set):
 
     python3 scripts/bench_summary.py "fresh run" bench.json >> "$GITHUB_STEP_SUMMARY"
 
@@ -33,20 +33,8 @@ def section(title, body):
 
 
 def figures_table(doc):
-    rows = [
-        [f["name"], f["serial_ms"], f["parallel_ms"], f["speedup"]]
-        for f in doc.get("figures", [])
-    ]
-    return table(["target", "serial ms", "parallel ms", "speedup"], rows)
-
-
-def steady_allocs_line(doc):
-    if "steady_allocs_per_period" not in doc:
-        return ""
-    return (
-        f"Steady-state heap allocations per period: "
-        f"**{doc['steady_allocs_per_period']}**\n"
-    )
+    rows = [[f["name"], f["serial_ms"]] for f in doc.get("figures", [])]
+    return table(["target", "serial ms"], rows)
 
 
 def scale_table(doc):
@@ -205,10 +193,8 @@ def render(title, doc):
     out = [
         f"## Bench: {title}\n",
         f"`{doc.get('schema', '?')}` — mode {doc.get('mode', '?')}, "
-        f"{doc.get('host_cores', '?')} host cores, "
-        f"{doc.get('parallel_jobs', '?')} parallel jobs\n",
-        steady_allocs_line(doc),
-        section("Per-target serial vs parallel", figures_table(doc)),
+        f"{doc.get('host_cores', '?')} host cores\n",
+        section("Per-target wall clock", figures_table(doc)),
         section("Scale sweep", scale_table(doc)),
         section("Multi-user tree economy", multiuser_table(doc)),
         section("Churn: incremental repair vs full re-election", churn_table(doc)),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench.py, the bench/v10 schema gate.
+"""Unit tests for check_bench.py, the bench/v11 schema gate.
 
-Run from the repository root (the CI lint job does exactly this):
+Run from the repository root (ci.sh does exactly this):
 
     python3 -m unittest discover -s scripts
 
@@ -18,10 +18,9 @@ import check_bench
 def valid_doc():
     """The smallest document every check in check_bench.py accepts."""
     return {
-        "schema": "mobiquery-repro/bench/v10",
+        "schema": "mobiquery-repro/bench/v11",
         "host_cores": 4,
         "users": 8,
-        "steady_allocs_per_period": 0,
         "scale": [
             {
                 "nodes": 1000,
@@ -138,23 +137,12 @@ class CheckDocTest(unittest.TestCase):
 
     def test_wrong_schema_rejected(self):
         self.assert_rejected(
-            lambda d: d.update(schema="mobiquery-repro/bench/v9"), "v9"
+            lambda d: d.update(schema="mobiquery-repro/bench/v10"), "v10"
         )
 
     def test_missing_header_fields_rejected(self):
         self.assert_rejected(lambda d: d.pop("host_cores"), "host_cores")
         self.assert_rejected(lambda d: d.update(users=0), "users")
-
-
-class CheckEventLoopTest(CheckDocTest):
-    def test_nonzero_steady_allocations_rejected(self):
-        # The whole point of the zero-alloc PR: "small" is not zero.
-        self.assert_rejected(
-            lambda d: d.update(steady_allocs_per_period=1), "allocated 1"
-        )
-        self.assert_rejected(
-            lambda d: d.pop("steady_allocs_per_period"), "allocated"
-        )
 
 
 class CheckScaleTest(CheckDocTest):

@@ -12,15 +12,9 @@
 //!
 //! Full mode uses the paper's settings (200 nodes, 450 m field, 400–500 s
 //! runs); `--quick` runs a scaled-down variant that preserves the qualitative
-//! comparisons and finishes in seconds. Trials fan out across worker threads
-//! (`--jobs`); per-trial seeds are derived from the plan coordinates, so the
-//! output is byte-identical whatever the job count — CI diffs `--jobs 1`
-//! against `--jobs 4` to enforce exactly that.
-
-// The bench document's `steady_allocs_per_period` needs a counting global
-// allocator, and `GlobalAlloc` is an unsafe trait; this binary is its own
-// crate root, so the allow is scoped to exactly this file.
-#![allow(unsafe_code)]
+//! comparisons and finishes in seconds. Every target runs its trials in plan
+//! order on the calling thread; per-trial seeds are derived from the plan
+//! coordinates, so the output is a pure function of the options.
 
 use mobiquery::config::Scheme;
 use mobiquery::sim::{ChurnConfig, FaultConfig, TreeSharing};
@@ -30,12 +24,9 @@ use mobiquery_experiments::{
 };
 use mobiquery_service::load::run_load;
 use mobiquery_service::serve::run_serve;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use wsn_metrics::JsonValue;
-use wsn_sim::pool;
 
 const USAGE: &str = "usage: repro [options] <fig4|fig5|fig6|fig7|fig8|analysis|multiuser|all>
        repro [options] --churn-rate R churn
@@ -51,8 +42,6 @@ the node-churn sweep (`churn`), the fault-injection resilience sweep
 Options:
   --quick            use the scaled-down scenario (fast, same qualitative shape)
   --runs N           topologies averaged per data point (default 3 full / 1 quick)
-  --jobs N           worker threads for the trial fan-out (default: all cores);
-                     results are byte-identical for every N
   --users N          largest fleet of the multiuser sweep (default 8 quick /
                      64 full); the sweep ladders up to N in powers of two, the
                      bench multiuser ladder is capped at N, and every trial
@@ -72,8 +61,7 @@ Options:
                      in query periods (L >= 1, default 4)
   --format FMT       output format: text (default) or json
   --out PATH         write the output to PATH instead of stdout
-  --bench PATH       time every requested target serial (--jobs 1) vs parallel,
-                     verify both give identical results, and write the timings
+  --bench PATH       time every requested target once and write the timings
                      as JSON to PATH (the BENCH_repro.json trajectory format);
                      not combinable with --out/--format
   --scale N1,N2,...  with --bench: also sweep deployment sizes (e.g.
@@ -118,9 +106,10 @@ Service options:
   --out PATH         write the JSON to PATH instead of stdout
   -h, --help         print this help and exit";
 
-/// Every batch target, once. `all` runs those with `in_all`: the figures and
-/// tables that reproduce the paper's static evaluation. Churn and fault
-/// injection are explicit opt-ins with their own required rate.
+/// Every batch target, once. `all` stands for those with `in_all`, in table
+/// order: the figures and tables that reproduce the paper's static
+/// evaluation. Churn and fault injection are explicit opt-ins with their own
+/// required rate.
 const TARGETS: [Target; 9] = [
     Target::in_all("analysis", |_, _| analysis_tables::run()),
     Target::in_all("fig4", |config, _| fig4::run(config)),
@@ -153,8 +142,7 @@ struct Target {
     run: RunTarget,
 }
 
-/// Runs a target under a configuration (the bench passes two job counts)
-/// and the parsed options.
+/// Runs a target under a configuration and the parsed options.
 type RunTarget = fn(&ExperimentConfig, &Cli) -> Report;
 
 impl Target {
@@ -210,8 +198,8 @@ impl Mode {
 /// does not take at their defaults.
 #[derive(Default)]
 struct Cli {
-    /// `--quick`, `--runs`, `--jobs` and `--users` applied to the quick or
-    /// full configuration.
+    /// `--quick`, `--runs` and `--users` applied to the quick or full
+    /// configuration.
     config: ExperimentConfig,
     out: Option<String>,
     /// `--fault-loss`, `--fault-burst` and `--no-recovery`, validated.
@@ -281,7 +269,7 @@ fn value<T: FromStr>(
 fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop> {
     let (batch, service, prog) = (mode == Mode::Batch, mode != Mode::Batch, mode.prog());
     let mut cli = Cli::default();
-    let (mut quick, mut runs, mut jobs, mut users) = (false, None, None, None);
+    let (mut quick, mut runs, mut users) = (false, None, None);
     let (mut fault_loss, mut fault_burst, mut no_recovery) = (None, None, false);
     let mut churn_rate = None;
     while let Some(arg) = args.next() {
@@ -302,7 +290,6 @@ fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop
                 cli.duration = Some(value(&mut args, |&n: &u64| n >= 1)?);
             }
             "--runs" if batch => runs = Some(value(&mut args, |&n: &u64| n >= 1)?),
-            "--jobs" if batch => jobs = Some(value(&mut args, |&n: &usize| n >= 1)?),
             "--users" if batch => users = Some(value(&mut args, |&n: &usize| n >= 1)?),
             "--format" if batch => {
                 cli.format = Some(value(&mut args, |f: &String| f == "text" || f == "json")?);
@@ -362,7 +349,6 @@ fn parse(mode: Mode, mut args: impl Iterator<Item = String>) -> Result<Cli, Stop
     if let Some(n) = runs {
         config.runs = n;
     }
-    config = config.with_jobs(jobs.unwrap_or_else(pool::available_jobs));
     if let Some(n) = users {
         config = config.with_users(n);
     }
@@ -392,63 +378,6 @@ const BENCH_FAULT_NODES: usize = 1000;
 
 /// Fleet size of the bench resilience section.
 const BENCH_FAULT_USERS: usize = 4;
-
-/// Counts heap allocations so the bench document can prove the stepped
-/// engine's warm loop is allocation-free (the `steady_allocs_per_period`
-/// field, asserted `== 0` by `scripts/check_bench.py`). Counting is a single
-/// relaxed atomic increment over the system allocator — noise-level overhead
-/// for every other mode of the binary.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed counter increment,
-// which cannot affect allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged to the system allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout`/`new_size` are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations per warm period boundary of the steady-state probe
-/// ([`mobiquery_repro::steady`]): steps every measurable warm boundary and
-/// returns the *maximum* per-boundary allocation count — the number the
-/// committed trajectory pins at exactly zero.
-fn steady_allocs_per_period() -> u64 {
-    let mut sim = mobiquery_repro::steady::warmed_sim(24, 4, 11);
-    let mut worst = 0u64;
-    while sim.next_boundary() + 2 <= sim.max_k() {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        sim.step_period()
-            .expect("the steady probe steps cleanly by construction");
-        worst = worst.max(ALLOCS.load(Ordering::Relaxed) - before);
-    }
-    sim.run_to_end()
-        .expect("the steady probe steps cleanly by construction");
-    let out = sim.finish();
-    assert!(
-        out.logs.iter().all(|log| log.len() == 24),
-        "the steady probe must resolve every period"
-    );
-    worst
-}
 
 /// The `repro serve` / `repro load` subcommands.
 fn run_service(mode: Mode, cli: &Cli) -> Result<ExitCode, Stop> {
@@ -490,19 +419,23 @@ fn run_batch(cli: &Cli) -> Result<ExitCode, Stop> {
     if cli.targets.is_empty() {
         return Err(Stop::Usage(None));
     }
-    let targets: Vec<&Target> = if cli.targets.iter().any(|t| t == "all") {
-        TARGETS.iter().filter(|t| t.in_all).collect()
-    } else {
-        cli.targets
+    // `all` expands in place; each target runs once, in order of first
+    // mention.
+    let mut targets: Vec<&Target> = Vec::new();
+    for name in &cli.targets {
+        let named: Vec<&Target> = TARGETS
             .iter()
-            .map(|name| {
-                TARGETS
-                    .iter()
-                    .find(|t| t.name == name)
-                    .ok_or_else(|| usage(format!("repro: unknown target {name}")))
-            })
-            .collect::<Result<_, _>>()?
-    };
+            .filter(|t| t.name == name || (name == "all" && t.in_all))
+            .collect();
+        if named.is_empty() {
+            return Err(usage(format!("repro: unknown target {name}")));
+        }
+        for target in named {
+            if !targets.iter().any(|t| t.name == target.name) {
+                targets.push(target);
+            }
+        }
+    }
     for target in &targets {
         if let Some(flag) = target.requires.filter(|flag| !cli.has(flag)) {
             let name = target.name;
@@ -532,8 +465,8 @@ fn run_batch(cli: &Cli) -> Result<ExitCode, Stop> {
 
     let reports = targets.iter().map(|t| (t.name, (t.run)(config, cli)));
     let content = if cli.format.as_deref() == Some("json") {
-        // Deliberately excludes the job count and any timing: the bytes must
-        // be identical for every `--jobs N`.
+        // Deliberately excludes any timing: the bytes are a pure function of
+        // the options.
         let mut results = JsonValue::object();
         for (name, report) in reports {
             results = results.with(name, report.json);
@@ -551,35 +484,18 @@ fn run_batch(cli: &Cli) -> Result<ExitCode, Stop> {
     Ok(emit(&content, cli.out.as_deref()))
 }
 
-/// The `--bench` document: per-target wall-clock, serial vs parallel, plus a
-/// determinism cross-check that both job counts produced identical results,
-/// and (when `--scale` is given) the deployment-size sweep.
+/// The `--bench` document: per-target wall-clock and (when `--scale` is
+/// given) the deployment-size sweep.
 fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
     let (config, scales) = (&cli.config, &cli.scales);
     let mut figures = Vec::new();
     for target in targets {
-        let timed = |config: &ExperimentConfig| best_of(1, || (), |()| (target.run)(config, cli));
-        let (serial, serial_ms) = timed(&config.with_jobs(1));
-        let (parallel, parallel_ms) = timed(config);
-
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs 1 and --jobs {} disagree",
-            target.name, config.jobs
-        );
-        eprintln!(
-            "bench {}: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms \
-             ({:.2}x, {} jobs)",
-            target.name,
-            serial_ms / parallel_ms.max(1e-9),
-            config.jobs
-        );
+        let (_, serial_ms) = best_of(1, || (), |()| (target.run)(config, cli));
+        eprintln!("bench {}: serial {serial_ms:.0} ms", target.name);
         figures.push(
             JsonValue::object()
                 .with("name", target.name)
-                .with("serial_ms", round2(serial_ms))
-                .with("parallel_ms", round2(parallel_ms))
-                .with("speedup", round2(serial_ms / parallel_ms.max(1e-9))),
+                .with("serial_ms", round2(serial_ms)),
         );
     }
     let scale = if scales.is_empty() {
@@ -621,9 +537,6 @@ fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
             )
         }
     };
-    // The zero-alloc proof is a scale-independent fixture.
-    let steady_allocs = steady_allocs_per_period();
-    eprintln!("steady state: {steady_allocs} allocations per warm period");
     // The fixed reference load of the bench trajectory: 4 queries/s for 40
     // periods against a 1000-node deployment, through the stepped service
     // engine. Scale-independent of --scale so the committed numbers stay
@@ -649,17 +562,16 @@ fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
         FaultConfig::new(0.0),
     );
     JsonValue::object()
-        .with("schema", "mobiquery-repro/bench/v10")
+        .with("schema", "mobiquery-repro/bench/v11")
         .with("mode", if config.quick { "quick" } else { "full" })
         .with("runs", config.runs)
         .with("users", config.users)
-        // Per-figure speedup numbers are only interpretable relative to the
-        // host: on a 1-core container the parallel path is pure overhead and
-        // speedup < 1 is expected.
-        .with("host_cores", pool::available_jobs())
-        .with("parallel_jobs", config.jobs)
+        // Timings are only comparable between documents from the same host.
+        .with(
+            "host_cores",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
         .with("figures", figures)
-        .with("steady_allocs_per_period", steady_allocs)
         .with("scale", scale)
         .with("multiuser", multiuser)
         .with("churn", churn_section)

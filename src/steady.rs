@@ -10,11 +10,9 @@
 //! (hence no fresh flood tree or cost memo entry) can appear after the first
 //! boundary.
 //!
-//! Two call sites drive it with a counting `#[global_allocator]` of their
-//! own (global allocators are per-binary): the `zero_alloc` integration test,
-//! which asserts the warm per-boundary delta is exactly zero, and the `repro`
-//! binary, which records the same number as `steady_allocs_per_period` in
-//! the bench document.
+//! The `zero_alloc` integration test drives it under a counting
+//! `#[global_allocator]` and asserts the warm per-boundary delta is exactly
+//! zero.
 
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{QuerySet, SteppedSim, TreeSharing, UserQuery};

@@ -65,22 +65,6 @@ fn zero_runs_is_a_usage_error() {
 }
 
 #[test]
-fn malformed_jobs_are_usage_errors() {
-    // --jobs sets how many worker threads run independent trials, so a
-    // nonsense worker count must die at argv: zero workers is not a serial
-    // run, it is a typo.
-    assert_usage_failure(&["--jobs", "0", "fig4"]);
-    assert_usage_failure(&["--jobs", "-1", "fig4"]);
-    assert_usage_failure(&["--jobs", "many", "fig4"]);
-    assert_usage_failure(&["--jobs", "1.5", "fig4"]);
-    assert_usage_failure(&["--jobs"]);
-    // The service subcommands run one deployment whose boundaries resolve
-    // one at a time: they take no worker count, even a valid one.
-    assert_usage_failure(&["serve", "--periods", "5", "--jobs", "2"]);
-    assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--jobs", "2"]);
-}
-
-#[test]
 fn malformed_scale_lists_are_usage_errors() {
     assert_usage_failure(&["--bench", "/dev/null", "--scale", "", "fig4"]);
     assert_usage_failure(&["--bench", "/dev/null", "--scale", "1000,,2000", "fig4"]);
@@ -92,8 +76,49 @@ fn malformed_scale_lists_are_usage_errors() {
 #[test]
 fn unknown_flags_and_targets_are_usage_errors() {
     assert_usage_failure(&["--frobnicate", "fig4"]);
+    // Every run is serial: there is no worker count to set.
+    assert_usage_failure(&["--jobs", "2", "fig4"]);
     assert_usage_failure(&["fig9"]);
+    // An unknown name is an error wherever it stands, `all` or not.
+    assert_usage_failure(&["--quick", "all", "fig9"]);
     assert_usage_failure(&["--format", "xml", "fig4"]);
+}
+
+#[test]
+fn all_expands_in_place_beside_named_targets() {
+    // `all churn` runs the `all` targets and then churn; naming churn also
+    // lets `--scale` size it.
+    let out = repro(&[
+        "--quick",
+        "--churn-rate",
+        "0.01",
+        "--scale",
+        "2000",
+        "--format",
+        "json",
+        "all",
+        "churn",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"multiuser\": {"));
+    assert!(stdout.contains("\"churn\": {"), "`all churn` dropped churn");
+}
+
+#[test]
+fn a_target_named_twice_runs_once() {
+    let out = repro(&["--quick", "--format", "json", "fig4", "fig4"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("\"fig4\"").count(), 1, "{stdout}");
 }
 
 #[test]
@@ -289,6 +314,8 @@ fn serve_argument_errors_exit_nonzero_with_usage() {
     assert_usage_failure(&["serve", "--periods", "5", "--frobnicate"]);
     // The service always shares trees: there is no sharing knob.
     assert_usage_failure(&["serve", "--periods", "5", "--naive"]);
+    // Nor is there a worker count.
+    assert_usage_failure(&["serve", "--periods", "5", "--jobs", "2"]);
 }
 
 #[test]
@@ -300,6 +327,7 @@ fn load_argument_errors_exit_nonzero_with_usage() {
     assert_usage_failure(&["load", "--qps", "nan", "--duration", "10"]);
     assert_usage_failure(&["load", "--qps", "4", "--duration", "0"]);
     assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--periods", "5"]);
+    assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--jobs", "2"]);
 }
 
 #[test]

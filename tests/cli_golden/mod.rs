@@ -1,6 +1,5 @@
 //! What the five CLI goldens share: run the real `repro` binary, compare its
-//! output with a committed snapshot and name the first line where they part,
-//! and require the same bytes whatever the worker count.
+//! output with a committed snapshot and name the first line where they part.
 
 use std::process::Command;
 
@@ -46,11 +45,4 @@ pub fn check_golden(args: &[&str], target: &str, golden: &str, why: &str) {
              test's module docs)."
         );
     }
-}
-
-/// Requires `repro <args> --jobs N <target>` to print the same bytes at one
-/// worker and at three, failing with `message` otherwise.
-pub fn check_jobs_invariant(args: &[&str], target: &str, message: &str) {
-    let run = |jobs| repro(args.iter().copied().chain(["--jobs", jobs, target]));
-    assert_eq!(run("1"), run("3"), "{message}");
 }

@@ -26,8 +26,3 @@ fn repro_quick_all_text_matches_golden_snapshot() {
         "The text tables must not move unless the results do",
     );
 }
-
-#[test]
-fn repro_quick_all_text_is_jobs_invariant() {
-    cli_golden::check_jobs_invariant(&ARGS, "all", "--jobs must never change the text");
-}

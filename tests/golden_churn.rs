@@ -45,8 +45,3 @@ fn repro_quick_churn_json_matches_golden_snapshot() {
         "The churn schedule and repaired backbone are pure functions of the seed",
     );
 }
-
-#[test]
-fn repro_quick_churn_is_jobs_invariant() {
-    cli_golden::check_jobs_invariant(&ARGS, "churn", "--jobs must never change churn results");
-}

@@ -29,11 +29,3 @@ fn repro_quick_fig4_json_matches_golden_snapshot() {
         "Performance work must not change simulation results",
     );
 }
-
-#[test]
-fn repro_quick_fig4_is_jobs_invariant() {
-    // The golden bytes must not depend on the worker count either; this is
-    // the same property ci.sh checks with a jobs-1-vs-4 diff, pinned here so
-    // `cargo test` alone exercises it.
-    cli_golden::check_jobs_invariant(&ARGS, "fig4", "--jobs must never change results");
-}

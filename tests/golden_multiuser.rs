@@ -6,9 +6,7 @@
 //! per-query scoring streams — against a committed snapshot, exactly as
 //! `golden_fig4.rs` pins the single-user path. Every sweep trial internally
 //! cross-checks the shared cache against the naive one-tree-per-user
-//! reference, so these bytes also certify that equivalence held. The bytes
-//! must not depend on the worker count, at the default fleet and at 64
-//! users.
+//! reference, so these bytes also certify that equivalence held.
 //!
 //! To update the snapshot after a *deliberate* behaviour change:
 //!
@@ -29,20 +27,5 @@ fn repro_quick_multiuser_json_matches_golden_snapshot() {
         "multiuser",
         GOLDEN,
         "Tree sharing must not change per-user results",
-    );
-}
-
-#[test]
-fn repro_quick_multiuser_is_jobs_invariant() {
-    cli_golden::check_jobs_invariant(&ARGS, "multiuser", "--jobs must never change results");
-}
-
-#[test]
-fn repro_quick_multiuser_is_jobs_invariant_at_64_users() {
-    // ci.sh's 64-user gate, pinned so `cargo test` alone exercises it.
-    cli_golden::check_jobs_invariant(
-        &["--quick", "--users", "64", "--format", "json"],
-        "multiuser",
-        "--jobs must never change results",
     );
 }

@@ -38,12 +38,3 @@ fn repro_quick_resilience_json_matches_golden_snapshot() {
         "The fault schedule and every recovery decision are pure functions of the seed",
     );
 }
-
-#[test]
-fn repro_quick_resilience_is_jobs_invariant() {
-    cli_golden::check_jobs_invariant(
-        &ARGS,
-        "resilience",
-        "--jobs must never change resilience results",
-    );
-}
