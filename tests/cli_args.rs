@@ -65,6 +65,21 @@ fn zero_runs_is_a_usage_error() {
 }
 
 #[test]
+fn malformed_jobs_are_usage_errors() {
+    // Every run is serial, so there is no worker count to set: `--jobs` is
+    // an unknown option whatever its value, in batch mode and in the service
+    // subcommands alike.
+    assert_usage_failure(&["--jobs", "0", "fig4"]);
+    assert_usage_failure(&["--jobs", "-1", "fig4"]);
+    assert_usage_failure(&["--jobs", "many", "fig4"]);
+    assert_usage_failure(&["--jobs", "1.5", "fig4"]);
+    assert_usage_failure(&["--jobs", "2", "fig4"]);
+    assert_usage_failure(&["--jobs"]);
+    assert_usage_failure(&["serve", "--periods", "5", "--jobs", "2"]);
+    assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--jobs", "2"]);
+}
+
+#[test]
 fn malformed_scale_lists_are_usage_errors() {
     assert_usage_failure(&["--bench", "/dev/null", "--scale", "", "fig4"]);
     assert_usage_failure(&["--bench", "/dev/null", "--scale", "1000,,2000", "fig4"]);
@@ -76,8 +91,6 @@ fn malformed_scale_lists_are_usage_errors() {
 #[test]
 fn unknown_flags_and_targets_are_usage_errors() {
     assert_usage_failure(&["--frobnicate", "fig4"]);
-    // Every run is serial: there is no worker count to set.
-    assert_usage_failure(&["--jobs", "2", "fig4"]);
     assert_usage_failure(&["fig9"]);
     // An unknown name is an error wherever it stands, `all` or not.
     assert_usage_failure(&["--quick", "all", "fig9"]);
@@ -314,8 +327,6 @@ fn serve_argument_errors_exit_nonzero_with_usage() {
     assert_usage_failure(&["serve", "--periods", "5", "--frobnicate"]);
     // The service always shares trees: there is no sharing knob.
     assert_usage_failure(&["serve", "--periods", "5", "--naive"]);
-    // Nor is there a worker count.
-    assert_usage_failure(&["serve", "--periods", "5", "--jobs", "2"]);
 }
 
 #[test]
@@ -327,7 +338,6 @@ fn load_argument_errors_exit_nonzero_with_usage() {
     assert_usage_failure(&["load", "--qps", "nan", "--duration", "10"]);
     assert_usage_failure(&["load", "--qps", "4", "--duration", "0"]);
     assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--periods", "5"]);
-    assert_usage_failure(&["load", "--qps", "4", "--duration", "10", "--jobs", "2"]);
 }
 
 #[test]
