@@ -33,11 +33,15 @@ run env CARGO_TARGET_DIR=target/mqbench cargo test -q --offline \
     --manifest-path mqbench/Cargo.toml
 
 # The equivalence proptests get 8x the shim's default 128 cases: the
-# incremental backbone repair against a full re-election, the patched
-# neighbour table against a rebuild, and the calendar event queue against
-# its BTreeMap model (the queue's only reference check).
+# incremental backbone repair against a full re-election, the raster
+# election (16-bit coverage counts) against the per-point reference, the
+# patched neighbour table against a rebuild, the spatial grid and the
+# calendar event queue against their BTreeMap models (each one's only
+# reference check).
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test repair_equivalence
+run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test ccp_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equivalence
+run env PROPTEST_CASES=1024 cargo test -q -p wsn-geom --test properties
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-sim --test properties
 
 # The examples must stay runnable, not just compilable.

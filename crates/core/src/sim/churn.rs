@@ -19,7 +19,7 @@
 
 use crate::config::Scenario;
 use crate::error::ConfigError;
-use crate::sim::deploy::{priority_for, Deployment};
+use crate::sim::deploy::{election_error, priority_for, Deployment};
 use std::time::Instant;
 use wsn_geom::Point;
 use wsn_metrics::ChurnBatch;
@@ -99,11 +99,16 @@ pub(crate) fn initial_priorities(seed: u64, slots: usize) -> Vec<u64> {
 
 /// A from-scratch priority election over every slot of `positions` under
 /// `priority`: the backbone the incremental repair must land on.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] when the election's coverage counts would
+/// overflow, like [`Deployment::build`].
 pub(crate) fn full_election(
     scenario: &Scenario,
     positions: &[Point],
     priority: &[u64],
-) -> Vec<NodeRole> {
+) -> Result<Vec<NodeRole>, ConfigError> {
     let slots: Vec<usize> = (0..positions.len()).collect();
     elect_backbone_priority(
         positions,
@@ -112,6 +117,7 @@ pub(crate) fn full_election(
         scenario.region(),
         &scenario.ccp,
     )
+    .map_err(election_error)
 }
 
 /// Everything churn mode adds to a stepped run: the repairable backbone,
@@ -169,9 +175,11 @@ impl ChurnState {
     ///
     /// # Errors
     ///
-    /// With verification on, returns a [`ConfigError`] when the repaired
-    /// roles are not bit-identical to a full priority re-election, or the
-    /// patched neighbour table differs from one built from scratch.
+    /// Returns a [`ConfigError`] when a promotion would overflow the
+    /// repair's backbone coverage counts. With verification on, also when
+    /// the full re-election's counts would overflow, when the repaired
+    /// roles are not bit-identical to it, or when the patched neighbour
+    /// table differs from one built from scratch.
     pub(crate) fn step(
         &mut self,
         scenario: &Scenario,
@@ -211,12 +219,19 @@ impl ChurnState {
         let apply_grid_ms = apply_start.elapsed().as_secs_f64() * 1e3;
 
         let repair_start = Instant::now();
-        let stats = self.backbone.repair(
-            &d.positions,
-            &self.priority,
-            d.plan.roles_mut(),
-            &d.all_nodes_grid,
-        );
+        let stats = self
+            .backbone
+            .repair(
+                &d.positions,
+                &self.priority,
+                d.plan.roles_mut(),
+                &d.all_nodes_grid,
+            )
+            .map_err(|e| {
+                ConfigError::new(format!(
+                    "backbone repair failed at boundary {boundary}: {e}"
+                ))
+            })?;
         let repair_ms = repair_start.elapsed().as_secs_f64() * 1e3;
 
         let apply_start = Instant::now();
@@ -235,7 +250,7 @@ impl ChurnState {
         let apply_ms = apply_grid_ms + apply_start.elapsed().as_secs_f64() * 1e3;
 
         let verified = if self.config.verify {
-            let reference = full_election(scenario, &d.positions, &self.priority);
+            let reference = full_election(scenario, &d.positions, &self.priority)?;
             if reference.as_slice() != d.plan.roles() {
                 return Err(ConfigError::new(format!(
                     "incremental repair diverged from full re-election at boundary {boundary}"

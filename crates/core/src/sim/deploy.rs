@@ -15,7 +15,7 @@ use crate::error::ConfigError;
 use std::time::Instant;
 use wsn_geom::{Point, SpatialGrid, StripIndex};
 use wsn_net::{FloodScratch, FloodTree, NeighborTable, NodeId, TreeCache, TreeHandle, TreeKey};
-use wsn_power::{elect_backbone_priority, PowerPlan, RepairableBackbone};
+use wsn_power::{elect_backbone_priority, CoverageOverflow, PowerPlan, RepairableBackbone};
 use wsn_sim::{mix_seed, SimRng};
 
 /// Stream tag for per-node election priorities (keyed by uid).
@@ -28,6 +28,12 @@ const PRIORITY_STREAM: u64 = 0x5EED_0000_0000_0004;
 /// never inherits the priority of the node whose slot it refills.
 pub fn priority_for(seed: u64, uid: u64) -> u64 {
     mix_seed(seed, &[PRIORITY_STREAM, uid])
+}
+
+/// The [`ConfigError`] of a CCP election whose coverage counts would
+/// overflow: more nodes cover one sample point than the raster counts.
+pub(crate) fn election_error(e: CoverageOverflow) -> ConfigError {
+    ConfigError::new(format!("CCP election failed: {e}"))
 }
 
 /// The substrate of one deployment: node positions, the all-nodes and
@@ -65,6 +71,13 @@ impl Deployment {
     /// [`RepairableBackbone`] for churn to take; otherwise it is dropped
     /// before the neighbour table is built, so static setups never hold both
     /// at once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] when the spatial grids cannot be built, or
+    /// when more than [`wsn_power::MAX_COVERAGE_COUNT`] nodes cover one
+    /// coverage sample point, which the election's 16-bit counts cannot
+    /// hold.
     pub(crate) fn build(
         scenario: &Scenario,
         rng: &mut SimRng,
@@ -108,10 +121,12 @@ impl Deployment {
             let ccp = &scenario.ccp;
             if keep_repairable {
                 let (backbone, roles) =
-                    RepairableBackbone::new(&positions, &priority, &alive, region, ccp);
+                    RepairableBackbone::new(&positions, &priority, &alive, region, ccp)
+                        .map_err(election_error)?;
                 (roles, Some(backbone))
             } else {
-                let roles = elect_backbone_priority(&positions, &priority, &alive, region, ccp);
+                let roles = elect_backbone_priority(&positions, &priority, &alive, region, ccp)
+                    .map_err(election_error)?;
                 (roles, None)
             }
         };
@@ -129,6 +144,8 @@ impl Deployment {
         // from its flip log, so one grid serves a whole run.
         let mut backbone_grid =
             SpatialGrid::new(region, comm_range).map_err(|e| ConfigError::new(e.to_string()))?;
+        // Backbone ids range over every slot: size the id index once.
+        backbone_grid.reserve(positions.len());
         for node in plan.backbone_nodes() {
             backbone_grid.insert(node.index(), positions[node.index()]);
         }
@@ -206,7 +223,9 @@ impl Deployment {
 
     /// The duty-cycled nodes within `Rq` of `center` that have an in-tree
     /// relay within `Rc`, each paired with its nearest one (ties to the
-    /// smallest id), in the all-nodes grid's order. `relays` indexes the
+    /// smallest id), in the all-nodes grid's range-query order: by grid
+    /// cell, then by when each node was inserted into the grid (a churn
+    /// joiner after the nodes already in its cell). `relays` indexes the
     /// tree's members ([`Deployment::index_relays`]).
     pub(crate) fn sleeper_relays<'a>(
         &'a self,

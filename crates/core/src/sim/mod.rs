@@ -72,7 +72,9 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when the scenario fails validation.
+    /// Returns a [`ConfigError`] when the scenario fails validation, or
+    /// when more than [`wsn_power::MAX_COVERAGE_COUNT`] nodes cover one
+    /// coverage sample point of the backbone election.
     pub fn new(scenario: Scenario) -> Result<Self, ConfigError> {
         scenario.validate()?;
         let mut rng = SimRng::seed_from_u64(scenario.seed);

@@ -130,8 +130,9 @@ impl SteppedSim {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when the scenario, churn rate or fault
-    /// config fails validation, or the query set's period horizon disagrees
-    /// with the scenario's.
+    /// config fails validation, the query set's period horizon disagrees
+    /// with the scenario's, or more than [`wsn_power::MAX_COVERAGE_COUNT`]
+    /// nodes cover one coverage sample point of the backbone election.
     pub fn with_options(
         scenario: Scenario,
         query_set: QuerySet,
@@ -257,6 +258,14 @@ impl SteppedSim {
     /// exactly this at setup, and a churned run's incremental repair lands
     /// on it (repair ≡ re-election). Callers time this call to measure what
     /// the incremental repair saves.
+    ///
+    /// # Panics
+    ///
+    /// Panics when more than [`wsn_power::MAX_COVERAGE_COUNT`] nodes cover
+    /// one coverage sample point, the election's [`ConfigError`]. The set-up
+    /// elected a static run's positions already, and a verified churn run
+    /// re-elects after every batch, so only an unverified churn run can
+    /// reach it; this check is for verification only.
     pub fn reference_reelection(&self) -> Vec<u32> {
         let positions = &self.deployment.positions;
         let roles = match &self.churn {
@@ -266,7 +275,8 @@ impl SteppedSim {
                 let priority = initial_priorities(self.scenario.seed, positions.len());
                 full_election(&self.scenario, positions, &priority)
             }
-        };
+        }
+        .expect("the re-election's coverage counts fit");
         roles
             .iter()
             .enumerate()

@@ -66,25 +66,35 @@ pub struct MultiuserPoint {
     pub per_user: Vec<UserSummary>,
 }
 
-/// Runs one batch trial: `users` generated users walked through the stepped
-/// engine to the end of the scenario's query lifetime.
+/// Builds one batch trial: the deployment of `scenario` and `users`
+/// generated users, ready for [`walk_trial`].
 ///
 /// # Panics
 ///
-/// Panics if the scenario fails validation or the walk errors — experiment
-/// scenarios are valid by construction, so either is a programming error.
-pub fn run_trial(scenario: &Scenario, users: usize, sharing: TreeSharing) -> MultiUserOutput {
+/// Panics if the scenario fails validation — experiment scenarios are valid
+/// by construction, so that is a programming error.
+pub fn build_trial(scenario: &Scenario, users: usize, sharing: TreeSharing) -> SteppedSim {
     let set = QuerySet::generate(scenario, users);
-    let mut sim = SteppedSim::new(scenario.clone(), set, sharing)
-        .expect("experiment scenarios are valid by construction");
+    SteppedSim::new(scenario.clone(), set, sharing)
+        .expect("experiment scenarios are valid by construction")
+}
+
+/// Walks a built trial through the stepped engine to the end of the
+/// scenario's query lifetime and aggregates its output.
+///
+/// # Panics
+///
+/// Panics if the walk errors, a programming error for the same reason.
+pub fn walk_trial(mut sim: SteppedSim) -> MultiUserOutput {
     sim.run_to_end().expect("experiment walks complete");
     sim.finish()
 }
 
 /// Runs one scenario under both sharing modes and asserts the shared run is
 /// result-identical per user to the naive reference. Each mode runs
-/// `samples` times through [`best_of`]; its output comes back with the
-/// fastest sample's wall-clock in milliseconds, shared mode first.
+/// `samples` times through [`best_of`], which builds the trial untimed and
+/// times only its walk; its output comes back with the fastest walk's
+/// wall-clock in milliseconds, shared mode first.
 ///
 /// # Panics
 ///
@@ -96,7 +106,13 @@ pub fn run_equivalent_pair(
     users: usize,
     samples: usize,
 ) -> [(MultiUserOutput, f64); 2] {
-    let run = |sharing| best_of(samples, || (), |()| run_trial(scenario, users, sharing));
+    let run = |sharing| {
+        best_of(
+            samples,
+            || build_trial(scenario, users, sharing),
+            walk_trial,
+        )
+    };
     let shared = run(TreeSharing::Shared);
     let naive = run(TreeSharing::Naive);
     assert_eq!(
@@ -108,7 +124,7 @@ pub fn run_equivalent_pair(
 }
 
 /// What the bench section reports beside a point: the first replicate's
-/// wall-clock per sharing mode and the events its shared run processed.
+/// walk wall-clock per sharing mode and the events its shared run processed.
 struct Timing {
     shared_ms: f64,
     naive_ms: f64,
@@ -258,7 +274,8 @@ pub fn run(config: &ExperimentConfig) -> Report {
 
 /// The `--bench` multi-user section: the sweep over `ladder` on `scenario`,
 /// one replicate per point, each entry the point's JSON plus the
-/// best-of-3 wall-clock of each sharing mode.
+/// best-of-3 wall-clock of each sharing mode's stepped walk (set-up
+/// excluded).
 ///
 /// Timings are a trajectory snapshot (machine-dependent); the rest of each
 /// entry is deterministic.

@@ -1,9 +1,12 @@
 //! A uniform spatial hash grid for fast range queries over node positions.
 
 use crate::{Circle, Point, Rect};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+/// [`SpatialGrid`]'s cell index of an id that is not in the grid. The grid
+/// refuses more cells than this, so no cell index can equal it.
+const ABSENT: u32 = u32::MAX;
 
 /// Error returned when constructing a [`SpatialGrid`] with an invalid cell size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +38,16 @@ impl Error for GridError {}
 /// would be acceptable, but the grid keeps the simulator comfortably fast for
 /// the larger deployments exercised in the benchmarks (thousands of nodes).
 ///
-/// Items are identified by a caller-chosen `usize` id (node index).
+/// Items are identified by a caller-chosen `usize` id. Ids index a dense
+/// vector of cell indices (four bytes per id up to the largest id
+/// inserted), so they should be small and dense, like the slot indices of
+/// a deployment.
+///
+/// Each cell keeps its items in insertion order: an insert appends, a move
+/// (re-insert) takes the item out of its old cell and appends it to its new
+/// one, and a remove closes the gap. Range queries and [`iter`](Self::iter)
+/// visit cells in row-major order, so they yield ids ordered by cell, then
+/// by when each id was last inserted or moved.
 ///
 /// ```
 /// use wsn_geom::{Point, Rect, SpatialGrid};
@@ -55,7 +67,9 @@ pub struct SpatialGrid {
     cols: usize,
     rows: usize,
     cells: Vec<Vec<(usize, Point)>>,
-    positions: HashMap<usize, Point>,
+    /// The cell holding each id, or [`ABSENT`]; indexed by id.
+    cell_of: Vec<u32>,
+    len: usize,
 }
 
 impl SpatialGrid {
@@ -63,7 +77,8 @@ impl SpatialGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`GridError`] if `cell_size` is not strictly positive and finite.
+    /// Returns [`GridError`] if `cell_size` is not strictly positive and
+    /// finite, or if the region needs more cells than a `u32` can index.
     pub fn new(region: Rect, cell_size: f64) -> Result<Self, GridError> {
         if !(cell_size.is_finite() && cell_size > 0.0) {
             return Err(GridError {
@@ -72,24 +87,30 @@ impl SpatialGrid {
         }
         let cols = (region.width() / cell_size).ceil().max(1.0) as usize;
         let rows = (region.height() / cell_size).ceil().max(1.0) as usize;
+        let Some(n_cells) = cols.checked_mul(rows).filter(|&n| n <= ABSENT as usize) else {
+            return Err(GridError {
+                kind: "region needs more cells than a u32 can index",
+            });
+        };
         Ok(SpatialGrid {
             region,
             cell: cell_size,
             cols,
             rows,
-            cells: vec![Vec::new(); cols * rows],
-            positions: HashMap::new(),
+            cells: vec![Vec::new(); n_cells],
+            cell_of: Vec::new(),
+            len: 0,
         })
     }
 
     /// Number of items stored in the grid.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.len
     }
 
     /// Returns `true` when the grid holds no items.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.len == 0
     }
 
     /// The region this grid covers.
@@ -104,33 +125,66 @@ impl SpatialGrid {
         cy * self.cols + cx
     }
 
-    /// Reserves capacity for at least `additional` more items, so bulk loads
-    /// (one insert per node of a deployment) do not rehash repeatedly.
+    /// Reserves room in the id index for `additional` more ids past the
+    /// largest inserted so far, so a bulk load of ids `0..n` (one insert per
+    /// node of a deployment) allocates it once.
     pub fn reserve(&mut self, additional: usize) {
-        self.positions.reserve(additional);
+        self.cell_of.reserve(additional);
+    }
+
+    /// The cell holding `id`, if the grid holds it.
+    fn cell_holding(&self, id: usize) -> Option<usize> {
+        self.cell_of
+            .get(id)
+            .filter(|&&c| c != ABSENT)
+            .map(|&c| c as usize)
+    }
+
+    /// Takes `id` out of cell `idx`, keeping the order of the rest, and
+    /// returns its position.
+    fn take_from_cell(&mut self, idx: usize, id: usize) -> Point {
+        let cell = &mut self.cells[idx];
+        let at = cell
+            .iter()
+            .position(|&(other, _)| other == id)
+            .expect("an indexed id sits in its cell");
+        cell.remove(at).1
     }
 
     /// Inserts an item, or moves it if it is already present.
     pub fn insert(&mut self, id: usize, position: Point) {
-        if let Some(prev) = self.positions.insert(id, position) {
-            let idx = self.cell_index(prev);
-            self.cells[idx].retain(|(other, _)| *other != id);
+        match self.cell_holding(id) {
+            Some(prev) => {
+                self.take_from_cell(prev, id);
+            }
+            None => {
+                if id >= self.cell_of.len() {
+                    self.cell_of.resize(id + 1, ABSENT);
+                }
+                self.len += 1;
+            }
         }
         let idx = self.cell_index(position);
         self.cells[idx].push((id, position));
+        // `new` caps the cell count at `ABSENT`, so every index fits.
+        self.cell_of[id] = idx as u32;
     }
 
     /// Removes an item. Returns its last position if it was present.
     pub fn remove(&mut self, id: usize) -> Option<Point> {
-        let pos = self.positions.remove(&id)?;
-        let idx = self.cell_index(pos);
-        self.cells[idx].retain(|(other, _)| *other != id);
-        Some(pos)
+        let idx = self.cell_holding(id)?;
+        self.cell_of[id] = ABSENT;
+        self.len -= 1;
+        Some(self.take_from_cell(idx, id))
     }
 
-    /// Position of an item, if present.
+    /// Position of an item, if present: a scan of the item's cell.
     pub fn position(&self, id: usize) -> Option<Point> {
-        self.positions.get(&id).copied()
+        let idx = self.cell_holding(id)?;
+        self.cells[idx]
+            .iter()
+            .find(|&&(other, _)| other == id)
+            .map(|&(_, p)| p)
     }
 
     /// Iterator over the ids of all items within `radius` of `center`
@@ -200,7 +254,7 @@ impl SpatialGrid {
         target: Point,
         mut filter: impl FnMut(usize) -> bool,
     ) -> Option<(usize, Point)> {
-        if self.positions.is_empty() {
+        if self.is_empty() {
             return None;
         }
         // Cell containing the target (clamped into the region). For targets
@@ -269,9 +323,10 @@ impl SpatialGrid {
         }
     }
 
-    /// Iterator over every `(id, position)` pair in the grid, in unspecified order.
+    /// Iterator over every `(id, position)` pair in the grid, by cell in
+    /// row-major order, then by when each id was last inserted or moved.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Point)> + '_ {
-        self.positions.iter().map(|(&id, &p)| (id, p))
+        self.cells.iter().flatten().copied()
     }
 }
 
@@ -292,6 +347,9 @@ mod tests {
         assert!(SpatialGrid::new(Rect::square(10.0), 0.0).is_err());
         assert!(SpatialGrid::new(Rect::square(10.0), f64::NAN).is_err());
         assert!(SpatialGrid::new(Rect::square(10.0), -5.0).is_err());
+        // 10⁸ × 10⁸ cells, and a count that overflows `usize` itself.
+        assert!(SpatialGrid::new(Rect::square(1.0e6), 0.01).is_err());
+        assert!(SpatialGrid::new(Rect::square(1.0e300), 1.0e-300).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the geometry primitives.
 
 use proptest::prelude::*;
-use wsn_geom::{Circle, Point, Rect, SpatialGrid, StripIndex, Vector};
+use std::collections::BTreeMap;
+use wsn_geom::{covers, Circle, Point, Rect, SpatialGrid, StripIndex, Vector};
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1.0e4..1.0e4
@@ -144,6 +145,53 @@ proptest! {
         prop_assert_eq!(got, brute_force_nearest(&pts, target, keep));
     }
 
+    /// The grid against a `BTreeMap` model under random inserts, moves and
+    /// removes of out-of-order, reused ids, some placed outside the region
+    /// (they live in the clamped edge cells). Each insert or move takes a
+    /// fresh stamp, so the model knows the order every cell must keep.
+    #[test]
+    fn grid_matches_a_model_under_inserts_moves_and_removes(
+        ops in proptest::collection::vec(
+            (0u8..3, 0usize..24, -60.0f64..510.0, -60.0f64..510.0),
+            1..160,
+        ),
+        probes in proptest::collection::vec(
+            (-60.0f64..510.0, -60.0f64..510.0, 0.0f64..160.0),
+            1..6,
+        ),
+    ) {
+        let mut grid = SpatialGrid::new(Rect::square(450.0), 50.0).unwrap();
+        let mut model = GridModel::default();
+        for &(op, id, x, y) in &ops {
+            if op == 0 {
+                // Remove, whether or not the id is present.
+                let want = model.items.remove(&id).map(|(p, _)| p);
+                prop_assert_eq!(grid.remove(id), want);
+            } else {
+                let p = Point::new(x, y);
+                grid.insert(id, p);
+                model.items.insert(id, (p, model.stamp));
+                model.stamp += 1;
+            }
+            prop_assert_eq!(grid.len(), model.items.len());
+        }
+        prop_assert_eq!(grid.is_empty(), model.items.is_empty());
+        for id in 0..24 {
+            prop_assert_eq!(grid.position(id), model.items.get(&id).map(|&(p, _)| p));
+        }
+        let mut listed: Vec<(usize, Point)> = grid.iter().collect();
+        listed.sort_unstable_by_key(|&(id, _)| id);
+        let want: Vec<(usize, Point)> = model.items.iter().map(|(&id, &(p, _))| (id, p)).collect();
+        prop_assert_eq!(listed, want);
+        for &(x, y, r) in &probes {
+            let center = Point::new(x, y);
+            let got: Vec<usize> = grid.query_range(center, r).collect();
+            prop_assert_eq!(got, model.in_range(center, r));
+            let nearest = grid.nearest(center).map(|(id, _)| id);
+            prop_assert_eq!(nearest, model.nearest(center));
+        }
+    }
+
     #[test]
     fn strip_nearest_within_matches_brute_force(
         pts in proptest::collection::vec((finite_coord(), finite_coord()), 0..80),
@@ -182,4 +230,46 @@ fn brute_force_nearest(
             da.total_cmp(&db).then(i.cmp(j))
         })
         .map(|(i, _)| i)
+}
+
+/// What a [`SpatialGrid`] over `Rect::square(450.0)` with 50 m cells must
+/// hold: each id's position and the stamp of its last insert or move.
+#[derive(Default)]
+struct GridModel {
+    items: BTreeMap<usize, (Point, u64)>,
+    stamp: u64,
+}
+
+impl GridModel {
+    /// The grid's cell of `p`: clamped into the region, 9 × 9 cells.
+    fn cell(p: Point) -> usize {
+        let c = Rect::square(450.0).clamp(p);
+        let cx = ((c.x / 50.0) as usize).min(8);
+        let cy = ((c.y / 50.0) as usize).min(8);
+        cy * 9 + cx
+    }
+
+    /// Ids within `r` of `center`, ordered by cell, then by last insert or
+    /// move: the order the grid's range query must yield.
+    fn in_range(&self, center: Point, r: f64) -> Vec<usize> {
+        let mut hits: Vec<(usize, u64, usize)> = self
+            .items
+            .iter()
+            .filter(|(_, &(p, _))| covers(center, r, p))
+            .map(|(&id, &(p, stamp))| (Self::cell(p), stamp, id))
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, _, id)| id).collect()
+    }
+
+    /// The nearest id to `target`, ties to the smallest id.
+    fn nearest(&self, target: Point) -> Option<usize> {
+        self.items
+            .iter()
+            .min_by(|(i, &(a, _)), (j, &(b, _))| {
+                let (da, db) = (target.distance_sq_to(a), target.distance_sq_to(b));
+                da.total_cmp(&db).then(i.cmp(j))
+            })
+            .map(|(&id, _)| id)
+    }
 }

@@ -26,7 +26,7 @@
 //! implementation is retained as [`elect_backbone_reference`] and
 //! property-tested to produce bit-identical roles.
 
-use crate::raster::CoverageRaster;
+use crate::raster::{CoverageOverflow, CoverageRaster};
 use wsn_geom::{Circle, Lattice, Point, Rect, SpatialGrid};
 use wsn_net::NodeRole;
 
@@ -160,6 +160,12 @@ fn priority_order(priority: &[u64], alive_slots: &[usize]) -> Vec<usize> {
 /// values); only the slots listed in `alive_slots` participate. Returns one
 /// role per slot; dead slots come back [`NodeRole::DutyCycled`].
 ///
+/// # Errors
+///
+/// Returns [`CoverageOverflow`] when more than
+/// [`MAX_COVERAGE_COUNT`](crate::raster::MAX_COVERAGE_COUNT) alive nodes
+/// cover one sample point, which needs more alive nodes than that.
+///
 /// # Panics
 ///
 /// Panics if the config is invalid, a slot is listed twice or out of range.
@@ -169,8 +175,8 @@ pub fn elect_backbone_priority(
     alive_slots: &[usize],
     region: Rect,
     config: &CcpConfig,
-) -> Vec<NodeRole> {
-    elect_backbone_priority_with_raster(positions, priority, alive_slots, region, config).0
+) -> Result<Vec<NodeRole>, CoverageOverflow> {
+    Ok(elect_backbone_priority_with_raster(positions, priority, alive_slots, region, config)?.0)
 }
 
 /// [`elect_backbone_priority`] plus the post-election coverage raster, whose
@@ -182,7 +188,7 @@ pub(crate) fn elect_backbone_priority_with_raster(
     alive_slots: &[usize],
     region: Rect,
     config: &CcpConfig,
-) -> (Vec<NodeRole>, CoverageRaster) {
+) -> Result<(Vec<NodeRole>, CoverageRaster), CoverageOverflow> {
     let mut roles = initial_roles(positions, priority, alive_slots, config);
     // Build bottom-to-top for memory locality, exactly like `build` (integer
     // adds commute, so counts do not depend on insertion order).
@@ -190,14 +196,14 @@ pub(crate) fn elect_backbone_priority_with_raster(
     let mut by_y: Vec<usize> = alive_slots.to_vec();
     by_y.sort_unstable_by(|&a, &b| positions[a].y.total_cmp(&positions[b].y));
     for s in by_y {
-        raster.add(positions[s]);
+        raster.add(positions[s])?;
     }
     for s in priority_order(priority, alive_slots) {
         if raster.try_demote(positions[s], config.coverage_degree) {
             roles[s] = NodeRole::DutyCycled;
         }
     }
-    (roles, raster)
+    Ok((roles, raster))
 }
 
 /// The pre-raster election: the identical greedy pass in the identical
@@ -259,14 +265,20 @@ pub fn elect_backbone_reference(
 ///
 /// Used by tests and by the simulation's self-checks; sampling resolution is
 /// taken from `config.sample_spacing_m`.
+///
+/// # Errors
+///
+/// Returns [`CoverageOverflow`] when more than
+/// [`MAX_COVERAGE_COUNT`](crate::raster::MAX_COVERAGE_COUNT) of the
+/// positions cover one sample point.
 pub fn backbone_covers_region(
     positions: &[Point],
     roles: &[NodeRole],
     region: Rect,
     config: &CcpConfig,
-) -> bool {
+) -> Result<bool, CoverageOverflow> {
     if !(config.sensing_range_m > 0.0 && config.sample_spacing_m > 0.0) {
-        return false;
+        return Ok(false);
     }
     // Two rasters over the same lattice: coverage by the backbone, and
     // coverage by the whole deployment. A lattice point only *requires*
@@ -284,23 +296,23 @@ pub fn backbone_covers_region(
         region,
         config.sensing_range_m,
         config.sample_spacing_m,
-    );
+    )?;
     let all = CoverageRaster::build(
         positions,
         region,
         config.sensing_range_m,
         config.sample_spacing_m,
-    );
+    )?;
     let lattice = *all.lattice();
     let k = u32::try_from(config.coverage_degree).unwrap_or(u32::MAX);
     for iy in 0..lattice.rows() {
         for ix in 0..lattice.cols() {
             if all.count(ix, iy) > 0 && backbone.count(ix, iy) < k {
-                return false;
+                return Ok(false);
             }
         }
     }
-    true
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -323,7 +335,7 @@ mod tests {
 
     fn elect(positions: &[Point], region: Rect, cfg: &CcpConfig, seed: u64) -> Vec<NodeRole> {
         let (priority, alive) = priorities(positions.len(), seed);
-        elect_backbone_priority(positions, &priority, &alive, region, cfg)
+        elect_backbone_priority(positions, &priority, &alive, region, cfg).unwrap()
     }
 
     #[test]
@@ -350,7 +362,7 @@ mod tests {
             let positions = random_deployment(200, 300.0, seed * 7 + 1);
             let roles = elect(&positions, region, &cfg, seed);
             assert!(
-                backbone_covers_region(&positions, &roles, region, &cfg),
+                backbone_covers_region(&positions, &roles, region, &cfg).unwrap(),
                 "backbone must cover the region (seed {seed})"
             );
         }
@@ -409,7 +421,7 @@ mod tests {
         let (priority, _) = priorities(positions.len(), 6);
         let alive: Vec<usize> = (0..positions.len()).filter(|s| s % 3 != 0).collect();
         let cfg = CcpConfig::paper_default();
-        let roles = elect_backbone_priority(&positions, &priority, &alive, region, &cfg);
+        let roles = elect_backbone_priority(&positions, &priority, &alive, region, &cfg).unwrap();
         assert!((0..positions.len())
             .filter(|s| s % 3 == 0)
             .all(|s| !roles[s].is_backbone()));
@@ -424,7 +436,8 @@ mod tests {
         for seed in 0..5u64 {
             let positions = random_deployment(180, 250.0, seed * 13 + 3);
             let (priority, alive) = priorities(positions.len(), seed + 100);
-            let fast = elect_backbone_priority(&positions, &priority, &alive, region, &cfg);
+            let fast =
+                elect_backbone_priority(&positions, &priority, &alive, region, &cfg).unwrap();
             let reference = elect_backbone_reference(&positions, &priority, &alive, region, &cfg);
             assert_eq!(fast, reference, "seed {seed}");
         }

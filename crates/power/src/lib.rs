@@ -39,5 +39,5 @@ pub mod repair;
 pub use ccp::{elect_backbone_priority, elect_backbone_reference, CcpConfig};
 pub use energy::EnergyLedger;
 pub use plan::PowerPlan;
-pub use raster::{CoverageRaster, DirtyRegion};
+pub use raster::{CoverageOverflow, CoverageRaster, DirtyRegion, MAX_COVERAGE_COUNT};
 pub use repair::{RepairStats, RepairableBackbone};

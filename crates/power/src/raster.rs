@@ -46,13 +46,47 @@
 //! processed as one branch-free slice operation with no per-point test at
 //! all.
 
+use std::error::Error;
+use std::fmt;
 use wsn_geom::{Circle, DenseRaster, Lattice, Point, Rect};
+
+/// The most sensing disks that may cover one sample point: the largest
+/// count a [`CoverageRaster`] cell holds.
+pub const MAX_COVERAGE_COUNT: u16 = u16::MAX;
+
+/// Error of a [`CoverageRaster::add`] that would push a sample point's
+/// coverage count past [`MAX_COVERAGE_COUNT`]: more sensing disks cover
+/// one point than the raster counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoverageOverflow;
+
+impl fmt::Display for CoverageOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "more than {MAX_COVERAGE_COUNT} sensing disks cover one coverage sample point, \
+             the limit of the CCP coverage raster's 16-bit counts"
+        )
+    }
+}
+
+impl Error for CoverageOverflow {}
 
 /// Dense lattice of "how many active sensing disks cover this sample point"
 /// counts, supporting O(disk-points) incremental updates.
+///
+/// Counts are `u16`, two bytes per lattice cell: the election and the
+/// repair only compare them against `k + 1` for small coverage degrees `k`.
+/// A count can pass [`MAX_COVERAGE_COUNT`] only while the raster holds more
+/// disks than that, so [`add`](Self::add) tracks how many it holds and only
+/// then tests each increment for a wrap, in the same pass; a wrap undoes
+/// the add and returns [`CoverageOverflow`].
 #[derive(Debug, Clone)]
 pub struct CoverageRaster {
-    counts: DenseRaster<u32>,
+    counts: DenseRaster<u16>,
+    /// Disks added and not yet removed or demoted: an upper bound on every
+    /// count.
+    disks: usize,
     /// Cached x coordinate of every lattice column (`lattice.point(ix, 0).x`).
     xs: Vec<f64>,
     /// Cached y coordinate of every lattice row (`lattice.point(0, iy).y`).
@@ -86,6 +120,7 @@ impl CoverageRaster {
             .collect();
         CoverageRaster {
             counts: DenseRaster::new(lattice),
+            disks: 0,
             xs,
             ys,
             sensing_range,
@@ -95,7 +130,17 @@ impl CoverageRaster {
 
     /// Builds the raster with every node in `positions` active:
     /// O(n · disk-points) total.
-    pub fn build(positions: &[Point], region: Rect, sensing_range: f64, spacing: f64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageOverflow`] when more than [`MAX_COVERAGE_COUNT`]
+    /// of the disks cover one sample point.
+    pub fn build(
+        positions: &[Point],
+        region: Rect,
+        sensing_range: f64,
+        spacing: f64,
+    ) -> Result<Self, CoverageOverflow> {
         let mut raster = CoverageRaster::new(region, sensing_range, spacing);
         // Integer adds commute bit-for-bit, so the counts do not depend on
         // insertion order — sweep the disks bottom-to-top so consecutive
@@ -105,9 +150,9 @@ impl CoverageRaster {
         order
             .sort_unstable_by(|&a, &b| positions[a as usize].y.total_cmp(&positions[b as usize].y));
         for i in order {
-            raster.add(positions[i as usize]);
+            raster.add(positions[i as usize])?;
         }
-        raster
+        Ok(raster)
     }
 
     /// The sample-point lattice the counts live on.
@@ -117,13 +162,65 @@ impl CoverageRaster {
 
     /// Coverage count at sample point `(ix, iy)`.
     pub fn count(&self, ix: usize, iy: usize) -> u32 {
-        self.counts.get(ix, iy)
+        u32::from(self.counts.get(ix, iy))
     }
 
     /// Marks a node at `center` active: increments every lattice point its
     /// sensing disk covers.
-    pub fn add(&mut self, center: Point) {
-        self.update_covered(center, 1);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageOverflow`], leaving every count as it was, when a
+    /// covered point already counts [`MAX_COVERAGE_COUNT`] disks.
+    pub fn add(&mut self, center: Point) -> Result<(), CoverageOverflow> {
+        self.disks += 1;
+        let may_wrap = self.disks > usize::from(MAX_COVERAGE_COUNT);
+        let CoverageRaster {
+            counts,
+            xs,
+            ys,
+            sensing_range,
+            r2e,
+            ..
+        } = self;
+        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
+            return Ok(());
+        };
+        if !may_wrap {
+            // Every count is at most `disks`, so none can wrap here.
+            for (iy, lo, hi) in spans {
+                for c in &mut counts.row_mut(iy)[lo..=hi] {
+                    *c += 1;
+                }
+            }
+            return Ok(());
+        }
+        let mut wrapped_row = None;
+        for (iy, lo, hi) in spans {
+            let mut wrapped = false;
+            for c in &mut counts.row_mut(iy)[lo..=hi] {
+                *c = c.wrapping_add(1);
+                wrapped |= *c == 0;
+            }
+            if wrapped {
+                wrapped_row = Some(iy);
+                break;
+            }
+        }
+        let Some(stop) = wrapped_row else {
+            return Ok(());
+        };
+        let undo = DiskSpans::over(xs, ys, center, *r2e, *sensing_range).expect("walked above");
+        for (iy, lo, hi) in undo {
+            for c in &mut counts.row_mut(iy)[lo..=hi] {
+                *c = c.wrapping_sub(1);
+            }
+            if iy == stop {
+                break;
+            }
+        }
+        self.disks -= 1;
+        Err(CoverageOverflow)
     }
 
     /// Marks a node at `center` inactive: decrements every lattice point its
@@ -134,7 +231,27 @@ impl CoverageRaster {
     /// Debug builds panic on underflow, i.e. removing a node that was never
     /// added.
     pub fn remove(&mut self, center: Point) {
-        self.update_covered(center, 1u32.wrapping_neg());
+        self.disks -= 1;
+        let CoverageRaster {
+            counts,
+            xs,
+            ys,
+            sensing_range,
+            r2e,
+            ..
+        } = self;
+        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
+            return;
+        };
+        for (iy, lo, hi) in spans {
+            for c in &mut counts.row_mut(iy)[lo..=hi] {
+                debug_assert!(
+                    *c > 0,
+                    "coverage count underflow: removing a node that was never added"
+                );
+                *c = c.wrapping_sub(1);
+            }
+        }
     }
 
     /// Demotes the active node at `center` if the remaining actives still
@@ -154,21 +271,24 @@ impl CoverageRaster {
     /// rows already decremented are rolled back by re-walking the same
     /// (deterministic) spans.
     pub fn try_demote(&mut self, center: Point, k: usize) -> bool {
+        // Compared in u32, where `k + 1` saturates only far above any count.
         let threshold = u32::try_from(k).unwrap_or(u32::MAX).saturating_add(1);
         let CoverageRaster {
             counts,
+            disks,
             xs,
             ys,
             sensing_range,
             r2e,
         } = self;
         let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
+            *disks -= 1;
             return true;
         };
         let mut failed_row = None;
         for (iy, lo, hi) in spans {
             let row = &mut counts.row_mut(iy)[lo..=hi];
-            if row.iter().any(|&c| c < threshold) {
+            if row.iter().any(|&c| u32::from(c) < threshold) {
                 failed_row = Some(iy);
                 break;
             }
@@ -177,6 +297,7 @@ impl CoverageRaster {
             }
         }
         let Some(stop) = failed_row else {
+            *disks -= 1;
             return true;
         };
         let rollback = DiskSpans::over(xs, ys, center, *r2e, *sensing_range).expect("walked above");
@@ -200,7 +321,7 @@ impl CoverageRaster {
     pub(crate) fn disk_rows(
         &self,
         center: Point,
-    ) -> Option<impl Iterator<Item = (f64, &[f64], &[u32])> + '_> {
+    ) -> Option<impl Iterator<Item = (f64, &[f64], &[u16])> + '_> {
         let spans = DiskSpans::over(&self.xs, &self.ys, center, self.r2e, self.sensing_range)?;
         Some(spans.map(move |(iy, lo, hi)| {
             (
@@ -210,30 +331,6 @@ impl CoverageRaster {
             )
         }))
     }
-
-    /// Adds `delta` (wrapping; ±1 in practice) to every lattice point covered
-    /// by the sensing disk at `center`.
-    fn update_covered(&mut self, center: Point, delta: u32) {
-        let CoverageRaster {
-            counts,
-            xs,
-            ys,
-            sensing_range,
-            r2e,
-        } = self;
-        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
-            return;
-        };
-        for (iy, lo, hi) in spans {
-            for c in &mut counts.row_mut(iy)[lo..=hi] {
-                debug_assert!(
-                    delta != 1u32.wrapping_neg() || *c > 0,
-                    "coverage count underflow: removing a node that was never added"
-                );
-                *c = c.wrapping_add(delta);
-            }
-        }
-    }
 }
 
 /// Tracks which lattice cells' coverage changed across a churn batch: the
@@ -242,16 +339,21 @@ impl CoverageRaster {
 /// Every death or join marks the disk of the affected node; the repair then
 /// keeps only the seeded nodes whose sensing disk touches a dirty cell
 /// ([`DirtyRegion::touches`]) — "re-run the election only over lattice cells
-/// whose coverage actually changed". Marks are counted per cell (`u8`,
-/// saturating) so overlapping events stack, and [`DirtyRegion::clear`]
-/// resets the tracker between batches.
+/// whose coverage actually changed". A cell is marked or not: one bit per
+/// lattice cell, packed into `u64` words per lattice row, so marking a
+/// disk row or testing it is a few masked word operations, and
+/// [`DirtyRegion::clear`] resets the tracker between batches by zeroing
+/// an eighth of a byte per cell.
 ///
 /// Uses the same lattice, disk-span walker and shared coverage predicate as
 /// [`CoverageRaster`], so "the cells a node's death would decrement" and
 /// "the cells its disk marks dirty" are the same set by construction.
 #[derive(Debug, Clone)]
 pub struct DirtyRegion {
-    marks: DenseRaster<u8>,
+    /// Bit `ix % 64` of word `iy * words_per_row + ix / 64` marks cell
+    /// `(ix, iy)`.
+    marks: Vec<u64>,
+    words_per_row: usize,
     xs: Vec<f64>,
     ys: Vec<f64>,
     radius: f64,
@@ -272,14 +374,16 @@ impl DirtyRegion {
             "dirty-region radius must be positive and finite"
         );
         let lattice = Lattice::new(region, spacing).expect("validated spacing");
-        let xs = (0..lattice.cols())
+        let xs: Vec<f64> = (0..lattice.cols())
             .map(|ix| lattice.point(ix, 0).x)
             .collect();
-        let ys = (0..lattice.rows())
+        let ys: Vec<f64> = (0..lattice.rows())
             .map(|iy| lattice.point(0, iy).y)
             .collect();
+        let words_per_row = xs.len().div_ceil(64);
         DirtyRegion {
-            marks: DenseRaster::new(lattice),
+            marks: vec![0; words_per_row * ys.len()],
+            words_per_row,
             xs,
             ys,
             radius,
@@ -292,6 +396,7 @@ impl DirtyRegion {
     pub fn mark_disk(&mut self, center: Point) {
         let DirtyRegion {
             marks,
+            words_per_row,
             xs,
             ys,
             radius,
@@ -302,11 +407,10 @@ impl DirtyRegion {
             return;
         };
         for (iy, lo, hi) in spans {
-            for m in &mut marks.row_mut(iy)[lo..=hi] {
-                if *m == 0 {
-                    *dirty += 1;
-                }
-                *m = m.saturating_add(1);
+            let row = &mut marks[iy * *words_per_row..][..*words_per_row];
+            for (w, mask) in span_words(lo, hi) {
+                *dirty += (mask & !row[w]).count_ones() as usize;
+                row[w] |= mask;
             }
         }
     }
@@ -319,7 +423,8 @@ impl DirtyRegion {
             return false;
         };
         for (iy, lo, hi) in spans {
-            if self.marks.row(iy)[lo..=hi].iter().any(|&m| m > 0) {
+            let row = &self.marks[iy * self.words_per_row..][..self.words_per_row];
+            if span_words(lo, hi).any(|(w, mask)| row[w] & mask != 0) {
                 return true;
             }
         }
@@ -334,12 +439,26 @@ impl DirtyRegion {
     /// Resets every mark; the tracker is clean again.
     pub fn clear(&mut self) {
         if self.dirty > 0 {
-            for iy in 0..self.marks.lattice().rows() {
-                self.marks.row_mut(iy).fill(0);
-            }
+            self.marks.fill(0);
         }
         self.dirty = 0;
     }
+
+    /// Whether cell `(ix, iy)` is marked.
+    #[cfg(test)]
+    fn is_marked(&self, ix: usize, iy: usize) -> bool {
+        self.marks[iy * self.words_per_row + ix / 64] >> (ix % 64) & 1 == 1
+    }
+}
+
+/// The words of one packed bit row that hold columns `lo..=hi`, each with
+/// the mask of those columns' bits.
+fn span_words(lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> {
+    (lo / 64..=hi / 64).map(move |w| {
+        let first = lo.max(w * 64) - w * 64;
+        let last = hi.min(w * 64 + 63) - w * 64;
+        (w, (u64::MAX >> (63 - (last - first))) << first)
+    })
 }
 
 /// Iterator over `(row, first_col, last_col)` of the exact covered column
@@ -512,7 +631,7 @@ mod tests {
     fn add_then_remove_restores_all_counts() {
         let mut r = CoverageRaster::new(Rect::square(200.0), 50.0, 5.0);
         let p = Point::new(73.0, 121.0);
-        r.add(p);
+        r.add(p).unwrap();
         r.remove(p);
         let lat = *r.lattice();
         for iy in 0..lat.rows() {
@@ -532,7 +651,7 @@ mod tests {
             Point::new(-30.0, 100.0), // outside the region: clipped disk
         ];
         let region = Rect::square(200.0);
-        let r = CoverageRaster::build(&positions, region, 50.0, 5.0);
+        let r = CoverageRaster::build(&positions, region, 50.0, 5.0).unwrap();
         let lat = *r.lattice();
         for iy in 0..lat.rows() {
             for ix in 0..lat.cols() {
@@ -560,7 +679,7 @@ mod tests {
                 Point::new(33.3, 66.6),
                 Point::new(120.0, 50.0), // bounding box clipped at the edge
             ];
-            let r = CoverageRaster::build(&positions, region, 25.0, spacing);
+            let r = CoverageRaster::build(&positions, region, 25.0, spacing).unwrap();
             let lat = *r.lattice();
             for iy in 0..lat.rows() {
                 for ix in 0..lat.cols() {
@@ -579,9 +698,9 @@ mod tests {
     fn lone_node_is_not_eligible_but_colocated_pair_is() {
         let region = Rect::square(100.0);
         let p = Point::new(50.0, 50.0);
-        let mut r = CoverageRaster::build(&[p], region, 50.0, 5.0);
+        let mut r = CoverageRaster::build(&[p], region, 50.0, 5.0).unwrap();
         assert!(!r.try_demote(p, 1), "sole cover must stay active");
-        r.add(p);
+        r.add(p).unwrap();
         assert!(r.try_demote(p, 1), "a colocated twin makes it redundant");
         assert!(
             !r.try_demote(p, 1),
@@ -594,7 +713,7 @@ mod tests {
         let region = Rect::square(100.0);
         let far = Point::new(1000.0, 1000.0);
         let mut r = CoverageRaster::new(region, 50.0, 5.0);
-        r.add(far); // covers no lattice point
+        r.add(far).unwrap(); // covers no lattice point
         assert!(r.try_demote(far, 3));
     }
 
@@ -612,7 +731,7 @@ mod tests {
         assert!(!d.touches(Point::new(180.0, 180.0)), "disjoint disk");
         // Marks match exactly the cells a CoverageRaster add would touch.
         let mut r = CoverageRaster::new(region, 50.0, 5.0);
-        r.add(event);
+        r.add(event).unwrap();
         let lat = *r.lattice();
         let mut marked = 0;
         for iy in 0..lat.rows() {
@@ -629,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_region_overlapping_marks_stack() {
+    fn dirty_region_counts_overlapping_marks_once() {
         let mut d = DirtyRegion::new(Rect::square(100.0), 30.0, 5.0);
         d.mark_disk(Point::new(50.0, 50.0));
         let once = d.dirty_cells();
@@ -658,10 +777,9 @@ mod tests {
         assert!(d.dirty_cells() > 0);
         d.clear();
         assert_eq!(d.dirty_cells(), 0);
-        let lat = *d.marks.lattice();
-        for iy in 0..lat.rows() {
-            for ix in 0..lat.cols() {
-                assert_eq!(d.marks.get(ix, iy), 0, "mark left at ({ix}, {iy})");
+        for iy in 0..d.ys.len() {
+            for ix in 0..d.xs.len() {
+                assert!(!d.is_marked(ix, iy), "mark left at ({ix}, {iy})");
             }
         }
         // The cleared tracker counts fresh marks from zero again.
@@ -672,11 +790,129 @@ mod tests {
     }
 
     #[test]
+    fn a_count_at_the_limit_refuses_one_more_disk() {
+        // Every disk covers all 25 points of the 20 m square.
+        let p = Point::new(10.0, 10.0);
+        let mut r = CoverageRaster::new(Rect::square(20.0), 50.0, 5.0);
+        for _ in 0..MAX_COVERAGE_COUNT {
+            r.add(p).unwrap();
+        }
+        let lat = *r.lattice();
+        let all_counts = |r: &CoverageRaster| {
+            (0..lat.rows())
+                .flat_map(|iy| (0..lat.cols()).map(move |ix| (ix, iy)))
+                .map(|(ix, iy)| r.count(ix, iy))
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(all_counts(&r), vec![65_535; 25]);
+        assert_eq!(r.add(p), Err(CoverageOverflow));
+        assert_eq!(
+            all_counts(&r),
+            vec![65_535; 25],
+            "a refused add changes nothing"
+        );
+        // A degree above 65 534 needs a count of 65 536: nobody demotes.
+        assert!(!r.try_demote(p, 65_535));
+        assert!(!r.try_demote(p, usize::MAX));
+        assert!(r.try_demote(p, 65_534));
+        assert_eq!(all_counts(&r), vec![65_534; 25]);
+        r.add(p).unwrap();
+        assert_eq!(all_counts(&r), vec![65_535; 25]);
+    }
+
+    #[test]
+    fn a_refused_add_undoes_the_rows_it_already_counted() {
+        // 65 535 disks at the top edge count the limit on the upper rows;
+        // one more disk lower down walks its lower rows first, then wraps.
+        let region = Rect::new(0.0, 0.0, 200.0, 20.0);
+        let (top, low) = (Point::new(100.0, 20.0), Point::new(100.0, 10.0));
+        let mut r = CoverageRaster::new(region, 10.0, 5.0);
+        for _ in 0..MAX_COVERAGE_COUNT {
+            r.add(top).unwrap();
+        }
+        let before = r.clone();
+        assert_eq!(r.add(low), Err(CoverageOverflow));
+        let lat = *r.lattice();
+        for iy in 0..lat.rows() {
+            for ix in 0..lat.cols() {
+                assert_eq!(r.count(ix, iy), before.count(ix, iy), "at ({ix}, {iy})");
+            }
+        }
+        // The lower disk alone fits once a top disk leaves.
+        r.remove(top);
+        r.add(low).unwrap();
+        assert_eq!(r.count(20, 0), 1);
+    }
+
+    #[test]
+    fn dirty_bits_match_a_per_cell_model_across_word_edges() {
+        // 63, 64, 65 and 129 columns: spans inside one word, ending on its
+        // last bit, crossing into the next word, and ending at the last
+        // column of a row whose last word is nearly empty.
+        let mut state: u64 = 11;
+        let mut next = |lo: f64, hi: f64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + ((state >> 33) as f64 / (1u64 << 31) as f64) * (hi - lo)
+        };
+        for cols in [63usize, 64, 65, 129] {
+            let width = (cols - 1) as f64;
+            let region = Rect::new(0.0, 0.0, width, 12.0);
+            let radius = 7.5;
+            let lattice = Lattice::new(region, 1.0).unwrap();
+            assert_eq!(lattice.cols(), cols);
+            let covered = |c: Point, ix: usize, iy: usize| {
+                let bb = Circle::new(c, radius).bounding_box();
+                let p = lattice.point(ix, iy);
+                bb.contains(p) && Circle::new(c, radius).contains(p)
+            };
+            let mut d = DirtyRegion::new(region, radius, 1.0);
+            let mut model = vec![false; lattice.len()];
+            let edges = [63.5, 64.0, width, width + 3.0, -2.0];
+            for round in 0..3 {
+                for i in 0..12 {
+                    let x = edges
+                        .get(i)
+                        .copied()
+                        .unwrap_or_else(|| next(-9.0, width + 9.0));
+                    let c = Point::new(x, next(-9.0, 21.0));
+                    d.mark_disk(c);
+                    for iy in 0..lattice.rows() {
+                        for ix in 0..cols {
+                            model[lattice.index(ix, iy)] |= covered(c, ix, iy);
+                        }
+                    }
+                    let marked = model.iter().filter(|&&m| m).count();
+                    assert_eq!(d.dirty_cells(), marked, "{cols} cols, round {round}");
+                    for iy in 0..lattice.rows() {
+                        for ix in 0..cols {
+                            assert_eq!(d.is_marked(ix, iy), model[lattice.index(ix, iy)]);
+                        }
+                    }
+                    for _ in 0..8 {
+                        let probe = Point::new(next(-9.0, width + 9.0), next(-9.0, 21.0));
+                        let want = (0..lattice.rows()).any(|iy| {
+                            (0..cols)
+                                .any(|ix| model[lattice.index(ix, iy)] && covered(probe, ix, iy))
+                        });
+                        assert_eq!(d.touches(probe), want, "{cols} cols, probe {probe}");
+                    }
+                }
+                d.clear();
+                model.fill(false);
+                assert_eq!(d.dirty_cells(), 0);
+                assert!((0..lattice.rows()).all(|iy| (0..cols).all(|ix| !d.is_marked(ix, iy))));
+            }
+        }
+    }
+
+    #[test]
     fn failed_demotion_leaves_counts_untouched() {
         let region = Rect::square(100.0);
         let a = Point::new(30.0, 50.0);
         let b = Point::new(70.0, 50.0);
-        let mut r = CoverageRaster::build(&[a, b], region, 50.0, 5.0);
+        let mut r = CoverageRaster::build(&[a, b], region, 50.0, 5.0).unwrap();
         let before = r.clone();
         assert!(!r.try_demote(a, 1), "b does not cover a's whole disk");
         let lat = *r.lattice();

@@ -91,7 +91,7 @@ use wsn_geom::{Point, Rect, SpatialGrid};
 use wsn_net::NodeRole;
 
 use crate::ccp::{elect_backbone_priority_with_raster, CcpConfig};
-use crate::raster::{CoverageRaster, DirtyRegion};
+use crate::raster::{CoverageOverflow, CoverageRaster, DirtyRegion};
 
 /// A node's position in the election order: `(priority, slot)`, ascending.
 type Key = (u64, usize);
@@ -187,6 +187,11 @@ impl RepairableBackbone {
     /// repairable backbone plus the elected slot-indexed roles (dead slots
     /// are [`NodeRole::DutyCycled`]).
     ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageOverflow`] when the election does, like
+    /// [`elect_backbone_priority`].
+    ///
     /// # Panics
     ///
     /// Panics on an invalid config, mismatched slot arrays or a repeated
@@ -199,9 +204,9 @@ impl RepairableBackbone {
         alive_slots: &[usize],
         region: Rect,
         config: &CcpConfig,
-    ) -> (Self, Vec<NodeRole>) {
+    ) -> Result<(Self, Vec<NodeRole>), CoverageOverflow> {
         let (roles, backbone) =
-            elect_backbone_priority_with_raster(positions, priority, alive_slots, region, config);
+            elect_backbone_priority_with_raster(positions, priority, alive_slots, region, config)?;
         let dirty = DirtyRegion::new(region, config.sensing_range_m, config.sample_spacing_m);
         let repairable = RepairableBackbone {
             config: *config,
@@ -210,7 +215,7 @@ impl RepairableBackbone {
             events: Vec::new(),
             seed_radius: 2.0 * config.sensing_range_m + 1.0,
         };
-        (repairable, roles)
+        Ok((repairable, roles))
     }
 
     /// Records the death of a node at `pos` that held `role`. Call after
@@ -240,6 +245,13 @@ impl RepairableBackbone {
     /// is bit-identical to [`elect_backbone_priority`] over the current alive
     /// slots (the equivalence the property tests pin).
     ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageOverflow`] when a promotion would leave more than
+    /// [`MAX_COVERAGE_COUNT`](crate::raster::MAX_COVERAGE_COUNT) backbone
+    /// nodes covering one sample point. `roles` and the backbone are then
+    /// part-way repaired and must not be used further.
+    ///
     /// [`elect_backbone_priority`]: crate::ccp::elect_backbone_priority
     pub fn repair(
         &mut self,
@@ -247,7 +259,7 @@ impl RepairableBackbone {
         priority: &[u64],
         roles: &mut [NodeRole],
         alive: &SpatialGrid,
-    ) -> RepairStats {
+    ) -> Result<RepairStats, CoverageOverflow> {
         let mut stats = RepairStats {
             dirty_cells: self.dirty.dirty_cells(),
             ..RepairStats::default()
@@ -276,8 +288,8 @@ impl RepairableBackbone {
                 continue;
             }
             if wants_backbone {
+                self.backbone.add(pos)?;
                 roles[s] = NodeRole::Backbone;
-                self.backbone.add(pos);
                 stats.promoted += 1;
             } else {
                 roles[s] = NodeRole::DutyCycled;
@@ -300,7 +312,7 @@ impl RepairableBackbone {
         }
         self.events.clear();
         self.dirty.clear();
-        stats
+        Ok(stats)
     }
 
     /// Whether the node `s` with election key `key = (priority, s)` at `pos`
@@ -318,17 +330,24 @@ impl RepairableBackbone {
         let k = self.config.coverage_degree;
         let own = u32::from(roles[key.1].is_backbone());
         // Backbone nodes other than s are all in A(s), so a backbone count
-        // of k + own settles a point by itself.
+        // of k + own settles a point by itself. Compared in u32, where
+        // `k + own` saturates only far above any count.
         let settled = u32::try_from(k).unwrap_or(u32::MAX).saturating_add(own);
         let Some(rows) = self.backbone.disk_rows(pos) else {
             // A disk covering no lattice point is vacuously covered.
             return false;
         };
         for (y, xs, counts) in rows {
-            if counts.iter().copied().min().is_some_and(|c| c >= settled) {
+            if counts
+                .iter()
+                .copied()
+                .min()
+                .is_some_and(|c| u32::from(c) >= settled)
+            {
                 continue;
             }
             for (&x, &backbone_count) in xs.iter().zip(counts) {
+                let backbone_count = u32::from(backbone_count);
                 debug_assert!(backbone_count >= own, "backbone raster out of sync");
                 if backbone_count >= settled {
                     continue;
@@ -396,7 +415,8 @@ mod tests {
 
     fn assert_equivalent(w: &World, roles: &[NodeRole], what: &str) {
         let reference =
-            elect_backbone_priority(&w.positions, &w.priority, &w.alive, w.region, &w.config);
+            elect_backbone_priority(&w.positions, &w.priority, &w.alive, w.region, &w.config)
+                .unwrap();
         assert_eq!(roles, reference.as_slice(), "{what}");
     }
 
@@ -446,12 +466,14 @@ mod tests {
         }
 
         fn repair(&self, backbone: &mut RepairableBackbone, roles: &mut [NodeRole]) -> RepairStats {
-            backbone.repair(&self.positions, &self.priority, roles, &self.grid)
+            backbone
+                .repair(&self.positions, &self.priority, roles, &self.grid)
+                .unwrap()
         }
     }
 
     fn elect(w: &World) -> (RepairableBackbone, Vec<NodeRole>) {
-        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config)
+        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config).unwrap()
     }
 
     #[test]
@@ -528,7 +550,8 @@ mod tests {
         let mut rng = 0x5eed_u64;
         let mut w = seed_world(120, 400.0, &mut rng);
         let (mut backbone, mut roles) =
-            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config);
+            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config)
+                .unwrap();
         assert_equivalent(&w, &roles, "initial election");
         for batch in 0..6 {
             // Kill three random alive nodes.
@@ -552,7 +575,9 @@ mod tests {
                 backbone.note_join((pri, s), p);
             }
             w.alive.sort_unstable();
-            let stats = backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+            let stats = backbone
+                .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+                .unwrap();
             assert!(stats.dirty_cells > 0, "batch {batch} marked nothing");
             assert_eq!(
                 stats.promoted + stats.demoted,
@@ -568,9 +593,12 @@ mod tests {
         let mut rng = 7_u64;
         let w = seed_world(40, 200.0, &mut rng);
         let (mut backbone, mut roles) =
-            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config);
+            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config)
+                .unwrap();
         let before = roles.clone();
-        let stats = backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        let stats = backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         assert_eq!(stats, RepairStats::default());
         assert_eq!(roles, before);
     }
@@ -589,14 +617,16 @@ mod tests {
         grid.insert(0, p);
         grid.insert(1, p);
         let (mut backbone, mut roles) =
-            RepairableBackbone::new(&positions, &priority, &alive, region, &config);
+            RepairableBackbone::new(&positions, &priority, &alive, region, &config).unwrap();
         // Key order: node 0 first; node 1 still active covers its disk, so 0
         // sleeps and 1 (nobody left to cover it) stays.
         assert_eq!(roles, vec![NodeRole::DutyCycled, NodeRole::Backbone]);
         grid.remove(1);
         backbone.note_death(p, roles[1]);
         roles[1] = NodeRole::DutyCycled;
-        let stats = backbone.repair(&positions, &priority, &mut roles, &grid);
+        let stats = backbone
+            .repair(&positions, &priority, &mut roles, &grid)
+            .unwrap();
         assert_eq!(roles, vec![NodeRole::Backbone, NodeRole::DutyCycled]);
         assert_eq!((stats.promoted, stats.demoted), (1, 0));
         assert_eq!(stats.flips, vec![(0, true)]);
@@ -610,7 +640,8 @@ mod tests {
         let mut rng = 99_u64;
         let mut w = seed_world(60, 250.0, &mut rng);
         let (mut backbone, mut roles) =
-            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config);
+            RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, &w.config)
+                .unwrap();
         let keeper = roles
             .iter()
             .position(|r| r.is_backbone())
@@ -622,7 +653,9 @@ mod tests {
         w.alive.push(s);
         w.grid.insert(s, w.positions[keeper]);
         backbone.note_join((u64::MAX, s), w.positions[keeper]);
-        backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         assert_equivalent(&w, &roles, "after colocated join");
     }
 }

@@ -53,7 +53,7 @@ fn assert_elections_identical(
     dead_one_in: usize,
 ) -> Result<Vec<NodeRole>, TestCaseError> {
     let (priority, alive) = slots(positions.len(), seed, dead_one_in);
-    let fast = elect_backbone_priority(positions, &priority, &alive, region, cfg);
+    let fast = elect_backbone_priority(positions, &priority, &alive, region, cfg).unwrap();
     let reference = elect_backbone_reference(positions, &priority, &alive, region, cfg);
     prop_assert_eq!(&fast, &reference);
     Ok(fast)
@@ -118,7 +118,7 @@ proptest! {
         let cfg1 = config(1, 5.0);
         let roles = assert_elections_identical(&positions, region, &cfg1, seed, 0)?;
         prop_assert!(
-            backbone_covers_region(&positions, &roles, region, &cfg1),
+            backbone_covers_region(&positions, &roles, region, &cfg1).unwrap(),
             "the elected backbone must keep covering the region"
         );
     }

@@ -122,6 +122,7 @@ impl ChurnWorld {
         let mut alive = self.alive.clone();
         alive.sort_unstable();
         elect_backbone_priority(&self.positions, &self.priority, &alive, self.region, config)
+            .unwrap()
     }
 }
 
@@ -139,7 +140,7 @@ fn assert_schedule_equivalent(
     let mut rng = SimRng::seed_from_u64(seed);
     let mut w = ChurnWorld::new(n, side, &mut rng);
     let (mut backbone, mut roles) =
-        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, config);
+        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, config).unwrap();
     prop_assert_eq!(&roles, &w.reference_roles(config), "initial election");
     for batch in 0..batches {
         for _ in 0..deaths_per_batch.min(w.alive.len()) {
@@ -148,7 +149,9 @@ fn assert_schedule_equivalent(
         for _ in 0..joins_per_batch {
             w.join(&mut rng, &mut backbone, &mut roles);
         }
-        let stats = backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        let stats = backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         prop_assert_eq!(
             stats.promoted + stats.demoted,
             stats.flips.len(),
@@ -175,7 +178,7 @@ fn assert_interleaved_equivalent(
     let mut rng = SimRng::seed_from_u64(seed);
     let mut w = ChurnWorld::new(n, 200.0, &mut rng);
     let (mut backbone, mut roles) =
-        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, config);
+        RepairableBackbone::new(&w.positions, &w.priority, &w.alive, w.region, config).unwrap();
     for batch in 0..batches {
         let stale = w.join(&mut rng, &mut backbone, &mut roles);
         for _ in 0..ops {
@@ -192,7 +195,9 @@ fn assert_interleaved_equivalent(
             w.kill_at(pick, &mut backbone, &mut roles);
         }
         w.join_at(spot, &mut rng, &mut backbone, &mut roles);
-        let stats = backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        let stats = backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         prop_assert_eq!(
             stats.promoted + stats.demoted,
             stats.flips.len(),
@@ -298,18 +303,23 @@ proptest! {
             &w.alive,
             w.region,
             &config,
-        );
+        )
+        .unwrap();
         // Drain everyone.
         while !w.alive.is_empty() {
             w.kill(&mut rng, &mut backbone, &mut roles);
         }
-        backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         prop_assert!(roles.iter().all(|r| !r.is_backbone()), "empty world sleeps");
         // Repopulate entirely through recycled slots plus growth.
         for _ in 0..(n + 3) {
             w.join(&mut rng, &mut backbone, &mut roles);
         }
-        backbone.repair(&w.positions, &w.priority, &mut roles, &w.grid);
+        backbone
+            .repair(&w.positions, &w.priority, &mut roles, &w.grid)
+            .unwrap();
         prop_assert_eq!(&roles, &w.reference_roles(&config), "after repopulation");
     }
 }

@@ -174,7 +174,10 @@ impl ServiceSim {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Config`] when the scenario fails validation.
+    /// Returns [`ServiceError::Config`] when the scenario fails validation
+    /// or its deployment fails to build, like [`SteppedSim::with_options`]
+    /// (more than `wsn_power::MAX_COVERAGE_COUNT` nodes covering one
+    /// coverage sample point).
     pub fn new(scenario: Scenario, sharing: TreeSharing) -> Result<Self, ServiceError> {
         Self::open(scenario, sharing, None)
     }

@@ -171,8 +171,24 @@ fn churn_scale_lists_are_validated_like_bench_ones() {
 
 #[test]
 fn all_does_not_include_the_churn_target() {
-    // `all` reproduces the paper's static figures; churn must stay an
-    // explicit opt-in, so `repro all` must not fail for lack of a rate.
+    // `all` reproduces the paper's static figures; churn and resilience
+    // must stay explicit opt-ins, so `repro all` runs without a rate and
+    // reports neither.
+    let out = repro(&["--quick", "--format", "json", "all"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let results = &stdout[stdout.find("\"results\"").expect("a results object")..];
+    for target in ["churn", "resilience"] {
+        assert!(
+            !results.contains(&format!("\"{target}\":")),
+            "`repro all` ran {target}"
+        );
+    }
+    assert!(results.contains("\"fig4\":"), "`repro all` ran fig4");
     let out = repro(&["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--churn-rate R churn"));

@@ -24,6 +24,20 @@ fn non_finite_durations_are_config_errors_not_panics() {
 }
 
 #[test]
+fn an_election_past_the_coverage_count_limit_is_a_config_error() {
+    // In a 20 m square every 50 m sensing disk covers every sample point, so
+    // n nodes count n at each one. The raster's 16-bit counts hold 65 535.
+    let crowd = |n| {
+        Scenario::paper_default()
+            .with_node_count(n)
+            .with_region_side(20.0)
+    };
+    assert!(Simulation::new(crowd(65_535)).is_ok());
+    let err = Simulation::new(crowd(65_536)).expect_err("65 536 disks overflow a count");
+    assert!(err.to_string().contains("65535"), "{err}");
+}
+
+#[test]
 fn backbone_membership_matches_pinned_snapshot() {
     // The CCP election is a pure function of (deployment, priorities,
     // config); the coverage-raster rewrite (and any future election speedup)
@@ -39,7 +53,7 @@ fn backbone_membership_matches_pinned_snapshot() {
     let priority: Vec<u64> = positions.iter().map(|_| rng.next_u64()).collect();
     let alive: Vec<usize> = (0..positions.len()).collect();
     let (region, config) = (Rect::square(200.0), CcpConfig::paper_default());
-    let roles = elect_backbone_priority(&positions, &priority, &alive, region, &config);
+    let roles = elect_backbone_priority(&positions, &priority, &alive, region, &config).unwrap();
     assert_eq!(
         roles,
         elect_backbone_reference(&positions, &priority, &alive, region, &config)
