@@ -67,7 +67,7 @@ pub struct MultiuserPoint {
 }
 
 /// Builds one batch trial: the deployment of `scenario` and `users`
-/// generated users, ready for [`walk_trial`].
+/// generated users, ready for [`SteppedSim::run_to_end`].
 ///
 /// # Panics
 ///
@@ -79,39 +79,33 @@ pub fn build_trial(scenario: &Scenario, users: usize, sharing: TreeSharing) -> S
         .expect("experiment scenarios are valid by construction")
 }
 
-/// Walks a built trial through the stepped engine to the end of the
-/// scenario's query lifetime and aggregates its output.
-///
-/// # Panics
-///
-/// Panics if the walk errors, a programming error for the same reason.
-pub fn walk_trial(mut sim: SteppedSim) -> MultiUserOutput {
-    sim.run_to_end().expect("experiment walks complete");
-    sim.finish()
-}
-
 /// Runs one scenario under both sharing modes and asserts the shared run is
 /// result-identical per user to the naive reference. Each mode runs
 /// `samples` times through [`best_of`], which builds the trial untimed and
-/// times only its walk; its output comes back with the fastest walk's
-/// wall-clock in milliseconds, shared mode first.
+/// times only its walk; the fastest walk's output is aggregated, and its
+/// deployment freed, after the clock stops. Returns each mode's output with
+/// that walk's wall-clock in milliseconds, shared mode first.
 ///
 /// # Panics
 ///
-/// Panics if any user's query log differs between the modes — that would
-/// mean the tree cache changed protocol results, which the whole design
-/// forbids.
+/// Panics if a walk errors (a programming error, as for [`build_trial`]),
+/// or if any user's query log differs between the modes — that would mean
+/// the tree cache changed protocol results, which the whole design forbids.
 pub fn run_equivalent_pair(
     scenario: &Scenario,
     users: usize,
     samples: usize,
 ) -> [(MultiUserOutput, f64); 2] {
     let run = |sharing| {
-        best_of(
+        let (walked, ms) = best_of(
             samples,
             || build_trial(scenario, users, sharing),
-            walk_trial,
-        )
+            |mut sim| {
+                sim.run_to_end().expect("experiment walks complete");
+                sim
+            },
+        );
+        (walked.finish(), ms)
     };
     let shared = run(TreeSharing::Shared);
     let naive = run(TreeSharing::Naive);

@@ -40,8 +40,8 @@ impl Error for GridError {}
 ///
 /// Items are identified by a caller-chosen `usize` id. Ids index a dense
 /// vector of cell indices (four bytes per id up to the largest id
-/// inserted), so they should be small and dense, like the slot indices of
-/// a deployment.
+/// inserted), so they must be small and dense, like the slot indices of
+/// a deployment; [`insert`](Self::insert) refuses `usize::MAX`.
 ///
 /// Each cell keeps its items in insertion order: an insert appends, a move
 /// (re-insert) takes the item out of its old cell and appends it to its new
@@ -152,6 +152,15 @@ impl SpatialGrid {
     }
 
     /// Inserts an item, or moves it if it is already present.
+    ///
+    /// Ids index a dense vector: inserting id `n` grows the id index to
+    /// `n + 1` entries of four bytes each, so a sparse id costs memory in
+    /// proportion to its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is `usize::MAX`, or if the id index cannot grow to
+    /// `id + 1` entries.
     pub fn insert(&mut self, id: usize, position: Point) {
         match self.cell_holding(id) {
             Some(prev) => {
@@ -159,7 +168,10 @@ impl SpatialGrid {
             }
             None => {
                 if id >= self.cell_of.len() {
-                    self.cell_of.resize(id + 1, ABSENT);
+                    let entries = id
+                        .checked_add(1)
+                        .expect("grid ids index a dense vector; usize::MAX is not an id");
+                    self.cell_of.resize(entries, ABSENT);
                 }
                 self.len += 1;
             }
@@ -360,6 +372,12 @@ mod tests {
         assert_eq!(g.remove(7), Some(Point::new(10.0, 10.0)));
         assert!(g.is_empty());
         assert_eq!(g.remove(7), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "usize::MAX is not an id")]
+    fn the_largest_usize_is_not_an_id() {
+        grid_with_points(&[(usize::MAX, Point::new(10.0, 10.0))]);
     }
 
     #[test]

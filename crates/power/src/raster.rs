@@ -77,16 +77,11 @@ impl Error for CoverageOverflow {}
 ///
 /// Counts are `u16`, two bytes per lattice cell: the election and the
 /// repair only compare them against `k + 1` for small coverage degrees `k`.
-/// A count can pass [`MAX_COVERAGE_COUNT`] only while the raster holds more
-/// disks than that, so [`add`](Self::add) tracks how many it holds and only
-/// then tests each increment for a wrap, in the same pass; a wrap undoes
-/// the add and returns [`CoverageOverflow`].
+/// [`add`](Self::add) tests each increment for a wrap in the same pass; a
+/// wrap undoes the add and returns [`CoverageOverflow`].
 #[derive(Debug, Clone)]
 pub struct CoverageRaster {
     counts: DenseRaster<u16>,
-    /// Disks added and not yet removed or demoted: an upper bound on every
-    /// count.
-    disks: usize,
     /// Cached x coordinate of every lattice column (`lattice.point(ix, 0).x`).
     xs: Vec<f64>,
     /// Cached y coordinate of every lattice row (`lattice.point(0, iy).y`).
@@ -120,7 +115,6 @@ impl CoverageRaster {
             .collect();
         CoverageRaster {
             counts: DenseRaster::new(lattice),
-            disks: 0,
             xs,
             ys,
             sensing_range,
@@ -173,53 +167,24 @@ impl CoverageRaster {
     /// Returns [`CoverageOverflow`], leaving every count as it was, when a
     /// covered point already counts [`MAX_COVERAGE_COUNT`] disks.
     pub fn add(&mut self, center: Point) -> Result<(), CoverageOverflow> {
-        self.disks += 1;
-        let may_wrap = self.disks > usize::from(MAX_COVERAGE_COUNT);
-        let CoverageRaster {
-            counts,
-            xs,
-            ys,
-            sensing_range,
-            r2e,
-            ..
-        } = self;
-        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
-            return Ok(());
-        };
-        if !may_wrap {
-            // Every count is at most `disks`, so none can wrap here.
-            for (iy, lo, hi) in spans {
-                for c in &mut counts.row_mut(iy)[lo..=hi] {
-                    *c += 1;
-                }
-            }
-            return Ok(());
-        }
-        let mut wrapped_row = None;
-        for (iy, lo, hi) in spans {
+        // The wrap test rides in the increment pass; a wrapping row ends the
+        // walk, and every row counted so far, that one included, is undone.
+        let Some(stop) = self.walk_rows(center, |_, row| {
             let mut wrapped = false;
-            for c in &mut counts.row_mut(iy)[lo..=hi] {
+            for c in row {
                 *c = c.wrapping_add(1);
                 wrapped |= *c == 0;
             }
-            if wrapped {
-                wrapped_row = Some(iy);
-                break;
-            }
-        }
-        let Some(stop) = wrapped_row else {
+            wrapped
+        }) else {
             return Ok(());
         };
-        let undo = DiskSpans::over(xs, ys, center, *r2e, *sensing_range).expect("walked above");
-        for (iy, lo, hi) in undo {
-            for c in &mut counts.row_mut(iy)[lo..=hi] {
+        self.walk_rows(center, |iy, row| {
+            for c in row {
                 *c = c.wrapping_sub(1);
             }
-            if iy == stop {
-                break;
-            }
-        }
-        self.disks -= 1;
+            iy == stop
+        });
         Err(CoverageOverflow)
     }
 
@@ -231,27 +196,16 @@ impl CoverageRaster {
     /// Debug builds panic on underflow, i.e. removing a node that was never
     /// added.
     pub fn remove(&mut self, center: Point) {
-        self.disks -= 1;
-        let CoverageRaster {
-            counts,
-            xs,
-            ys,
-            sensing_range,
-            r2e,
-            ..
-        } = self;
-        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
-            return;
-        };
-        for (iy, lo, hi) in spans {
-            for c in &mut counts.row_mut(iy)[lo..=hi] {
+        self.walk_rows(center, |_, row| {
+            for c in row {
                 debug_assert!(
                     *c > 0,
                     "coverage count underflow: removing a node that was never added"
                 );
                 *c = c.wrapping_sub(1);
             }
-        }
+            false
+        });
     }
 
     /// Demotes the active node at `center` if the remaining actives still
@@ -273,42 +227,26 @@ impl CoverageRaster {
     pub fn try_demote(&mut self, center: Point, k: usize) -> bool {
         // Compared in u32, where `k + 1` saturates only far above any count.
         let threshold = u32::try_from(k).unwrap_or(u32::MAX).saturating_add(1);
-        let CoverageRaster {
-            counts,
-            disks,
-            xs,
-            ys,
-            sensing_range,
-            r2e,
-        } = self;
-        let Some(spans) = DiskSpans::over(xs, ys, center, *r2e, *sensing_range) else {
-            *disks -= 1;
-            return true;
-        };
-        let mut failed_row = None;
-        for (iy, lo, hi) in spans {
-            let row = &mut counts.row_mut(iy)[lo..=hi];
+        let Some(stop) = self.walk_rows(center, |_, row| {
             if row.iter().any(|&c| u32::from(c) < threshold) {
-                failed_row = Some(iy);
-                break;
+                return true;
             }
             for c in row {
                 *c -= 1;
             }
-        }
-        let Some(stop) = failed_row else {
-            *disks -= 1;
+            false
+        }) else {
             return true;
         };
-        let rollback = DiskSpans::over(xs, ys, center, *r2e, *sensing_range).expect("walked above");
-        for (iy, lo, hi) in rollback {
+        self.walk_rows(center, |iy, row| {
             if iy == stop {
-                break;
+                return true;
             }
-            for c in &mut counts.row_mut(iy)[lo..=hi] {
+            for c in row {
                 *c += 1;
             }
-        }
+            false
+        });
         false
     }
 
@@ -330,6 +268,23 @@ impl CoverageRaster {
                 &self.counts.row(iy)[lo..=hi],
             )
         }))
+    }
+
+    /// Hands `visit` the covered counts of each lattice row of the sensing
+    /// disk at `center`, bottom to top, until it returns `true`; returns the
+    /// row it stopped at, or `None` when it visited every row.
+    fn walk_rows(
+        &mut self,
+        center: Point,
+        mut visit: impl FnMut(usize, &mut [u16]) -> bool,
+    ) -> Option<usize> {
+        let spans = DiskSpans::over(&self.xs, &self.ys, center, self.r2e, self.sensing_range)?;
+        for (iy, lo, hi) in spans {
+            if visit(iy, &mut self.counts.row_mut(iy)[lo..=hi]) {
+                return Some(iy);
+            }
+        }
+        None
     }
 }
 

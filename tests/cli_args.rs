@@ -188,7 +188,10 @@ fn all_does_not_include_the_churn_target() {
             "`repro all` ran {target}"
         );
     }
-    assert!(results.contains("\"fig4\":"), "`repro all` ran fig4");
+    assert!(
+        results.contains("\"fig4\":"),
+        "`repro all` did not run fig4"
+    );
     let out = repro(&["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--churn-rate R churn"));
