@@ -247,6 +247,12 @@ impl Scenario {
         if !(self.motion.duration.is_finite() && self.motion.duration > 0.0) {
             return Err(ConfigError::new("the simulation duration must be positive"));
         }
+        if !(self.ccp.sensing_range_m.is_finite() && self.ccp.sensing_range_m > 0.0) {
+            return Err(ConfigError::new("the CCP sensing range must be positive"));
+        }
+        if !(self.ccp.sample_spacing_m.is_finite() && self.ccp.sample_spacing_m > 0.0) {
+            return Err(ConfigError::new("the CCP sample spacing must be positive"));
+        }
         self.query.validate()?;
         Ok(())
     }

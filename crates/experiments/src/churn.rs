@@ -15,12 +15,12 @@
 //! `--bench` section ([`run_bench`]) is the same points' JSON plus the
 //! timings (repair vs full election) as a trajectory snapshot.
 
-use crate::runner::TrialPlan;
+use crate::runner::replicates;
 use crate::scale::scale_scenario;
 use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{ChurnConfig, QuerySet, SteppedSim, TreeSharing};
-use wsn_metrics::{ChurnSummary, JsonValue, Table};
+use wsn_metrics::{ChurnBatch, JsonValue, Table};
 
 /// Largest deployment whose churn runs cross-check *every batch* against a
 /// full re-election. Above this, per-batch verification would dominate the
@@ -109,10 +109,18 @@ pub fn run_point(scenario: Scenario, rate: f64, users: usize) -> ChurnPoint {
     sim.run_to_end()
         .expect("verified churn walks complete (a divergence would error here)");
 
-    let summary = ChurnSummary::from_batches(sim.churn_log());
-    let apply_ms: f64 = sim.churn_log().iter().map(|b| b.apply_ms).sum();
-    let per_batch_verified =
-        !sim.churn_log().is_empty() && sim.churn_log().iter().all(|b| b.verified == Some(true));
+    let log = sim.churn_log();
+    let total = |count: fn(&ChurnBatch) -> usize| -> usize { log.iter().map(count).sum() };
+    let (batches, deaths, evaluated) = (log.len(), total(|b| b.deaths), total(|b| b.evaluated));
+    let (promoted, demoted) = (total(|b| b.promoted), total(|b| b.demoted));
+    let repair_ms: f64 = log.iter().map(|b| b.repair_ms).sum();
+    let mean_repair_ms = if batches == 0 {
+        0.0
+    } else {
+        repair_ms / batches as f64
+    };
+    let apply_ms: f64 = log.iter().map(|b| b.apply_ms).sum();
+    let per_batch_verified = batches > 0 && log.iter().all(|b| b.verified == Some(true));
     let backbone = sim.backbone_slots();
 
     let (reference, full_ccp_ms) = best_of(1, || (), |()| sim.reference_reelection());
@@ -127,40 +135,36 @@ pub fn run_point(scenario: Scenario, rate: f64, users: usize) -> ChurnPoint {
         rate,
         users,
         seed,
-        batches: summary.batches,
-        deaths: summary.deaths,
-        evaluated: summary.evaluated,
-        promoted: summary.promoted,
-        demoted: summary.demoted,
+        batches,
+        deaths,
+        evaluated,
+        promoted,
+        demoted,
         backbone_count: backbone.len(),
         backbone_digest: backbone_digest(&backbone),
         per_batch_verified,
         mean_success_ratio: out.mean_success_ratio(),
         mean_fidelity: out.mean_fidelity(),
-        repair_ms: summary.repair_ms,
-        mean_repair_ms: summary.mean_repair_ms,
+        repair_ms,
+        mean_repair_ms,
         apply_ms,
         full_ccp_ms,
     }
 }
 
-/// Runs every (scale × rate × replicate) trial in plan order. The grid is
-/// scale-major, and the seed derives from the (scale, rate) point's index
-/// and the replicate.
+/// Runs every (scale × rate × replicate) trial. The grid is scale-major:
+/// scale `s` at rate `r` is point `s · rates.len() + r`.
 pub fn run_points(config: &ExperimentConfig, scales: &[usize], rates: &[f64]) -> Vec<ChurnPoint> {
-    let mut plan = TrialPlan::new();
-    for &nodes in scales {
-        for _ in rates {
-            plan.push_point(config, scale_scenario(nodes, Scheme::JustInTime, 0));
+    let mut points = Vec::new();
+    for (s, &nodes) in scales.iter().enumerate() {
+        let scenario = scale_scenario(nodes, Scheme::JustInTime, 0);
+        for (r, &rate) in rates.iter().enumerate() {
+            for trial in replicates(config, s * rates.len() + r, &scenario) {
+                points.push(run_point(trial, rate, config.users));
+            }
         }
     }
-    plan.run_trials(|spec| {
-        let rate = rates[spec.point_index % rates.len()];
-        run_point(spec.scenario.clone(), rate, config.users)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    points
 }
 
 fn table_from_points(points: &[ChurnPoint]) -> Table {

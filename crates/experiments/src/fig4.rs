@@ -5,7 +5,7 @@
 //! speed ranges {3–5, 6–10, 16–20} m/s, sleep periods {3, 6, 9, 12, 15} s,
 //! success threshold 95 % fidelity, averaged over 3 topologies.
 
-use crate::runner::TrialPlan;
+use crate::runner::summarize;
 use crate::{ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Table};
@@ -49,42 +49,32 @@ pub struct Fig4Point {
     pub ci95: f64,
 }
 
-/// Runs the full sweep — every (speed × sleep × scheme × replicate) trial, in
-/// plan order — and returns every data point.
+/// Runs the full sweep — every (speed × sleep × scheme × replicate) trial,
+/// points numbered in that loop order — and returns every data point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig4Point> {
-    let mut plan = TrialPlan::new();
-    let mut coords = Vec::new();
+    let mut points = Vec::new();
     for &(speed_min, speed_max) in &speed_ranges(config) {
-        for &sleep in &sleep_periods(config) {
+        for &sleep_period_s in &sleep_periods(config) {
             for &scheme in &SCHEMES {
-                plan.push_point(
-                    config,
-                    config
-                        .base_scenario()
-                        .with_sleep_period_secs(sleep)
-                        .with_speed_range(speed_min, speed_max)
-                        .with_profile_source(ProfileSource::Oracle)
-                        .with_scheme(scheme),
-                );
-                coords.push((scheme, sleep, speed_min, speed_max));
+                let scenario = config
+                    .base_scenario()
+                    .with_sleep_period_secs(sleep_period_s)
+                    .with_speed_range(speed_min, speed_max)
+                    .with_profile_source(ProfileSource::Oracle)
+                    .with_scheme(scheme);
+                let summary = summarize(config, points.len(), &scenario, |o| o.success_ratio);
+                points.push(Fig4Point {
+                    scheme,
+                    sleep_period_s,
+                    speed_min,
+                    speed_max,
+                    success_ratio: summary.mean(),
+                    ci95: summary.ci95(),
+                });
             }
         }
     }
-    let summaries = plan.run_summaries(|o| o.success_ratio);
-    coords
-        .into_iter()
-        .zip(summaries)
-        .map(
-            |((scheme, sleep_period_s, speed_min, speed_max), summary)| Fig4Point {
-                scheme,
-                sleep_period_s,
-                speed_min,
-                speed_max,
-                success_ratio: summary.mean(),
-                ci95: summary.ci95(),
-            },
-        )
-        .collect()
+    points
 }
 
 /// Formats already-computed points as the Figure 4 table.

@@ -6,8 +6,8 @@
 //! warm-up of about five periods; MQ-GP shows large variance caused by
 //! congestion losses.
 
-use crate::runner::TrialPlan;
-use crate::{ExperimentConfig, Report};
+use crate::runner::replicates;
+use crate::{run_scenario, ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Series};
 use wsn_mobility::ProfileSource;
@@ -34,24 +34,21 @@ pub fn run(config: &ExperimentConfig) -> Report {
         .with_speed_range(3.0, 5.0)
         .with_profile_source(ProfileSource::Oracle);
 
-    // The figure is a single dynamic trace per scheme, so the plan has one
-    // replicate per point whatever `config.runs` says.
-    let single = ExperimentConfig { runs: 1, ..*config };
-    let mut plan = TrialPlan::new();
-    for scheme in [Scheme::JustInTime, Scheme::Greedy] {
-        plan.push_point(&single, base.clone().with_scheme(scheme));
-    }
-    let mut traces = plan.run_map(|_, output| output.fidelity_series());
-
-    let mut jit = Series::new("MQ-JIT");
-    let mut greedy = Series::new("MQ-GP");
-    let greedy_trace = traces.pop().and_then(|mut t| t.pop()).unwrap_or_default();
-    let jit_trace = traces.pop().and_then(|mut t| t.pop()).unwrap_or_default();
-    for (trace, series) in [(jit_trace, &mut jit), (greedy_trace, &mut greedy)] {
-        for (k, fidelity) in trace {
-            series.push(k as f64, fidelity);
+    // The figure is a single dynamic trace per scheme: point 0 is MQ-JIT and
+    // point 1 MQ-GP, one trial each whatever `config.runs` says.
+    let mut traces = [
+        (Scheme::JustInTime, Series::new("MQ-JIT")),
+        (Scheme::Greedy, Series::new("MQ-GP")),
+    ];
+    for (point, (scheme, series)) in traces.iter_mut().enumerate() {
+        let scenario = base.clone().with_scheme(*scheme);
+        for trial in replicates(&config.single_trial(), point, &scenario) {
+            for (k, fidelity) in run_scenario(trial).fidelity_series() {
+                series.push(k as f64, fidelity);
+            }
         }
     }
+    let [(_, jit), (_, greedy)] = traces;
     let jit_mean = steady_mean(&jit, WARMUP_PERIODS);
     let greedy_mean = steady_mean(&greedy, WARMUP_PERIODS);
     Report {

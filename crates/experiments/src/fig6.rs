@@ -7,7 +7,7 @@
 //! ratio grows with `Ta` and approaches 100 % once `Ta` exceeds the warm-up
 //! threshold of Equation 16; shorter sleep periods need less advance notice.
 
-use crate::runner::TrialPlan;
+use crate::runner::summarize;
 use crate::{ExperimentConfig, Report};
 use mobiquery::analysis;
 use mobiquery::config::Scheme;
@@ -45,38 +45,33 @@ pub struct Fig6Point {
     pub warmup_bound_s: f64,
 }
 
-/// Runs the sweep and returns every data point.
+/// Runs the sweep, points numbered sleep-major, and returns every data
+/// point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig6Point> {
-    let mut plan = TrialPlan::new();
-    let mut coords = Vec::new();
-    for &sleep in &sleep_periods(config) {
-        for &ta in &advance_times(config) {
+    let mut points = Vec::new();
+    for &sleep_period_s in &sleep_periods(config) {
+        for &advance_s in &advance_times(config) {
             let scenario = config
                 .base_scenario()
-                .with_sleep_period_secs(sleep)
+                .with_sleep_period_secs(sleep_period_s)
                 .with_speed_range(3.0, 5.0)
                 .with_motion_change_interval(70.0)
                 .with_duration_secs(if config.quick { 140.0 } else { 500.0 })
-                .with_planner_advance(ta)
+                .with_planner_advance(advance_s)
                 .with_scheme(Scheme::JustInTime);
-            let warmup = analysis::warmup_interval_approx_s(&scenario.analysis_params(), ta);
-            plan.push_point(config, scenario);
-            coords.push((sleep, ta, warmup));
-        }
-    }
-    let summaries = plan.run_summaries(|o| o.success_ratio);
-    coords
-        .into_iter()
-        .zip(summaries)
-        .map(
-            |((sleep_period_s, advance_s, warmup_bound_s), summary)| Fig6Point {
+            let summary = summarize(config, points.len(), &scenario, |o| o.success_ratio);
+            points.push(Fig6Point {
                 sleep_period_s,
                 advance_s,
                 success_ratio: summary.mean(),
-                warmup_bound_s,
-            },
-        )
-        .collect()
+                warmup_bound_s: analysis::warmup_interval_approx_s(
+                    &scenario.analysis_params(),
+                    advance_s,
+                ),
+            });
+        }
+    }
+    points
 }
 
 /// Runs the sweep and reports it as a table (rows: sleep period, columns:

@@ -7,7 +7,7 @@
 //! hence `Ta = −8 s`) with GPS errors of 5 m and 10 m. The success ratio
 //! grows with the interval; larger errors cost a few per cent.
 
-use crate::runner::TrialPlan;
+use crate::runner::summarize;
 use crate::{ExperimentConfig, Report};
 use mobiquery::config::{Scenario, Scheme};
 use wsn_metrics::{JsonValue, Table};
@@ -84,35 +84,30 @@ pub struct Fig7Point {
     pub success_ratio: f64,
 }
 
-/// Runs the sweep and returns every data point.
+/// Runs the sweep, points numbered variant-major, and returns every data
+/// point.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig7Point> {
-    let mut plan = TrialPlan::new();
-    let mut coords = Vec::new();
+    let mut points = Vec::new();
     for variant in variants(config) {
-        for &interval in &change_intervals(config) {
+        for &change_interval_s in &change_intervals(config) {
             let scenario = variant.apply(
                 config
                     .base_scenario()
                     .with_sleep_period_secs(9.0)
                     .with_speed_range(3.0, 5.0)
-                    .with_motion_change_interval(interval)
+                    .with_motion_change_interval(change_interval_s)
                     .with_duration_secs(if config.quick { 130.0 } else { 500.0 })
                     .with_scheme(Scheme::JustInTime),
             );
-            plan.push_point(config, scenario);
-            coords.push((variant, interval));
+            let summary = summarize(config, points.len(), &scenario, |o| o.success_ratio);
+            points.push(Fig7Point {
+                variant,
+                change_interval_s,
+                success_ratio: summary.mean(),
+            });
         }
     }
-    let summaries = plan.run_summaries(|o| o.success_ratio);
-    coords
-        .into_iter()
-        .zip(summaries)
-        .map(|((variant, change_interval_s), summary)| Fig7Point {
-            variant,
-            change_interval_s,
-            success_ratio: summary.mean(),
-        })
-        .collect()
+    points
 }
 
 /// Runs the sweep and reports it as a table (rows: variant, columns:

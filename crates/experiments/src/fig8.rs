@@ -8,8 +8,8 @@
 //! and a late profile (`Ta = −3 s`) costs slightly *less* energy than an
 //! early one (`Ta = 9 s`) because warm-up periods wake fewer nodes.
 
-use crate::runner::TrialPlan;
-use crate::{ExperimentConfig, Report};
+use crate::runner::{replicates, summarize};
+use crate::{run_scenario, ExperimentConfig, Report};
 use mobiquery::config::Scheme;
 use wsn_metrics::{JsonValue, Table};
 use wsn_sim::stats::Summary;
@@ -38,41 +38,38 @@ pub struct Fig8Point {
 
 /// Runs the sweep and returns every data point.
 ///
-/// Each sleep period contributes two plan points — a late profile
-/// (`Ta = −3 s`) and an early one (`Ta = 9 s`) — and every trial reports both
-/// its query power and its duty-cycle-only baseline, so the CCP curve comes
-/// from the late-profile runs without simulating them a second time.
+/// Sleep period `i` contributes two points: the late profile (`Ta = −3 s`)
+/// is point `2i` and the early one (`Ta = 9 s`) point `2i + 1`. Every trial
+/// reports both its query power and its duty-cycle-only baseline, so the CCP
+/// curve comes from the late-profile trials without simulating them a second
+/// time.
 pub fn run_points(config: &ExperimentConfig) -> Vec<Fig8Point> {
-    let sleeps = sleep_periods(config);
-    let mut plan = TrialPlan::new();
-    for &sleep in &sleeps {
+    let mut points = Vec::new();
+    for (i, &sleep_period_s) in sleep_periods(config).iter().enumerate() {
         let base = config
             .base_scenario()
-            .with_sleep_period_secs(sleep)
+            .with_sleep_period_secs(sleep_period_s)
             .with_speed_range(3.0, 5.0)
             .with_motion_change_interval(70.0)
             .with_duration_secs(if config.quick { 120.0 } else { 400.0 })
             .with_scheme(Scheme::JustInTime);
-        plan.push_point(config, base.clone().with_planner_advance(-3.0));
-        plan.push_point(config, base.with_planner_advance(9.0));
+        let late = base.clone().with_planner_advance(-3.0);
+        let (ccp, jit_late): (Summary, Summary) = replicates(config, 2 * i, &late)
+            .map(|trial| {
+                let o = run_scenario(trial);
+                (o.baseline_sleeping_power_w, o.mean_sleeping_power_w)
+            })
+            .unzip();
+        let early = base.with_planner_advance(9.0);
+        let jit_early = summarize(config, 2 * i + 1, &early, |o| o.mean_sleeping_power_w);
+        points.push(Fig8Point {
+            sleep_period_s,
+            ccp_power_w: ccp.mean(),
+            jit_late_power_w: jit_late.mean(),
+            jit_early_power_w: jit_early.mean(),
+        });
     }
-
-    let per_point = plan.run_map(|_, o| (o.mean_sleeping_power_w, o.baseline_sleeping_power_w));
-    sleeps
-        .iter()
-        .zip(per_point.chunks_exact(2))
-        .map(|(&sleep, pair)| {
-            let summarize = |trials: &[(f64, f64)], pick: fn(&(f64, f64)) -> f64| -> Summary {
-                trials.iter().map(pick).collect()
-            };
-            Fig8Point {
-                sleep_period_s: sleep,
-                ccp_power_w: summarize(&pair[0], |t| t.1).mean(),
-                jit_late_power_w: summarize(&pair[0], |t| t.0).mean(),
-                jit_early_power_w: summarize(&pair[1], |t| t.0).mean(),
-            }
-        })
-        .collect()
+    points
 }
 
 /// Runs the sweep and reports it as a table (rows: configuration, columns:

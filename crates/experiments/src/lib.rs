@@ -55,11 +55,9 @@ pub struct ExperimentConfig {
     /// Run the paper-scale version (`false`) or the scaled-down quick
     /// version (`true`).
     pub quick: bool,
-    /// Number of independent topologies/runs averaged per data point.
+    /// Number of independent topologies/runs averaged per data point; the
+    /// point's trials are [`runner::replicates`].
     pub runs: u64,
-    /// Base RNG seed; trial `r` of point `p` uses
-    /// [`runner::trial_seed`]`(base_seed, p, r)`.
-    pub base_seed: u64,
     /// Largest fleet size of the [`multiuser`] sweep (`--users`); the sweep
     /// ladders up to it in powers of two.
     pub users: usize,
@@ -71,7 +69,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             quick: false,
             runs: 3,
-            base_seed: 42,
             users: 64,
         }
     }
@@ -81,7 +78,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             quick: true,
             runs: 1,
-            base_seed: 42,
             users: 8,
         }
     }
@@ -93,8 +89,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// The configuration a `--bench` section runs its sweep under: one
-    /// replicate, so every timing is one trial's own.
+    /// The configuration with one replicate per point: what a `--bench`
+    /// section runs its sweep under, so every timing is one trial's own, and
+    /// what Figure 5's single traces run under.
     pub(crate) fn single_trial(self) -> Self {
         ExperimentConfig { runs: 1, ..self }
     }

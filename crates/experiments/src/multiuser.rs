@@ -13,7 +13,7 @@
 //! ([`run_bench`]) run this one sweep and render each point as the same JSON
 //! object; a bench entry only appends timing keys.
 
-use crate::runner::TrialPlan;
+use crate::runner::replicates;
 use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::Scenario;
 use mobiquery::sim::{MultiUserOutput, QuerySet, SteppedSim, TreeSharing};
@@ -125,32 +125,29 @@ struct Timing {
     shared_events: u64,
 }
 
-/// Plans one point per fleet size of `ladder` on `scenario`, replicated
-/// `config.runs` times, runs each trial through [`run_equivalent_pair`] with
-/// `samples` timed runs per mode and aggregates one point per fleet size.
+/// Runs one point per fleet size of `ladder` on `scenario`, numbered by the
+/// rung's index: each of its [`replicates`] through [`run_equivalent_pair`]
+/// with `samples` timed runs per mode, aggregated into one point.
 fn sweep(
     config: &ExperimentConfig,
     scenario: &Scenario,
     ladder: &[usize],
     samples: usize,
 ) -> Vec<(MultiuserPoint, Timing)> {
-    let mut plan = TrialPlan::new();
-    for _ in ladder {
-        plan.push_point(config, scenario.clone());
+    let mut points = Vec::new();
+    for (rung, &users) in ladder.iter().enumerate() {
+        let trials: Vec<_> = replicates(config, rung, scenario)
+            .map(|trial| run_equivalent_pair(&trial, users, samples))
+            .collect();
+        let [(shared, shared_ms), (_, naive_ms)] = &trials[0];
+        let timing = Timing {
+            shared_ms: *shared_ms,
+            naive_ms: *naive_ms,
+            shared_events: shared.events_processed,
+        };
+        points.push((point(users, &trials), timing));
     }
-    plan.run_trials(|spec| run_equivalent_pair(&spec.scenario, ladder[spec.point_index], samples))
-        .into_iter()
-        .zip(ladder)
-        .map(|(replicates, &users)| {
-            let [(shared, shared_ms), (_, naive_ms)] = &replicates[0];
-            let timing = Timing {
-                shared_ms: *shared_ms,
-                naive_ms: *naive_ms,
-                shared_events: shared.events_processed,
-            };
-            (point(users, &replicates), timing)
-        })
-        .collect()
+    points
 }
 
 /// Aggregates one fleet size's replicates, each a shared and a naive run.
@@ -183,8 +180,8 @@ fn point(users: usize, replicates: &[[(MultiUserOutput, f64); 2]]) -> MultiuserP
 }
 
 /// Runs the sweep over [`user_ladder`] on the configuration's base scenario
-/// — every (fleet size × replicate) trial, in plan order — and returns one
-/// aggregated point per fleet size.
+/// — every (fleet size × replicate) trial — and returns one aggregated point
+/// per fleet size.
 pub fn run_points(config: &ExperimentConfig) -> Vec<MultiuserPoint> {
     sweep(config, &config.base_scenario(), &user_ladder(config), 1)
         .into_iter()

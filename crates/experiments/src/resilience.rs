@@ -15,10 +15,10 @@
 //! wall-clock, and is where `check_bench.py` holds recovery-on to strictly
 //! higher mean delivery than recovery-off at every nonzero loss rate.
 
-use crate::runner::trial_seed;
+use crate::runner::replicates;
 use crate::scale::scale_scenario;
 use crate::{best_of, round2, ExperimentConfig, Report};
-use mobiquery::config::Scheme;
+use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing};
 use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
 
@@ -99,21 +99,18 @@ fn mean_delivery(out: &MultiUserOutput) -> f64 {
     total / out.logs.len() as f64
 }
 
-/// Runs one resilience trial to completion.
+/// Runs one resilience trial on `scenario` to completion.
 ///
 /// # Panics
 ///
 /// Panics if the fault config fails validation or the walk errors —
 /// experiment code builds its configs from CLI-validated rates, so a
 /// failure here is a programming error, not user input.
-pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> ResiliencePoint {
+pub fn run_point(scenario: Scenario, fault: FaultConfig, users: usize) -> ResiliencePoint {
+    let (nodes, seed) = (scenario.node_count, scenario.seed);
     let ((summary, out), elapsed_ms) = best_of(
         1,
-        || {
-            let scenario = scale_scenario(nodes, Scheme::JustInTime, seed);
-            let set = QuerySet::generate(&scenario, users);
-            (scenario, set)
-        },
+        || (scenario.clone(), QuerySet::generate(&scenario, users)),
         |(scenario, set)| {
             let options = SimOptions {
                 faults: Some(fault),
@@ -162,11 +159,11 @@ pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> R
     }
 }
 
-/// Runs every (scale × loss × replicate × recovery) trial in grid order.
-/// `fault` sets every fault parameter but the loss and the recovery flag.
-/// The grid is scale-major; the seed derives from the (scale, loss) point's
-/// index and the replicate but NOT from the recovery flag, so each on/off
-/// pair faces the identical fault schedule.
+/// Runs every (scale × loss × replicate × recovery) trial. `fault` sets
+/// every fault parameter but the loss and the recovery flag. The grid is
+/// scale-major: scale `s` at loss `l` is point `s · losses.len() + l`. The
+/// recovery-on and recovery-off arms share each replicate's seed, so each
+/// on/off pair faces the identical fault schedule.
 pub fn run_points(
     config: &ExperimentConfig,
     scales: &[usize],
@@ -174,21 +171,19 @@ pub fn run_points(
     fault: FaultConfig,
 ) -> Vec<ResiliencePoint> {
     let mut points = Vec::new();
-    let mut point = 0usize;
-    for &nodes in scales {
-        for &loss in losses {
-            for replicate in 0..config.runs.max(1) {
-                let seed = trial_seed(config.base_seed, point, replicate);
+    for (s, &nodes) in scales.iter().enumerate() {
+        let scenario = scale_scenario(nodes, Scheme::JustInTime, 0);
+        for (l, &loss) in losses.iter().enumerate() {
+            for trial in replicates(config, s * losses.len() + l, &scenario) {
                 for recovery in [true, false] {
                     let arm = FaultConfig {
                         loss,
                         recovery,
                         ..fault
                     };
-                    points.push(run_point(nodes, arm, config.users, seed));
+                    points.push(run_point(trial.clone(), arm, config.users));
                 }
             }
-            point += 1;
         }
     }
     points
@@ -298,7 +293,11 @@ mod tests {
 
     #[test]
     fn point_reports_fault_and_recovery_counters() {
-        let p = run_point(200, FaultConfig::new(0.3), 2, 7);
+        let p = run_point(
+            scale_scenario(200, Scheme::JustInTime, 7),
+            FaultConfig::new(0.3),
+            2,
+        );
         assert!(p.batches > 0);
         assert!(
             p.link_bad_node_periods > 0,
@@ -311,8 +310,9 @@ mod tests {
 
     #[test]
     fn recovery_on_beats_recovery_off_on_the_same_schedule() {
-        let on = run_point(200, FaultConfig::new(0.3), 3, 11);
-        let off = run_point(200, FaultConfig::new(0.3).with_recovery(false), 3, 11);
+        let scenario = scale_scenario(200, Scheme::JustInTime, 11);
+        let on = run_point(scenario.clone(), FaultConfig::new(0.3), 3);
+        let off = run_point(scenario, FaultConfig::new(0.3).with_recovery(false), 3);
         assert!(on.retries > 0, "recovery must actually retry under loss");
         assert_eq!(off.retries, 0, "no retries with recovery off");
         assert!(

@@ -9,11 +9,12 @@
 //! spatial-index and coverage-raster work are meant to keep from growing
 //! superlinearly.
 //!
-//! Results feed the `scale` section of the `mobiquery-repro/bench/v10`
-//! document (`BENCH_repro.json`). Timings are machine-dependent by nature;
+//! Results feed the `scale` section of the bench document
+//! (`BENCH_repro.json`). Timings are machine-dependent by nature;
 //! unlike `--format json` output they are a trajectory snapshot, not a
 //! determinism artifact.
 
+use crate::runner::BASE_SEED;
 use crate::{best_of, round2};
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::Simulation;
@@ -66,9 +67,9 @@ fn timed_run(nodes: usize, scheme: Scheme, seed: u64) -> JsonValue {
         .with("backbone", out.backbone_count)
 }
 
-/// Runs the sweep over `scales` deployment sizes and returns the `scale`
-/// array of the bench document.
-pub fn run(scales: &[usize], base_seed: u64) -> JsonValue {
+/// Runs the sweep over `scales` deployment sizes, each seeded
+/// [`BASE_SEED`], and returns the `scale` array of the bench document.
+pub fn run(scales: &[usize]) -> JsonValue {
     let mut entries = Vec::new();
     for &nodes in scales {
         let side = 450.0 * (nodes as f64 / 200.0).sqrt();
@@ -77,8 +78,8 @@ pub fn run(scales: &[usize], base_seed: u64) -> JsonValue {
             JsonValue::object()
                 .with("nodes", nodes)
                 .with("region_side_m", round2(side))
-                .with("jit", timed_run(nodes, Scheme::JustInTime, base_seed))
-                .with("np", timed_run(nodes, Scheme::None, base_seed)),
+                .with("jit", timed_run(nodes, Scheme::JustInTime, BASE_SEED))
+                .with("np", timed_run(nodes, Scheme::None, BASE_SEED)),
         );
     }
     JsonValue::Array(entries)
@@ -99,7 +100,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_entry_per_scale() {
-        let doc = run(&[200], 42);
+        let doc = run(&[200]);
         let JsonValue::Array(entries) = doc else {
             panic!("scale sweep must be an array");
         };

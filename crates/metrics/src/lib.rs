@@ -30,7 +30,7 @@ pub mod resilience;
 pub mod series;
 pub mod table;
 
-pub use churn::{ChurnBatch, ChurnSummary};
+pub use churn::ChurnBatch;
 pub use json::JsonValue;
 pub use latency::{percentile_sorted, LatencyStats};
 pub use multiuser::{summarize_users, UserSummary};

@@ -1,17 +1,17 @@
-//! Density sweep: build a custom `TrialPlan` and run it, exactly as the
-//! figure modules do internally.
+//! Density sweep: a custom sweep built the way the figure modules build
+//! theirs, one `summarize` call per point.
 //!
 //! The sweep asks a deployment question the paper doesn't plot directly —
 //! how does the success ratio change with the *density* of the deployment? —
-//! and runs all (node count × replicate) trials in plan order. Per-trial
-//! seeds are derived from the plan coordinates, so every rerun prints
-//! identical numbers.
+//! and runs every (node count × replicate) trial. Each trial's seed derives
+//! from its point and replicate numbers, so every rerun prints identical
+//! numbers.
 //!
 //! ```text
 //! cargo run --release --example density_sweep
 //! ```
 
-use mobiquery_repro::experiments::runner::TrialPlan;
+use mobiquery_repro::experiments::runner::summarize;
 use mobiquery_repro::experiments::ExperimentConfig;
 use mobiquery_repro::metrics::Table;
 
@@ -22,24 +22,20 @@ fn main() {
     };
 
     let node_counts = [60, 90, 120];
-    let mut plan = TrialPlan::new();
-    for &nodes in &node_counts {
-        plan.push_point(&config, config.base_scenario().with_node_count(nodes));
-    }
     println!(
         "running {} trials ({} points x {} replicates)...",
-        plan.trial_count(),
-        plan.point_count(),
+        node_counts.len() * config.runs as usize,
+        node_counts.len(),
         config.runs
     );
-
-    let summaries = plan.run_summaries(|out| out.success_ratio);
 
     let mut table = Table::with_columns(
         "Success ratio vs deployment density (MQ-JIT, quick scenario)",
         &["nodes", "success ratio", "ci95"],
     );
-    for (&nodes, summary) in node_counts.iter().zip(&summaries) {
+    for (point, &nodes) in node_counts.iter().enumerate() {
+        let scenario = config.base_scenario().with_node_count(nodes);
+        let summary = summarize(&config, point, &scenario, |out| out.success_ratio);
         table.push_row(vec![
             nodes.to_string(),
             format!("{:.4}", summary.mean()),

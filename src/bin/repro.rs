@@ -12,12 +12,13 @@
 //!
 //! Full mode uses the paper's settings (200 nodes, 450 m field, 400–500 s
 //! runs); `--quick` runs a scaled-down variant that preserves the qualitative
-//! comparisons and finishes in seconds. Every target runs its trials in plan
-//! order on the calling thread; per-trial seeds are derived from the plan
-//! coordinates, so the output is a pure function of the options.
+//! comparisons and finishes in seconds. Every target runs its trials one after
+//! another on the calling thread; each trial's seed derives from its point
+//! and replicate numbers, so the output is a pure function of the options.
 
 use mobiquery::config::Scheme;
 use mobiquery::sim::{ChurnConfig, FaultConfig, TreeSharing};
+use mobiquery_experiments::runner::BASE_SEED;
 use mobiquery_experiments::{
     analysis_tables, best_of, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, round2,
     scale, ExperimentConfig, Report,
@@ -383,7 +384,7 @@ const BENCH_FAULT_USERS: usize = 4;
 fn run_service(mode: Mode, cli: &Cli) -> Result<ExitCode, Stop> {
     let config = &cli.config;
     let scenario = match cli.nodes {
-        Some(n) => scale::scale_scenario(n, Scheme::JustInTime, config.base_seed),
+        Some(n) => scale::scale_scenario(n, Scheme::JustInTime, BASE_SEED),
         None => config.base_scenario(),
     };
     let (kind, body) = if mode == Mode::Serve {
@@ -409,7 +410,7 @@ fn run_service(mode: Mode, cli: &Cli) -> Result<ExitCode, Stop> {
     let doc = JsonValue::object()
         .with("schema", "mobiquery-repro/service/v1")
         .with("mode", if config.quick { "quick" } else { "full" })
-        .with("base_seed", config.base_seed)
+        .with("base_seed", BASE_SEED)
         .with(kind, body);
     Ok(emit(&doc.to_pretty_string(), cli.out.as_deref()))
 }
@@ -475,7 +476,7 @@ fn run_batch(cli: &Cli) -> Result<ExitCode, Stop> {
             .with("schema", "mobiquery-repro/results/v1")
             .with("mode", if config.quick { "quick" } else { "full" })
             .with("runs", config.runs)
-            .with("base_seed", config.base_seed)
+            .with("base_seed", BASE_SEED)
             .with("results", results)
             .to_pretty_string()
     } else {
@@ -501,7 +502,7 @@ fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
     let scale = if scales.is_empty() {
         JsonValue::Array(Vec::new())
     } else {
-        scale::run(scales, config.base_seed)
+        scale::run(scales)
     };
     // The shared-vs-naive tree sweep rides on the largest requested scale:
     // that is where the one-tree-per-user baseline hurts most and where the
@@ -519,7 +520,7 @@ fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
             ladder.sort_unstable();
             ladder.dedup();
             eprintln!("multiuser bench: {nodes} nodes, fleets {ladder:?}, shared vs naive");
-            let scenario = scale::scale_scenario(nodes, Scheme::JustInTime, config.base_seed);
+            let scenario = scale::scale_scenario(nodes, Scheme::JustInTime, BASE_SEED);
             multiuser::run_bench(config, &scenario, &ladder)
         }
     };
@@ -542,7 +543,7 @@ fn bench_json(targets: &[&Target], cli: &Cli) -> JsonValue {
     // engine. Scale-independent of --scale so the committed numbers stay
     // comparable across bench invocations.
     let service = {
-        let scenario = scale::scale_scenario(1000, Scheme::JustInTime, config.base_seed);
+        let scenario = scale::scale_scenario(1000, Scheme::JustInTime, BASE_SEED);
         run_load(scenario, 4.0, 40, TreeSharing::Shared, None)
             .expect("the reference service load must run")
             .report

@@ -25,8 +25,7 @@
 
 mod cli_golden;
 
-const GOLDEN: &str = include_str!("golden/churn_quick.json");
-const ARGS: [&str; 7] = [
+const ARGS: [&str; 8] = [
     "--quick",
     "--scale",
     "2000",
@@ -34,14 +33,14 @@ const ARGS: [&str; 7] = [
     "0.05",
     "--format",
     "json",
+    "churn",
 ];
 
 #[test]
 fn repro_quick_churn_json_matches_golden_snapshot() {
     cli_golden::check_golden(
         &ARGS,
-        "churn",
-        GOLDEN,
+        "churn_quick.json",
         "The churn schedule and repaired backbone are pure functions of the seed",
     );
 }

@@ -17,15 +17,13 @@
 
 mod cli_golden;
 
-const GOLDEN: &str = include_str!("golden/multiuser_quick.json");
-const ARGS: [&str; 3] = ["--quick", "--format", "json"];
+const ARGS: [&str; 4] = ["--quick", "--format", "json", "multiuser"];
 
 #[test]
 fn repro_quick_multiuser_json_matches_golden_snapshot() {
     cli_golden::check_golden(
         &ARGS,
-        "multiuser",
-        GOLDEN,
+        "multiuser_quick.json",
         "Tree sharing must not change per-user results",
     );
 }

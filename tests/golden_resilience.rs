@@ -18,8 +18,7 @@
 
 mod cli_golden;
 
-const GOLDEN: &str = include_str!("golden/resilience_quick.json");
-const ARGS: [&str; 7] = [
+const ARGS: [&str; 8] = [
     "--quick",
     "--scale",
     "2000",
@@ -27,14 +26,14 @@ const ARGS: [&str; 7] = [
     "0.2",
     "--format",
     "json",
+    "resilience",
 ];
 
 #[test]
 fn repro_quick_resilience_json_matches_golden_snapshot() {
     cli_golden::check_golden(
         &ARGS,
-        "resilience",
-        GOLDEN,
+        "resilience_quick.json",
         "The fault schedule and every recovery decision are pure functions of the seed",
     );
 }

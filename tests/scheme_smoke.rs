@@ -13,12 +13,26 @@ use mobiquery_repro::power::ccp::{elect_backbone_priority, elect_backbone_refere
 use mobiquery_repro::sim::SimRng;
 
 #[test]
-fn non_finite_durations_are_config_errors_not_panics() {
+fn invalid_scenario_values_are_config_errors_not_panics() {
+    let mut cases = Vec::new();
     for bad in [f64::NAN, f64::INFINITY] {
         let s = Scenario::paper_default().with_duration_secs(bad);
+        cases.push((format!("duration {bad}"), s));
+    }
+    for bad in [0.0, f64::NAN] {
+        let mut s = Scenario::paper_default();
+        s.ccp.sample_spacing_m = bad;
+        cases.push((format!("CCP sample spacing {bad}"), s));
+    }
+    for bad in [0.0, f64::INFINITY] {
+        let mut s = Scenario::paper_default();
+        s.ccp.sensing_range_m = bad;
+        cases.push((format!("CCP sensing range {bad}"), s));
+    }
+    for (what, s) in cases {
         assert!(
             Simulation::new(s).is_err(),
-            "duration {bad} must be rejected by validation"
+            "{what} must be rejected by validation"
         );
     }
 }
