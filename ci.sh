@@ -37,12 +37,14 @@ run env CARGO_TARGET_DIR=target/mqbench cargo test -q --offline \
 # election (16-bit coverage counts) against the per-point reference, the
 # patched neighbour table against a rebuild, the spatial grid and the
 # calendar event queue against their BTreeMap models (each one's only
-# reference check).
+# reference check), and the service's client API against its reference
+# model and a batch replay.
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test repair_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-power --test ccp_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-net --test neighbor_patch_equivalence
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-geom --test properties
 run env PROPTEST_CASES=1024 cargo test -q -p wsn-sim --test properties
+run env PROPTEST_CASES=1024 cargo test -q -p mobiquery-service --test model
 
 # The examples must stay runnable, not just compilable.
 for ex in quickstart firefighter rescue_robot duty_cycle_tuning density_sweep; do

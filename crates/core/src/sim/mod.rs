@@ -23,7 +23,7 @@ mod world;
 pub use churn::{ChurnBatchPlan, ChurnConfig};
 pub use deploy::priority_for;
 pub use event::SimEvent;
-pub use multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
+pub use multi::{MultiUserOutput, QueryRow, QuerySet, RunCounters, TreeSharing, UserQuery};
 pub use output::SimulationOutput;
 pub use stepped::{SimOptions, SteppedSim};
 pub use wsn_net::{Blackout, FaultConfig, FaultError, FaultPlan};

@@ -27,11 +27,14 @@
 //!
 //! The period machinery lives in [`super::stepped::SteppedSim`]; a batch
 //! trial is `SteppedSim::new(scenario, QuerySet::generate(..), sharing)`
-//! walked with `run_to_end` and closed with `finish`.
+//! walked with `run_to_end` and closed with `finish`. The engine keeps its
+//! users as a [`Fleet`]: a fixed-size [`QueryRow`] for every user it ever
+//! admitted, and the trajectory and profiles only of the users whose last
+//! period has not resolved yet.
 
 use crate::config::Scenario;
 use crate::error::ConfigError;
-use wsn_metrics::{QueryLog, UserSummary};
+use wsn_metrics::{summarize_users, QueryLog, UserSummary};
 use wsn_mobility::{generate_fleet, MotionProfile, UserMotion};
 use wsn_sim::{mix_seed, SimRng};
 
@@ -79,11 +82,6 @@ pub struct UserQuery {
 }
 
 impl UserQuery {
-    /// Returns `true` when the user issues a query in period `k`.
-    pub fn active_in(&self, k: u64) -> bool {
-        self.first_k <= k && k <= self.last_k
-    }
-
     /// Number of queries the user issues over its lifetime window.
     pub fn query_count(&self) -> u64 {
         self.last_k.saturating_sub(self.first_k) + 1
@@ -164,38 +162,17 @@ impl QuerySet {
         Ok(set)
     }
 
-    /// Appends `user` and returns its fleet index. The one admission rule,
-    /// for a set built whole and for one grown at runtime
-    /// ([`super::SteppedSim::admit`]): a user's fleet index equals its
-    /// position (fleet order is identity), and its window lies in
-    /// `1..=max_k`.
+    /// Appends `user` and returns its fleet index, under [`admissible`].
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when `user` breaks the rule; the set is
     /// left as it was.
-    pub(crate) fn push(&mut self, user: UserQuery) -> Result<usize, ConfigError> {
+    fn push(&mut self, user: UserQuery) -> Result<usize, ConfigError> {
         let index = self.users.len();
-        if user.user != index {
-            return Err(ConfigError::new(format!(
-                "user at position {index} carries fleet index {}",
-                user.user
-            )));
-        }
-        if user.first_k < 1 || user.first_k > user.last_k || user.last_k > self.max_k {
-            return Err(ConfigError::new(format!(
-                "user {index} window [{}, {}] outside 1..={}",
-                user.first_k, user.last_k, self.max_k
-            )));
-        }
+        admissible(index, &user, self.max_k)?;
         self.users.push(user);
         Ok(index)
-    }
-
-    /// Rewrites `user`'s last active period. The caller
-    /// ([`super::SteppedSim::retire_at`]) has already clamped it into the window.
-    pub(crate) fn set_last_k(&mut self, user: usize, last_k: u64) {
-        self.users[user].last_k = last_k;
     }
 
     /// The users, in fleet order.
@@ -218,17 +195,182 @@ impl QuerySet {
         self.max_k
     }
 
-    /// Number of users active in period `k` — the contention level every
-    /// query of that period is scored under. Pure, so every sharing mode sees
-    /// the same concurrency.
-    pub fn active_users(&self, k: u64) -> usize {
-        self.users.iter().filter(|u| u.active_in(k)).count()
-    }
-
     /// Total number of query installs over the whole trial.
     pub fn total_queries(&self) -> u64 {
         self.users.iter().map(|u| u.query_count()).sum()
     }
+}
+
+/// The one admission rule, for a set built whole ([`QuerySet::from_users`])
+/// and for one grown at runtime ([`super::SteppedSim::admit`]): the user at
+/// position `index` carries fleet index `index` (fleet order is identity),
+/// and its window lies in `1..=max_k`.
+fn admissible(index: usize, user: &UserQuery, max_k: u64) -> Result<(), ConfigError> {
+    if user.user != index {
+        return Err(ConfigError::new(format!(
+            "user at position {index} carries fleet index {}",
+            user.user
+        )));
+    }
+    if user.first_k < 1 || user.first_k > user.last_k || user.last_k > max_k {
+        return Err(ConfigError::new(format!(
+            "user {index} window [{}, {}] outside 1..={max_k}",
+            user.first_k, user.last_k
+        )));
+    }
+    Ok(())
+}
+
+/// The window of one query the stepped engine admitted: the fixed-size row
+/// it keeps for every user, from admission to the end of the run. The row's
+/// index is the user's fleet index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryRow {
+    /// First query period the user is active in (1-based).
+    pub first_k: u64,
+    /// Last query period the user is active in, after any retirement.
+    pub last_k: u64,
+}
+
+impl QueryRow {
+    /// Returns `true` when the user issues a query in period `k`.
+    pub fn active_in(&self, k: u64) -> bool {
+        self.first_k <= k && k <= self.last_k
+    }
+}
+
+/// What the stepped engine needs of a user while its queries run: the
+/// ground truth it is scored against and the profiles its installs predict
+/// from. It goes once the user's last period has resolved.
+#[derive(Debug)]
+pub(crate) struct LiveUser {
+    /// Fleet index: the user's [`QueryRow`] and per-query RNG streams.
+    pub(crate) user: usize,
+    /// Ground-truth trajectory.
+    pub(crate) motion: UserMotion,
+    /// Motion profiles delivered for this user, sorted by `effective_from`.
+    pub(crate) profiles: Vec<MotionProfile>,
+}
+
+/// The stepped engine's users, split by how long each part lives: a
+/// [`QueryRow`] for every user ever admitted, and a [`LiveUser`] only until
+/// the user's last period has resolved ([`Fleet::release_through`]). A
+/// resident service so holds trajectories in proportion to the queries
+/// standing, not to its history.
+///
+/// The live users stay in fleet order, so a walk over them installs,
+/// scores and draws in the order a walk over the whole fleet would.
+#[derive(Debug)]
+pub(crate) struct Fleet {
+    rows: Vec<QueryRow>,
+    live: Vec<LiveUser>,
+    max_k: u64,
+}
+
+impl Fleet {
+    /// Takes a validated set's users, every one of them live.
+    pub(crate) fn new(set: QuerySet) -> Self {
+        let mut fleet = Fleet {
+            rows: Vec::with_capacity(set.users.len()),
+            live: Vec::with_capacity(set.users.len()),
+            max_k: set.max_k,
+        };
+        for user in set.users {
+            fleet.insert(user);
+        }
+        fleet
+    }
+
+    /// Admits `user` at the next fleet index, under [`admissible`], and
+    /// returns that index.
+    pub(crate) fn push(&mut self, user: UserQuery) -> Result<usize, ConfigError> {
+        let index = self.rows.len();
+        admissible(index, &user, self.max_k)?;
+        self.insert(user);
+        Ok(index)
+    }
+
+    fn insert(&mut self, user: UserQuery) {
+        self.rows.push(QueryRow {
+            first_k: user.first_k,
+            last_k: user.last_k,
+        });
+        self.live.push(LiveUser {
+            user: user.user,
+            motion: user.motion,
+            profiles: user.profiles,
+        });
+    }
+
+    /// Every user's row, index = fleet index.
+    pub(crate) fn rows(&self) -> &[QueryRow] {
+        &self.rows
+    }
+
+    /// The users whose last period has not resolved yet, in fleet order.
+    pub(crate) fn live(&self) -> &[LiveUser] {
+        &self.live
+    }
+
+    /// The live users active in period `k`, in fleet order.
+    pub(crate) fn active_in(&self, k: u64) -> impl Iterator<Item = &LiveUser> {
+        self.live
+            .iter()
+            .filter(move |u| self.rows[u.user].active_in(k))
+    }
+
+    /// Number of users active in period `k` — the contention level every
+    /// query of that period is scored under. Pure, so every sharing mode sees
+    /// the same concurrency. A user active in `k` is live until `k` resolves.
+    pub(crate) fn active_users(&self, k: u64) -> usize {
+        self.active_in(k).count()
+    }
+
+    /// Rewrites `user`'s last active period. The caller
+    /// ([`super::SteppedSim::retire_at`]) has already clamped it into the window.
+    pub(crate) fn set_last_k(&mut self, user: usize, last_k: u64) {
+        self.rows[user].last_k = last_k;
+    }
+
+    /// Drops the trajectory and profiles of every user whose last period is
+    /// `k` or earlier, once period `k` has resolved.
+    pub(crate) fn release_through(&mut self, k: u64) {
+        let rows = &self.rows;
+        self.live.retain(|u| rows[u.user].last_k > k);
+    }
+
+    /// The number of query periods of the underlying scenario.
+    pub(crate) fn max_k(&self) -> u64 {
+        self.max_k
+    }
+}
+
+/// What a stepped run counted: every [`MultiUserOutput`] field but the
+/// per-user logs and their summaries. A resident service hands each result
+/// to its client and keeps no log, so this is what it ends with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunCounters {
+    /// Number of users admitted.
+    pub users: usize,
+    /// The sharing mode the run used.
+    pub sharing: TreeSharing,
+    /// Total query installs (see [`MultiUserOutput::installs`]).
+    pub installs: u64,
+    /// Trees actually built under the selected mode.
+    pub trees_built: u64,
+    /// Cache acquisitions served by an existing tree (0 in naive mode).
+    pub shared_hits: u64,
+    /// Most trees that stood at once (see
+    /// [`MultiUserOutput::peak_live_trees`]).
+    pub peak_live_trees: usize,
+    /// Sleeping-node wake seconds paid for every tree built.
+    pub node_wake_seconds: f64,
+    /// Events processed by the engine (period installs plus query resolves).
+    pub events_processed: u64,
+    /// Backbone size of the deployment.
+    pub backbone_count: usize,
+    /// Deployment size.
+    pub node_count: usize,
 }
 
 /// Aggregated output of one multi-user run.
@@ -267,6 +409,37 @@ pub struct MultiUserOutput {
 }
 
 impl MultiUserOutput {
+    /// Joins a run's counters with its per-user logs (index = fleet index),
+    /// summarising each log at `fidelity_threshold`.
+    pub fn new(counters: RunCounters, logs: Vec<QueryLog>, fidelity_threshold: f64) -> Self {
+        let RunCounters {
+            users,
+            sharing,
+            installs,
+            trees_built,
+            shared_hits,
+            peak_live_trees,
+            node_wake_seconds,
+            events_processed,
+            backbone_count,
+            node_count,
+        } = counters;
+        MultiUserOutput {
+            users,
+            sharing,
+            per_user: summarize_users(&logs, fidelity_threshold),
+            logs,
+            installs,
+            trees_built,
+            shared_hits,
+            peak_live_trees,
+            node_wake_seconds,
+            events_processed,
+            backbone_count,
+            node_count,
+        }
+    }
+
     /// Mean per-user success ratio (users that issued no query count as 0).
     pub fn mean_success_ratio(&self) -> f64 {
         if self.per_user.is_empty() {
@@ -333,7 +506,10 @@ mod tests {
             assert!(u.first_k >= 1 && u.first_k <= u.last_k && u.last_k <= a.max_k());
         }
         for k in 1..=a.max_k() {
-            assert!(a.active_users(k) >= 1, "user 0 spans every period");
+            assert!(
+                a.users().iter().any(|u| u.first_k <= k && k <= u.last_k),
+                "user 0 spans every period"
+            );
         }
     }
 

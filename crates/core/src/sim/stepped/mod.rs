@@ -17,6 +17,14 @@
 //! and retires users; [`query`] holds the standing queries, the tree layer
 //! and scoring; [`fault`] the fault schedule, install retries and tree
 //! repair; and [`crate::sim::churn`] the churn batch step.
+//!
+//! **What a run holds.** A fixed-size [`QueryRow`] for every user ever
+//! admitted; a user's trajectory and profiles until its last period has
+//! resolved; and its records until a caller drains them
+//! ([`SteppedSim::drain_log`]). A batch caller never drains, so
+//! [`SteppedSim::logs`] and [`SteppedSim::finish`] hold every record; a
+//! resident service drains after each boundary, so it holds state in
+//! proportion to the queries standing.
 
 mod fault;
 mod query;
@@ -25,11 +33,13 @@ use crate::config::Scenario;
 use crate::error::ConfigError;
 use crate::sim::churn::{full_election, initial_priorities, ChurnConfig, ChurnState};
 use crate::sim::deploy::Deployment;
-use crate::sim::multi::{MultiUserOutput, QuerySet, TreeSharing, UserQuery};
+use crate::sim::multi::{
+    Fleet, MultiUserOutput, QueryRow, QuerySet, RunCounters, TreeSharing, UserQuery,
+};
 use fault::FaultState;
 use query::{ActiveQuery, ScoreScratch, Trees};
 use std::collections::HashMap;
-use wsn_metrics::{summarize_users, ChurnBatch, FaultBatch, QueryLog};
+use wsn_metrics::{ChurnBatch, FaultBatch, QueryLog};
 use wsn_net::{Channel, FaultConfig, SleepSchedule};
 use wsn_sim::{SimRng, SimTime};
 
@@ -65,8 +75,8 @@ pub struct SteppedSim {
     deployment: Deployment,
     schedule: SleepSchedule,
     channel: Channel,
-    query_set: QuerySet,
-    /// Per-user query logs, index = fleet index.
+    fleet: Fleet,
+    /// Per-user records not yet drained, index = fleet index.
     logs: Vec<QueryLog>,
     sharing: TreeSharing,
     trees: Trees,
@@ -171,13 +181,20 @@ impl SteppedSim {
             .tx_duration(scenario.messages.setup_bytes)
             .as_secs_f64()
             + 0.010;
+        // A batch caller keeps every record: reserve each whole window, so
+        // the warm loop's pushes never reallocate.
+        let logs = query_set
+            .users()
+            .iter()
+            .map(|user| Self::new_log(user.query_count()))
+            .collect();
         Ok(SteppedSim {
             schedule: scenario.sleep_schedule(),
             channel,
             scenario,
             deployment,
-            logs: query_set.users().iter().map(Self::new_log).collect(),
-            query_set,
+            logs,
+            fleet: Fleet::new(query_set),
             sharing,
             trees: Trees::new(sleeper_wake_s),
             active: HashMap::new(),
@@ -190,10 +207,10 @@ impl SteppedSim {
         })
     }
 
-    /// An empty log with room for every period of `user`'s window.
-    fn new_log(user: &UserQuery) -> QueryLog {
+    /// An empty log with room for `records` records.
+    fn new_log(records: u64) -> QueryLog {
         let mut log = QueryLog::new();
-        log.reserve(user.query_count() as usize);
+        log.reserve(records as usize);
         log
     }
 
@@ -202,9 +219,10 @@ impl SteppedSim {
         SimTime::ZERO + self.scenario.query.period * k
     }
 
-    /// The query set as it currently stands (admissions included).
-    pub fn query_set(&self) -> &QuerySet {
-        &self.query_set
+    /// Every admitted user's window, index = fleet index: retirements
+    /// included, and kept after the user's trajectory has gone.
+    pub fn rows(&self) -> &[QueryRow] {
+        self.fleet.rows()
     }
 
     /// The scenario the deployment was built from.
@@ -212,9 +230,26 @@ impl SteppedSim {
         &self.scenario
     }
 
-    /// Per-user query logs, index = fleet index. Grows as boundaries resolve.
+    /// Per-user query logs, index = fleet index. Grows as boundaries
+    /// resolve, and holds every record unless [`SteppedSim::drain_log`]
+    /// took some.
     pub fn logs(&self) -> &[QueryLog] {
         &self.logs
+    }
+
+    /// Moves `user`'s records resolved since the last drain out of the
+    /// engine, oldest first. While the user's window runs, its log keeps its
+    /// buffer for the records still to come; once its last period has
+    /// resolved, the buffer leaves with the last records. Returns `None` for
+    /// an unknown fleet index.
+    pub fn drain_log(&mut self, user: usize) -> Option<QueryLog> {
+        let row = self.fleet.rows().get(user)?;
+        let log = &mut self.logs[user];
+        Some(if row.last_k < self.next_boundary {
+            std::mem::take(log)
+        } else {
+            log.drain().collect()
+        })
     }
 
     /// The next boundary [`SteppedSim::step_period`] will process
@@ -226,7 +261,7 @@ impl SteppedSim {
 
     /// The last boundary of the run (= the scenario's period count).
     pub fn max_k(&self) -> u64 {
-        self.query_set.max_k()
+        self.fleet.max_k()
     }
 
     /// Per-boundary churn records so far (empty in a static run, and in a
@@ -296,7 +331,9 @@ impl SteppedSim {
     /// admission behaves exactly like a user that had been in the set from
     /// the start.
     ///
-    /// Returns the admitted fleet index.
+    /// Returns the admitted fleet index. The user's log starts with room
+    /// for one record: a caller that drains after every boundary never grows
+    /// it, and one that does not pays for what it keeps.
     ///
     /// # Errors
     ///
@@ -309,9 +346,8 @@ impl SteppedSim {
                 user.user, user.first_k, self.next_boundary
             )));
         }
-        let index = self.query_set.push(user)?;
-        self.logs
-            .push(Self::new_log(&self.query_set.users()[index]));
+        let index = self.fleet.push(user)?;
+        self.logs.push(Self::new_log(1));
         Ok(index)
     }
 
@@ -326,15 +362,15 @@ impl SteppedSim {
     ///
     /// Returns a [`ConfigError`] for an unknown fleet index.
     pub fn retire_at(&mut self, user: usize, last_k: u64) -> Result<u64, ConfigError> {
-        let Some(uq) = self.query_set.users().get(user) else {
+        let Some(&row) = self.fleet.rows().get(user) else {
             return Err(ConfigError::new(format!(
                 "unknown fleet index {user} (fleet size {})",
-                self.query_set.len()
+                self.fleet.rows().len()
             )));
         };
-        let installed_up_to = self.next_boundary.min(uq.last_k);
-        let effective = last_k.max(uq.first_k).max(installed_up_to).min(uq.last_k);
-        self.query_set.set_last_k(user, effective);
+        let installed_up_to = self.next_boundary.min(row.last_k);
+        let effective = last_k.max(row.first_k).max(installed_up_to).min(row.last_k);
+        self.fleet.set_last_k(user, effective);
         Ok(effective)
     }
 
@@ -398,27 +434,42 @@ impl SteppedSim {
         Ok(())
     }
 
-    /// Consumes the finished run and aggregates its [`MultiUserOutput`].
+    /// Consumes the finished run and aggregates its [`MultiUserOutput`]:
+    /// [`SteppedSim::into_counters`] plus the logs.
     ///
     /// # Panics
     ///
     /// Panics when called before the final boundary was stepped, or when a
     /// query install leaked past the last resolve (refcount discipline).
-    pub fn finish(self) -> MultiUserOutput {
+    pub fn finish(mut self) -> MultiUserOutput {
         assert!(
             self.is_finished(),
             "finish() before the final boundary was stepped"
         );
-        // Refcount discipline: every install was released at its resolve.
-        assert_eq!(self.trees.standing(), 0, "trees leaked past the last query");
-        assert!(
-            self.active.is_empty(),
-            "queries left unresolved at the end of the run"
-        );
-        MultiUserOutput {
-            users: self.query_set.len(),
+        let logs = std::mem::take(&mut self.logs);
+        let threshold = self.scenario.fidelity_threshold;
+        MultiUserOutput::new(self.into_counters(), logs, threshold)
+    }
+
+    /// Consumes the run, at any boundary, and returns what it counted so
+    /// far. Queries still standing are dropped with it.
+    ///
+    /// # Panics
+    ///
+    /// Once the final boundary was stepped, panics when a query install
+    /// leaked past the last resolve (refcount discipline).
+    pub fn into_counters(self) -> RunCounters {
+        if self.is_finished() {
+            // Refcount discipline: every install was released at its resolve.
+            assert_eq!(self.trees.standing(), 0, "trees leaked past the last query");
+            assert!(
+                self.active.is_empty(),
+                "queries left unresolved at the end of the run"
+            );
+        }
+        RunCounters {
+            users: self.fleet.rows().len(),
             sharing: self.sharing,
-            per_user: summarize_users(&self.logs, self.scenario.fidelity_threshold),
             installs: self.installs,
             trees_built: self.trees.built(),
             shared_hits: self.trees.shared_hits(),
@@ -427,7 +478,6 @@ impl SteppedSim {
             events_processed: self.events_processed,
             backbone_count: self.deployment.plan.backbone_count(),
             node_count: self.deployment.positions.len(),
-            logs: self.logs,
         }
     }
 }
@@ -459,9 +509,9 @@ mod tests {
 
     #[test]
     fn boundary_count_and_event_accounting() {
+        let total_queries = QuerySet::generate(&small_scenario(3), 4).total_queries();
         let mut sim = stepped(3, 4, TreeSharing::Shared);
         let max_k = sim.max_k();
-        let total_queries = sim.query_set().total_queries();
         let mut boundaries = 0u64;
         while !sim.is_finished() {
             assert_eq!(sim.step_period().unwrap(), boundaries);
@@ -563,6 +613,42 @@ mod tests {
     }
 
     #[test]
+    fn a_user_keeps_its_trajectory_only_until_its_last_period_resolves() {
+        let mut sim = stepped(6, 6, TreeSharing::Shared);
+        while !sim.is_finished() {
+            let b = sim.step_period().unwrap();
+            let live: Vec<usize> = sim.fleet.live().iter().map(|u| u.user).collect();
+            let unresolved: Vec<usize> = (0..sim.rows().len())
+                .filter(|&u| sim.rows()[u].last_k > b)
+                .collect();
+            assert_eq!(live, unresolved, "boundary {b}: live users, in fleet order");
+        }
+        assert_eq!(sim.rows().len(), 6, "every row stays");
+    }
+
+    #[test]
+    fn drained_records_equal_the_batch_logs_and_leave_nothing_behind() {
+        let mut batch = stepped(8, 5, TreeSharing::Shared);
+        batch.run_to_end().unwrap();
+        let batch = batch.finish();
+
+        let mut sim = stepped(8, 5, TreeSharing::Shared);
+        let mut drained = vec![QueryLog::new(); 5];
+        while !sim.is_finished() {
+            sim.step_period().unwrap();
+            for (user, log) in drained.iter_mut().enumerate() {
+                log.extend(sim.drain_log(user).unwrap().records().iter().copied());
+                assert!(sim.logs()[user].is_empty(), "a drain takes every record");
+            }
+        }
+        assert!(sim.drain_log(5).is_none(), "unknown fleet index");
+        assert_eq!(drained, batch.logs);
+        let out = sim.finish();
+        assert!(out.logs.iter().all(QueryLog::is_empty));
+        assert_eq!(out.installs, batch.installs);
+    }
+
+    #[test]
     fn retire_clamps_to_installed_periods() {
         let mut sim = stepped(4, 1, TreeSharing::Shared);
         assert!(sim.retire_at(3, 5).is_err(), "unknown user");
@@ -570,7 +656,7 @@ mod tests {
         sim.step_period().unwrap(); // boundary 1: period 2 installed
                                     // Periods 1..=2 are standing; retiring "now" keeps them resolvable.
         assert_eq!(sim.retire_at(0, 0).unwrap(), 2);
-        assert_eq!(sim.query_set().users()[0].last_k, 2);
+        assert_eq!(sim.rows()[0].last_k, 2);
         // Retiring later than the current window is a no-op shrink.
         assert_eq!(sim.retire_at(0, 99).unwrap(), 2);
         sim.run_to_end().unwrap();

@@ -12,7 +12,7 @@
 use super::SteppedSim;
 use crate::error::ConfigError;
 use crate::sim::deploy::Deployment;
-use crate::sim::multi::{TreeSharing, UserQuery};
+use crate::sim::multi::{LiveUser, TreeSharing};
 use std::collections::HashMap;
 use wsn_geom::{Circle, Point, StripIndex};
 use wsn_metrics::QueryRecord;
@@ -227,7 +227,7 @@ impl SteppedSim {
     /// by `now`: the qualifying profile with the latest `effective_from` not
     /// exceeding the deadline, falling back to ground truth when none has
     /// been delivered yet.
-    fn predicted_pickup(user: &UserQuery, now: SimTime, deadline: SimTime) -> Point {
+    fn predicted_pickup(user: &LiveUser, now: SimTime, deadline: SimTime) -> Point {
         let mut best = None;
         for profile in &user.profiles {
             if profile.generated_at <= now && profile.effective_from <= deadline {
@@ -256,20 +256,18 @@ impl SteppedSim {
         )
     }
 
-    /// Installs period `k`'s queries for every user active in `k`, one period
-    /// ahead of the deadline (`now = (k-1)·T`). Under fault injection each
-    /// install first walks the ack/retry machine: a lost install is retried
-    /// behind exponential backoff (recovery on) or abandoned (recovery off),
-    /// and a successful retry's backoff delays `installed_at` — pushing
-    /// duty-cycled wake-ups later, the fidelity price of recovery.
+    /// Installs period `k`'s queries for every user active in `k`, in fleet
+    /// order, one period ahead of the deadline (`now = (k-1)·T`). Under fault
+    /// injection each install first walks the ack/retry machine: a lost
+    /// install is retried behind exponential backoff (recovery on) or
+    /// abandoned (recovery off), and a successful retry's backoff delays
+    /// `installed_at` — pushing duty-cycled wake-ups later, the fidelity
+    /// price of recovery.
     pub(super) fn install(&mut self, now: SimTime, k: u64) -> Result<(), ConfigError> {
         let deadline = self.deadline(k);
         let period_s = self.scenario.query.period.as_secs_f64();
-        for (index, uq) in self.query_set.users().iter().enumerate() {
-            if !uq.active_in(k) {
-                continue;
-            }
-            let user = index as u32;
+        for uq in self.fleet.active_in(k) {
+            let user = uq.user as u32;
             let center = self.quantized_center(Self::predicted_pickup(uq, now, deadline));
             let Some(collector) = self.deployment.nearest_collector(center, None) else {
                 continue; // no backbone at all: the resolve records a miss
@@ -313,18 +311,21 @@ impl SteppedSim {
 
     /// Resolves period `k`: scores every query active in it at its deadline,
     /// lets its tree go and logs its record, in fleet order, so cache
-    /// refcounts and logs evolve in one fixed order.
+    /// refcounts and logs evolve in one fixed order. Then the users whose
+    /// last period was `k` let go of their trajectories.
     pub(super) fn resolve(&mut self, k: u64) -> Result<(), ConfigError> {
         let loss_p = self.loss_probability(k);
         // One recycled scratch buffer, zero allocations once warm. On error
         // the scratch is dropped, but an erroring step poisons the run
         // anyway.
         let mut scratch = std::mem::take(&mut self.scratch);
-        for user in 0..self.query_set.len() {
-            if !self.query_set.users()[user].active_in(k) {
+        for i in 0..self.fleet.live().len() {
+            let uq = &self.fleet.live()[i];
+            if !self.fleet.rows()[uq.user].active_in(k) {
                 continue;
             }
-            let record = self.score_query(user as u32, k, loss_p, &mut scratch)?;
+            let user = uq.user;
+            let record = self.score_query(uq, k, loss_p, &mut scratch)?;
             if let Some(aq) = self.active.remove(&(user as u32, k)) {
                 self.trees.release(aq.tree)?;
             }
@@ -332,6 +333,7 @@ impl SteppedSim {
             self.events_processed += 1;
         }
         self.scratch = scratch;
+        self.fleet.release_through(k);
         Ok(())
     }
 
@@ -339,14 +341,14 @@ impl SteppedSim {
     /// every user active in `k`. It is the same for every query of the
     /// period, so a boundary computes it once, not once per result.
     fn loss_probability(&self, k: u64) -> f64 {
-        let concurrency = self.query_set.active_users(k);
+        let concurrency = self.fleet.active_users(k);
         self.scenario
             .mac
             .loss_probability(concurrency.saturating_sub(1))
     }
 
-    /// Scores query `(user, k)` at its deadline — the read-only half of a
-    /// resolve. `loss_p` is the period's [`Self::loss_probability`].
+    /// Scores `uq`'s query of period `k` at its deadline — the read-only half
+    /// of a resolve. `loss_p` is the period's [`Self::loss_probability`].
     /// `scratch` is caller-provided and recycled (cleared here), so the
     /// steady-state loop performs no heap allocation. It takes `&self` only,
     /// so scoring cannot touch the tree cache or the logs. Every RNG draw
@@ -354,13 +356,13 @@ impl SteppedSim {
     /// depend on which queries were scored before it.
     fn score_query(
         &self,
-        user: u32,
+        uq: &LiveUser,
         k: u64,
         loss_p: f64,
         scratch: &mut ScoreScratch,
     ) -> Result<QueryRecord, ConfigError> {
         let deadline = self.deadline(k);
-        let uq = &self.query_set.users()[user as usize];
+        let user = uq.user as u32;
         let actual = uq.motion.position_at(deadline);
         let area = Circle::new(actual, self.scenario.query.radius_m);
         let nodes_in_area = &mut scratch.nodes_in_area;

@@ -72,11 +72,17 @@ impl QueryLog {
         self.records.push(record);
     }
 
-    /// Reserves room for `additional` more records. Engines that know a
-    /// user's whole query window up front call this once at admission so the
-    /// per-period `push` never reallocates in the steady state.
+    /// Reserves room for exactly `additional` more records. Engines that
+    /// know a user's whole query window up front call this once at admission
+    /// so the per-period `push` never reallocates in the steady state.
     pub fn reserve(&mut self, additional: usize) {
-        self.records.reserve(additional);
+        self.records.reserve_exact(additional);
+    }
+
+    /// Removes every record and yields them in insertion order. The buffer
+    /// keeps its capacity for the records still to come.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, QueryRecord> {
+        self.records.drain(..)
     }
 
     /// All records, in insertion order.

@@ -13,7 +13,8 @@
 //!
 //! * [`ServiceSim::submit`] admits a [`QuerySpec`] for the next period
 //!   boundary and returns a [`QueryId`].
-//! * [`ServiceSim::poll`] drains the results scored since the last poll.
+//! * [`ServiceSim::poll`] drains the results scored since the last poll out
+//!   of the engine.
 //! * [`ServiceSim::retire`] ends a query's lifetime early — clamped so
 //!   installs already standing in the network still resolve.
 //! * [`ServiceSim::step_period`] advances one period boundary; admissions
@@ -25,6 +26,13 @@
 //! [`QuerySet`] — the reference-equivalence suite pins this. The [`load`]
 //! module drives the service with an open-loop arrival schedule and reports
 //! tail latency; [`serve`] streams one resident query's per-period results.
+//!
+//! **What a resident service holds.** A fixed-size row per query ever
+//! submitted (its window and whether it was retired); each standing query's
+//! trajectory and profiles, until its last period has resolved; and each
+//! query's results until its client polls them. So a client that polls
+//! after every boundary leaves the service holding state in proportion to
+//! the queries standing, not to how many it has served.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +44,11 @@ use mobiquery::config::Scenario;
 use mobiquery::error::ConfigError;
 use mobiquery::query::QuerySpec;
 use mobiquery::sim::{
-    FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing, UserQuery,
+    FaultConfig, QuerySet, RunCounters, SimOptions, SteppedSim, TreeSharing, UserQuery,
 };
 use std::error::Error;
 use std::fmt;
-use wsn_metrics::{FaultBatch, QueryRecord};
+use wsn_metrics::{FaultBatch, QueryLog, QueryRecord};
 use wsn_mobility::fleet_member;
 
 /// Opaque handle a client holds for a submitted query.
@@ -140,14 +148,24 @@ impl PeriodResult {
     }
 }
 
-/// Per-client bookkeeping of the service.
-#[derive(Debug, Clone)]
-struct ClientQuery {
-    /// Fleet index of the query's user in the stepped engine.
-    user: usize,
-    /// Records already handed out by [`ServiceSim::poll`].
-    poll_cursor: usize,
-    retired: bool,
+/// The service user behind query `index`: fleet member `index` of the
+/// scenario's fleet, active in `first_k..=last_k`. A batch replay regenerates
+/// it bit for bit.
+fn service_user(scenario: &Scenario, index: usize, first_k: u64, last_k: u64) -> UserQuery {
+    let member = fleet_member(
+        &scenario.motion,
+        scenario.profile_source,
+        index,
+        scenario.seed,
+    );
+    UserQuery {
+        user: index,
+        seed: member.seed,
+        motion: member.motion,
+        profiles: member.profiles,
+        first_k,
+        last_k,
+    }
 }
 
 /// The long-lived query service: a deployment plus the stepped multi-user
@@ -162,7 +180,8 @@ struct ClientQuery {
 #[derive(Debug)]
 pub struct ServiceSim {
     stepped: SteppedSim,
-    clients: Vec<ClientQuery>,
+    /// Whether each query, by id (= fleet index), was retired by its client.
+    retired: Vec<bool>,
 }
 
 impl ServiceSim {
@@ -215,7 +234,7 @@ impl ServiceSim {
         };
         Ok(ServiceSim {
             stepped: SteppedSim::with_options(scenario, empty, sharing, options)?,
-            clients: Vec::new(),
+            retired: Vec::new(),
         })
     }
 
@@ -253,27 +272,10 @@ impl ServiceSim {
         let lifetime_periods = spec.lifetime.as_micros() / spec.period.as_micros();
         let last_k = (first_k + lifetime_periods - 1).min(self.stepped.max_k());
 
-        let index = self.clients.len();
-        let scenario = self.stepped.scenario();
-        let member = fleet_member(
-            &scenario.motion,
-            scenario.profile_source,
-            index,
-            scenario.seed,
-        );
-        let user = self.stepped.admit(UserQuery {
-            user: index,
-            seed: member.seed,
-            motion: member.motion,
-            profiles: member.profiles,
-            first_k,
-            last_k,
-        })?;
-        self.clients.push(ClientQuery {
-            user,
-            poll_cursor: 0,
-            retired: false,
-        });
+        let index = self.retired.len();
+        let user = service_user(self.stepped.scenario(), index, first_k, last_k);
+        self.stepped.admit(user)?;
+        self.retired.push(false);
         Ok(QueryId(index as u64))
     }
 
@@ -288,40 +290,41 @@ impl ServiceSim {
     /// [`ServiceError::UnknownQuery`] / [`ServiceError::AlreadyRetired`] for
     /// client mistakes — both leave the service running.
     pub fn retire(&mut self, id: QueryId) -> Result<u64, ServiceError> {
-        let client = self
-            .clients
-            .get(id.0 as usize)
-            .ok_or(ServiceError::UnknownQuery(id))?;
-        if client.retired {
-            return Err(ServiceError::AlreadyRetired(id));
+        let user = id.0 as usize;
+        match self.retired.get(user) {
+            None => return Err(ServiceError::UnknownQuery(id)),
+            Some(true) => return Err(ServiceError::AlreadyRetired(id)),
+            Some(false) => {}
         }
-        let user = client.user;
         let effective = self.stepped.retire_at(user, self.stepped.next_boundary())?;
-        self.clients[id.0 as usize].retired = true;
+        self.retired[user] = true;
         Ok(effective)
     }
 
     /// Drains the results scored for `id` since the last poll, in period
-    /// order. An empty vector means no new period resolved yet.
+    /// order, out of the service. An empty vector means no new period
+    /// resolved yet; once the query's last result has been polled, the
+    /// service keeps nothing of it but its row.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownQuery`] for an id never issued. Polling a
     /// retired query is fine — its remaining results stay readable.
     pub fn poll(&mut self, id: QueryId) -> Result<Vec<PeriodResult>, ServiceError> {
-        let client = self
-            .clients
-            .get(id.0 as usize)
-            .ok_or(ServiceError::UnknownQuery(id))?;
         let threshold = self.stepped.scenario().fidelity_threshold;
-        let records = self.stepped.logs()[client.user].records();
-        let cursor = client.poll_cursor;
-        let fresh: Vec<PeriodResult> = records[cursor..]
+        let log = self.drain(id)?;
+        Ok(log
+            .records()
             .iter()
             .map(|r| PeriodResult::from_record(r, threshold))
-            .collect();
-        self.clients[id.0 as usize].poll_cursor = records.len();
-        Ok(fresh)
+            .collect())
+    }
+
+    /// [`ServiceSim::poll`]'s records, before they become results.
+    pub(crate) fn drain(&mut self, id: QueryId) -> Result<QueryLog, ServiceError> {
+        self.stepped
+            .drain_log(id.0 as usize)
+            .ok_or(ServiceError::UnknownQuery(id))
     }
 
     /// Advances one period boundary: installs next period's query trees,
@@ -358,7 +361,7 @@ impl ServiceSim {
 
     /// Number of queries submitted so far.
     pub fn queries_submitted(&self) -> usize {
-        self.clients.len()
+        self.retired.len()
     }
 
     /// Per-boundary fault records so far (empty without fault injection).
@@ -368,18 +371,36 @@ impl ServiceSim {
 
     /// The realized query set — the exact static [`QuerySet`] that, run
     /// through a batch [`SteppedSim`] walk, replays this service run bit for
-    /// bit.
-    pub fn query_set(&self) -> &QuerySet {
-        self.stepped.query_set()
+    /// bit. The service no longer holds the trajectories of queries that
+    /// ended, so this rebuilds every user from its row through
+    /// [`fleet_member`], as [`ServiceSim::submit`] built it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Config`] only if a row broke the admission rule
+    /// [`ServiceSim::submit`] already checked.
+    pub fn query_set(&self) -> Result<QuerySet, ServiceError> {
+        let scenario = self.stepped.scenario();
+        let users = self
+            .stepped
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(index, row)| service_user(scenario, index, row.first_k, row.last_k))
+            .collect();
+        Ok(QuerySet::from_users(users, self.max_k())?)
     }
 
-    /// Finishes the run and aggregates the batch-engine output.
+    /// Ends the service and returns the engine's counters. At the horizon
+    /// it first checks that every tree was released; before it, it returns
+    /// the counters so far, and the queries still standing end with it.
     ///
     /// # Panics
     ///
-    /// Panics when the final boundary has not been stepped yet.
-    pub fn finish(self) -> MultiUserOutput {
-        self.stepped.finish()
+    /// At the horizon, panics when a tree or query leaked past the last
+    /// resolve (the engine's refcount discipline).
+    pub fn finish(self) -> RunCounters {
+        self.stepped.into_counters()
     }
 }
 
@@ -467,6 +488,26 @@ mod tests {
         assert_eq!(svc.poll(id2).unwrap().len(), 2);
         let out = svc.finish();
         assert_eq!(out.users, 2);
+    }
+
+    #[test]
+    fn an_early_finish_returns_the_counters_so_far() {
+        let scenario = small_scenario(6);
+        let mut svc = ServiceSim::new(scenario.clone(), TreeSharing::Shared).unwrap();
+        svc.submit(&spec_for(&scenario, 6)).unwrap();
+        for _ in 0..3 {
+            svc.step_period().unwrap();
+        }
+        let counters = svc.finish();
+        assert_eq!(counters.users, 1);
+        assert_eq!(
+            counters.installs, 3,
+            "boundaries 0..=2 installed periods 1..=3"
+        );
+        assert_eq!(
+            counters.events_processed, 5,
+            "three installing boundaries and two resolves"
+        );
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! for its first result; p50/p99 over all served queries are the service's
 //! tail. Success is per query: the fraction of its periods that delivered a
 //! result above the fidelity threshold.
+//!
+//! Like a resident client, the generator polls every standing query after
+//! each boundary, and builds its report from what it polled.
 
-use crate::{ServiceError, ServiceSim};
+use crate::{QueryId, ServiceError, ServiceSim};
 use mobiquery::config::Scenario;
 use mobiquery::error::ConfigError;
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, TreeSharing};
-use wsn_metrics::{JsonValue, LatencyStats, ResilienceSummary};
+use wsn_metrics::{JsonValue, LatencyStats, QueryLog, ResilienceSummary};
 use wsn_sim::{mix_seed, SimRng};
 
 /// Stream tag separating the load generator's draws from every other stream
@@ -147,7 +150,7 @@ impl LoadReport {
 }
 
 /// Everything a load run produces: the scalar report, the realized schedule
-/// (for batch replay) and the raw engine output.
+/// (for batch replay) and the engine output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadOutcome {
     /// Scalar summary, JSON-able via [`LoadReport::to_json`].
@@ -156,7 +159,7 @@ pub struct LoadOutcome {
     /// batch [`mobiquery::sim::SteppedSim`] walk reproduces the per-user logs
     /// bit for bit.
     pub query_set: QuerySet,
-    /// The underlying engine output (per-user logs included).
+    /// The engine's counters, with the per-user logs the run polled.
     pub output: MultiUserOutput,
 }
 
@@ -190,27 +193,42 @@ pub fn run_load(
     let arrivals = arrival_schedule(scenario.seed, qps, duration_periods, period_s);
 
     let mut svc = ServiceSim::open(scenario.clone(), sharing, fault)?;
+    let max_k = svc.max_k();
     let mut pending = arrivals.iter().copied().peekable();
     let mut admitted: Vec<Arrival> = Vec::new();
     let mut rejected = 0u64;
+    // What each admitted query was handed, by id, and the queries still due
+    // a result, with their last period.
+    let mut logs: Vec<QueryLog> = Vec::new();
+    let mut standing: Vec<(QueryId, u64)> = Vec::new();
     while !svc.is_finished() {
-        let now_s = svc.next_boundary() as f64 * period_s;
+        let b = svc.next_boundary();
+        let now_s = b as f64 * period_s;
         while let Some(arrival) = pending.next_if(|a| a.at_s <= now_s) {
             let mut spec = scenario.query.clone();
             spec.lifetime = spec.period * arrival.lifetime_periods;
             match svc.submit(&spec) {
-                Ok(_) => admitted.push(arrival),
+                Ok(id) => {
+                    admitted.push(arrival);
+                    logs.push(QueryLog::new());
+                    standing.push((id, (b + arrival.lifetime_periods).min(max_k)));
+                }
                 Err(ServiceError::HorizonExhausted) => rejected += 1,
                 Err(e) => return Err(e),
             }
         }
         svc.step_period()?;
+        for &(id, _) in &standing {
+            let polled = svc.drain(id)?;
+            logs[id.index() as usize].extend(polled.records().iter().copied());
+        }
+        standing.retain(|&(_, last_k)| last_k > b);
     }
     rejected += pending.count() as u64;
 
-    let query_set = svc.query_set().clone();
+    let query_set = svc.query_set()?;
     let faults = ResilienceSummary::from_batches(svc.fault_log());
-    let output = svc.finish();
+    let output = MultiUserOutput::new(svc.finish(), logs, scenario.fidelity_threshold);
 
     let mut latency_samples = Vec::new();
     let mut starved = 0u64;

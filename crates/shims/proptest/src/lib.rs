@@ -5,9 +5,9 @@
 //!
 //! * [`Strategy`] with `prop_map`, implemented for numeric [`Range`]s and
 //!   tuples of strategies,
-//! * [`collection::vec()`] and [`any`],
-//! * the [`proptest!`], [`prop_assert!`], [`prop_assert_eq!`] and
-//!   [`prop_assume!`] macros.
+//! * [`collection::vec()`], [`any`] and [`Just`],
+//! * the [`proptest!`], [`prop_oneof!`], [`prop_assert!`],
+//!   [`prop_assert_eq!`] and [`prop_assume!`] macros.
 //!
 //! Unlike real proptest there is no shrinking and no persisted failure seeds:
 //! each test runs a fixed number of cases (`PROPTEST_CASES`, default 128)
@@ -163,6 +163,52 @@ tuple_strategy!(
     (A.0, B.1, C.2, D.3, E.4, F.5)
 );
 
+/// Strategy that always yields a clone of one value, mirroring
+/// `proptest::strategy::Just`.
+#[derive(Debug, Clone, Copy)]
+pub struct Just<T: Clone>(pub T);
+
+impl<T: Clone> Strategy for Just<T> {
+    type Value = T;
+    fn sample(&self, _rng: &mut TestRng) -> T {
+        self.0.clone()
+    }
+}
+
+/// Strategy that draws from one of several strategies, each picked with
+/// probability proportional to its weight: what [`prop_oneof!`] builds.
+pub struct Union<T> {
+    options: Vec<(u32, Box<dyn Strategy<Value = T>>)>,
+    total: u64,
+}
+
+impl<T> Union<T> {
+    /// A union over `(weight, strategy)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every weight is zero: there is nothing to pick.
+    pub fn new_weighted(options: Vec<(u32, Box<dyn Strategy<Value = T>>)>) -> Self {
+        let total = options.iter().map(|&(w, _)| u64::from(w)).sum();
+        assert!(total > 0, "prop_oneof! needs a positive weight");
+        Union { options, total }
+    }
+}
+
+impl<T> Strategy for Union<T> {
+    type Value = T;
+    fn sample(&self, rng: &mut TestRng) -> T {
+        let mut pick = rng.next_u64() % self.total;
+        for (weight, strategy) in &self.options {
+            if pick < u64::from(*weight) {
+                return strategy.sample(rng);
+            }
+            pick -= u64::from(*weight);
+        }
+        unreachable!("the pick lies below the total weight")
+    }
+}
+
 /// Strategy for the full range of a type, mirroring `proptest::arbitrary::any`.
 pub fn any<T: ArbitraryValue>() -> AnyStrategy<T> {
     AnyStrategy(PhantomData)
@@ -247,7 +293,8 @@ pub type TestCaseResult = Result<(), TestCaseError>;
 /// Everything a test module needs: `use proptest::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assume, proptest, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Just, Strategy,
+        TestCaseError,
     };
 }
 
@@ -272,6 +319,21 @@ macro_rules! proptest {
             }
         }
     )*};
+}
+
+/// A strategy that draws from one of the given strategies, all yielding one
+/// type: uniformly, or by the `weight => strategy` weights given.
+#[macro_export]
+macro_rules! prop_oneof {
+    ($($weight:expr => $strategy:expr),+ $(,)?) => {
+        $crate::Union::new_weighted(vec![$((
+            $weight,
+            Box::new($strategy) as Box<dyn $crate::Strategy<Value = _>>,
+        )),+])
+    };
+    ($($strategy:expr),+ $(,)?) => {
+        $crate::prop_oneof![$(1 => $strategy),+]
+    };
 }
 
 /// Fail the current generated case unless `cond` holds.
