@@ -29,9 +29,10 @@
 //! trial is `SteppedSim::new(scenario, QuerySet::generate(..), sharing)`
 //! walked with `run_to_end` and closed with `finish`. The engine keeps its
 //! users as a [`Fleet`]: a fixed-size [`QueryRow`] for every user it ever
-//! admitted, and the trajectory and profiles only of the users whose last
-//! period has not resolved yet.
+//! admitted, and the trajectory, profiles and standing queries only of the
+//! users whose last period has not resolved yet.
 
+use super::stepped::ActiveQuery;
 use crate::config::Scenario;
 use crate::error::ConfigError;
 use wsn_metrics::{summarize_users, QueryLog, UserSummary};
@@ -239,9 +240,19 @@ impl QueryRow {
     }
 }
 
+/// The queries one user can hold standing at once: the install lead (one
+/// period) plus one, for the period that resolves.
+pub(crate) const QUERY_SLOTS: usize = 2;
+
+/// The slot of [`LiveUser::queries`] that holds period `k`'s query.
+pub(crate) fn query_slot(k: u64) -> usize {
+    (k % QUERY_SLOTS as u64) as usize
+}
+
 /// What the stepped engine needs of a user while its queries run: the
-/// ground truth it is scored against and the profiles its installs predict
-/// from. It goes once the user's last period has resolved.
+/// ground truth it is scored against, the profiles its installs predict
+/// from, and its standing queries. It goes once the user's last period has
+/// resolved.
 #[derive(Debug)]
 pub(crate) struct LiveUser {
     /// Fleet index: the user's [`QueryRow`] and per-query RNG streams.
@@ -250,6 +261,10 @@ pub(crate) struct LiveUser {
     pub(crate) motion: UserMotion,
     /// Motion profiles delivered for this user, sorted by `effective_from`.
     pub(crate) profiles: Vec<MotionProfile>,
+    /// Standing queries, period `k` in slot [`query_slot`]`(k)`: an install
+    /// fills it (unless it stood no tree), a crash repair may replace or drop
+    /// it, and the period's resolve takes it.
+    pub(crate) queries: [Option<ActiveQuery>; QUERY_SLOTS],
 }
 
 /// The stepped engine's users, split by how long each part lives: a
@@ -299,6 +314,7 @@ impl Fleet {
             user: user.user,
             motion: user.motion,
             profiles: user.profiles,
+            queries: Default::default(),
         });
     }
 
@@ -312,18 +328,19 @@ impl Fleet {
         &self.live
     }
 
-    /// The live users active in period `k`, in fleet order.
-    pub(crate) fn active_in(&self, k: u64) -> impl Iterator<Item = &LiveUser> {
-        self.live
-            .iter()
-            .filter(move |u| self.rows[u.user].active_in(k))
+    /// [`Fleet::live`], for filling and taking their query slots.
+    pub(crate) fn live_mut(&mut self) -> &mut [LiveUser] {
+        &mut self.live
     }
 
     /// Number of users active in period `k` — the contention level every
     /// query of that period is scored under. Pure, so every sharing mode sees
     /// the same concurrency. A user active in `k` is live until `k` resolves.
     pub(crate) fn active_users(&self, k: u64) -> usize {
-        self.active_in(k).count()
+        self.live
+            .iter()
+            .filter(|u| self.rows[u.user].active_in(k))
+            .count()
     }
 
     /// Rewrites `user`'s last active period. The caller
@@ -333,10 +350,18 @@ impl Fleet {
     }
 
     /// Drops the trajectory and profiles of every user whose last period is
-    /// `k` or earlier, once period `k` has resolved.
+    /// `k` or earlier, once period `k` has resolved. Panics when such a user
+    /// still holds a standing query: every query resolves before its user.
     pub(crate) fn release_through(&mut self, k: u64) {
         let rows = &self.rows;
-        self.live.retain(|u| rows[u.user].last_k > k);
+        self.live.retain(|u| {
+            let stays = rows[u.user].last_k > k;
+            assert!(
+                stays || u.queries.iter().all(Option::is_none),
+                "queries left unresolved"
+            );
+            stays
+        });
     }
 
     /// The number of query periods of the underlying scenario.

@@ -2,10 +2,10 @@
 //! install ack/retry machine, the crash lookups scoring consults, and the
 //! boundary step that reboots, strikes and repairs the trees crashes poison.
 
-use super::query::{ActiveQuery, QueryTree, Trees};
+use super::query::{QueryTree, Trees};
 use crate::error::ConfigError;
 use crate::sim::deploy::Deployment;
-use std::collections::HashMap;
+use crate::sim::multi::LiveUser;
 use wsn_geom::Point;
 use wsn_metrics::FaultBatch;
 use wsn_net::{FaultConfig, FaultPlan, FloodTree, NodeId, TreeKey};
@@ -180,7 +180,7 @@ impl FaultState {
         &mut self,
         boundary: u64,
         trees: &mut Trees,
-        active: &mut HashMap<(u32, u64), ActiveQuery>,
+        live: &mut [LiveUser],
         deployment: &Deployment,
     ) -> Result<(), ConfigError> {
         for &(slot, _) in &self.crashed {
@@ -198,7 +198,7 @@ impl FaultState {
         self.pending.crashes = self.crashed.len();
         self.pending.blackout = batch.blackout;
         if !self.crashed.is_empty() && self.plan.config().recovery {
-            self.repair_trees(trees, active, deployment)?;
+            self.repair_trees(trees, live, deployment)?;
         }
         Ok(())
     }
@@ -212,33 +212,29 @@ impl FaultState {
     /// descendants; a rebuild), under a repair key: poisoned queries with one
     /// root and cell share the rebuilt tree, and no install can join it. The
     /// queries standing here all resolve at this boundary, so no repaired
-    /// tree outlives it. A shared query whose root crashed degrades to a
-    /// tree of its own (a naive fallback), and a naive query rebuilds its
-    /// own tree the same way (a rebuild). Keys are visited in sorted order
-    /// so cache bookkeeping — and therefore every output byte — is
-    /// independent of hash-map iteration order.
+    /// tree outlives it, and each user holds at most one of them. A shared
+    /// query whose root crashed degrades to a tree of its own (a naive
+    /// fallback), and a naive query rebuilds its own tree the same way (a
+    /// rebuild). Users are visited in fleet order, so cache bookkeeping, and
+    /// so every output byte, follows the `(user, period)` order.
     fn repair_trees(
         &mut self,
         trees: &mut Trees,
-        active: &mut HashMap<(u32, u64), ActiveQuery>,
+        live: &mut [LiveUser],
         deployment: &Deployment,
     ) -> Result<(), ConfigError> {
-        if active.is_empty() {
-            return Ok(());
-        }
-        let mut standing: Vec<(u32, u64)> = active.keys().copied().collect();
-        standing.sort_unstable();
         let excluded = Some(self.is_crashed.as_slice());
-        for id in standing {
+        for slot in live.iter_mut().flat_map(|u| &mut u.queries) {
+            let Some(mut aq) = slot.take() else {
+                continue;
+            };
             let old_root = {
-                let tree = trees.get(&active[&id].tree)?;
+                let tree = trees.get(&aq.tree)?;
                 if !self.crashed.iter().any(|&(s, _)| tree.contains(NodeId(s))) {
+                    *slot = Some(aq);
                     continue;
                 }
                 tree.root()
-            };
-            let Some(mut aq) = active.remove(&id) else {
-                continue;
             };
             let shared = matches!(aq.tree, QueryTree::Shared(_));
             trees.release(aq.tree)?;
@@ -263,7 +259,7 @@ impl FaultState {
             } else {
                 self.pending.trees_rebuilt += 1;
             }
-            active.insert(id, aq);
+            *slot = Some(aq);
         }
         Ok(())
     }
@@ -423,7 +419,7 @@ mod tests {
             // The queries of the period this boundary resolves, none of them
             // repaired yet: the cell each serves, and its tree.
             let mut standing = Vec::new();
-            for aq in sim.active.values() {
+            for aq in sim.standing_queries() {
                 let QueryTree::Shared(handle) = aq.tree else {
                     panic!("an install in shared mode stands a shared tree");
                 };
@@ -439,7 +435,7 @@ mod tests {
                 }
                 // The tree held no victim, so it kept standing, and every
                 // install in its cell minted its key and joined it.
-                for aq in sim.active.values().filter(|aq| aq.center == center) {
+                for aq in sim.standing_queries().filter(|aq| aq.center == center) {
                     joined += 1;
                     assert!(
                         matches!(aq.tree, QueryTree::Shared(h) if h == handle),

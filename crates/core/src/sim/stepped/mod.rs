@@ -19,8 +19,8 @@
 //! repair; and [`crate::sim::churn`] the churn batch step.
 //!
 //! **What a run holds.** A fixed-size [`QueryRow`] for every user ever
-//! admitted; a user's trajectory and profiles until its last period has
-//! resolved; and its records until a caller drains them
+//! admitted; a user's trajectory, profiles and standing queries until its
+//! last period has resolved; and its records until a caller drains them
 //! ([`SteppedSim::drain_log`]). A batch caller never drains, so
 //! [`SteppedSim::logs`] and [`SteppedSim::finish`] hold every record; a
 //! resident service drains after each boundary, so it holds state in
@@ -37,8 +37,8 @@ use crate::sim::multi::{
     Fleet, MultiUserOutput, QueryRow, QuerySet, RunCounters, TreeSharing, UserQuery,
 };
 use fault::FaultState;
-use query::{ActiveQuery, ScoreScratch, Trees};
-use std::collections::HashMap;
+pub(super) use query::ActiveQuery;
+use query::{ScoreScratch, Trees};
 use wsn_metrics::{ChurnBatch, FaultBatch, QueryLog};
 use wsn_net::{Channel, FaultConfig, SleepSchedule};
 use wsn_sim::{SimRng, SimTime};
@@ -80,8 +80,6 @@ pub struct SteppedSim {
     logs: Vec<QueryLog>,
     sharing: TreeSharing,
     trees: Trees,
-    /// The queries standing in the network, by `(user, period)`.
-    active: HashMap<(u32, u64), ActiveQuery>,
     installs: u64,
     /// Churn mode, when enabled via [`SimOptions::churn`].
     churn: Option<ChurnState>,
@@ -197,7 +195,6 @@ impl SteppedSim {
             fleet: Fleet::new(query_set),
             sharing,
             trees: Trees::new(sleeper_wake_s),
-            active: HashMap::new(),
             installs: 0,
             churn,
             fault,
@@ -406,7 +403,7 @@ impl SteppedSim {
         // window this boundary closes (scored by the resolves below) and is
         // what this boundary's installs must get through.
         if let Some(fault) = &mut self.fault {
-            fault.step(b, &mut self.trees, &mut self.active, &self.deployment)?;
+            fault.step(b, &mut self.trees, self.fleet.live_mut(), &self.deployment)?;
         }
         if b < max_k {
             self.install(self.deadline(b), b + 1)?;
@@ -440,7 +437,7 @@ impl SteppedSim {
     /// # Panics
     ///
     /// Panics when called before the final boundary was stepped, or when a
-    /// query install leaked past the last resolve (refcount discipline).
+    /// tree leaked past the last resolve (refcount discipline).
     pub fn finish(mut self) -> MultiUserOutput {
         assert!(
             self.is_finished(),
@@ -456,16 +453,12 @@ impl SteppedSim {
     ///
     /// # Panics
     ///
-    /// Once the final boundary was stepped, panics when a query install
-    /// leaked past the last resolve (refcount discipline).
+    /// Once the final boundary was stepped, panics when a tree leaked past
+    /// the last resolve (refcount discipline).
     pub fn into_counters(self) -> RunCounters {
         if self.is_finished() {
             // Refcount discipline: every install was released at its resolve.
             assert_eq!(self.trees.standing(), 0, "trees leaked past the last query");
-            assert!(
-                self.active.is_empty(),
-                "queries left unresolved at the end of the run"
-            );
         }
         RunCounters {
             users: self.fleet.rows().len(),
@@ -500,6 +493,17 @@ pub(crate) fn stepped(seed: u64, users: usize, sharing: TreeSharing) -> SteppedS
     let scenario = small_scenario(seed);
     let set = QuerySet::generate(&scenario, users);
     SteppedSim::new(scenario, set, sharing).unwrap()
+}
+
+#[cfg(test)]
+impl SteppedSim {
+    /// Every standing query, user by user in fleet order.
+    fn standing_queries(&self) -> impl Iterator<Item = &ActiveQuery> {
+        self.fleet
+            .live()
+            .iter()
+            .flat_map(|u| u.queries.iter().flatten())
+    }
 }
 
 #[cfg(test)]

@@ -4,15 +4,16 @@
 //! period `b` ([`SteppedSim::resolve`]). An install predicts each active
 //! user's pickup point, snaps it to its lattice cell, picks the nearest
 //! collector and stands a tree there through [`Trees`]; the query then
-//! stands until its resolve scores it against that tree and lets the tree
-//! go. [`Trees`] is the tree layer: the shared [`TreeCache`], the trees
-//! queries own, the memoised wake-up cost of each install key, the
-//! wake-second total and the one epoch folded into every [`TreeKey`].
+//! stands in the user's slot for its period until its resolve scores it
+//! against that tree and lets the tree go. [`Trees`] is the tree layer: the
+//! shared [`TreeCache`], the trees queries own, the memoised wake-up cost of
+//! each install key, the wake-second total and the one epoch folded into
+//! every [`TreeKey`].
 
 use super::SteppedSim;
 use crate::error::ConfigError;
 use crate::sim::deploy::Deployment;
-use crate::sim::multi::{LiveUser, TreeSharing};
+use crate::sim::multi::{query_slot, LiveUser, TreeSharing};
 use std::collections::HashMap;
 use wsn_geom::{Circle, Point, StripIndex};
 use wsn_metrics::QueryRecord;
@@ -26,9 +27,10 @@ fn cache_error(e: TreeCacheError) -> ConfigError {
     ConfigError::new(format!("tree cache invariant violated: {e}"))
 }
 
-/// A query currently standing in the network.
+/// A query currently standing in the network, held in its user's slot for
+/// its period ([`LiveUser::queries`]).
 #[derive(Debug)]
-pub(super) struct ActiveQuery {
+pub(crate) struct ActiveQuery {
     pub(super) center: Point,
     installed_at: SimTime,
     pub(super) tree: QueryTree,
@@ -40,8 +42,8 @@ pub(super) enum QueryTree {
     /// A reference-counted handle into the shared [`TreeCache`].
     Shared(TreeHandle),
     /// A tree of the query's own: every tree in [`TreeSharing::Naive`] mode,
-    /// and a shared query's fallback after its root crashed. Boxed, so the
-    /// map of standing queries keeps small entries.
+    /// and a shared query's fallback after its root crashed. Boxed, so each
+    /// user's query slots stay small.
     Naive(Box<FloodTree>),
 }
 
@@ -266,7 +268,11 @@ impl SteppedSim {
     pub(super) fn install(&mut self, now: SimTime, k: u64) -> Result<(), ConfigError> {
         let deadline = self.deadline(k);
         let period_s = self.scenario.query.period.as_secs_f64();
-        for uq in self.fleet.active_in(k) {
+        for i in 0..self.fleet.live().len() {
+            let uq = &self.fleet.live()[i];
+            if !self.fleet.rows()[uq.user].active_in(k) {
+                continue;
+            }
             let user = uq.user as u32;
             let center = self.quantized_center(Self::predicted_pickup(uq, now, deadline));
             let Some(collector) = self.deployment.nearest_collector(center, None) else {
@@ -297,14 +303,11 @@ impl SteppedSim {
 
             let naive = self.sharing == TreeSharing::Naive;
             let tree = self.trees.stand(&self.deployment, key, naive, None)?;
-            self.active.insert(
-                (user, k),
-                ActiveQuery {
-                    center,
-                    installed_at,
-                    tree,
-                },
-            );
+            self.fleet.live_mut()[i].queries[query_slot(k)] = Some(ActiveQuery {
+                center,
+                installed_at,
+                tree,
+            });
         }
         Ok(())
     }
@@ -324,12 +327,12 @@ impl SteppedSim {
             if !self.fleet.rows()[uq.user].active_in(k) {
                 continue;
             }
-            let user = uq.user;
             let record = self.score_query(uq, k, loss_p, &mut scratch)?;
-            if let Some(aq) = self.active.remove(&(user as u32, k)) {
+            let uq = &mut self.fleet.live_mut()[i];
+            if let Some(aq) = uq.queries[query_slot(k)].take() {
                 self.trees.release(aq.tree)?;
             }
-            self.logs[user].push(record);
+            self.logs[uq.user].push(record);
             self.events_processed += 1;
         }
         self.scratch = scratch;
@@ -362,7 +365,6 @@ impl SteppedSim {
         scratch: &mut ScoreScratch,
     ) -> Result<QueryRecord, ConfigError> {
         let deadline = self.deadline(k);
-        let user = uq.user as u32;
         let actual = uq.motion.position_at(deadline);
         let area = Circle::new(actual, self.scenario.query.radius_m);
         let nodes_in_area = &mut scratch.nodes_in_area;
@@ -377,12 +379,12 @@ impl SteppedSim {
         // whatever the grid's internal iteration order.
         nodes_in_area.sort_unstable_by_key(|&(node, _)| node);
 
-        let Some(aq) = self.active.get(&(user, k)) else {
+        let Some(aq) = &uq.queries[query_slot(k)] else {
             return Ok(QueryRecord::missed(k, deadline, nodes_in_area.len()));
         };
         let mut rng = SimRng::seed_from_u64(mix_seed(
             self.scenario.seed,
-            &[QUERY_STREAM, user as u64, k],
+            &[QUERY_STREAM, uq.user as u64, k],
         ));
         let tree = self.trees.get(&aq.tree)?;
         self.deployment.index_relays(&mut scratch.relays, tree);
@@ -474,10 +476,60 @@ impl SteppedSim {
 
 #[cfg(test)]
 mod tests {
+    use super::QueryTree;
     use crate::sim::churn::ChurnConfig;
     use crate::sim::multi::{QuerySet, TreeSharing};
     use crate::sim::stepped::{small_scenario, SimOptions, SteppedSim};
-    use wsn_net::{FaultConfig, TreeKey};
+    use wsn_net::{FaultConfig, TreeHandle, TreeKey};
+
+    #[test]
+    fn the_tree_ledger_balances_at_every_boundary() {
+        let options = SimOptions {
+            churn: Some(ChurnConfig {
+                rate: 0.05,
+                verify: false,
+            }),
+            faults: Some(FaultConfig::new(0.1).with_crash_rate(0.05)),
+        };
+        for seed in [3, 7, 11] {
+            for sharing in [TreeSharing::Shared, TreeSharing::Naive] {
+                let scenario = small_scenario(seed);
+                let set = QuerySet::generate(&scenario, 8);
+                let mut sim = SteppedSim::with_options(scenario, set, sharing, options).unwrap();
+                while !sim.is_finished() {
+                    let b = sim.step_period().unwrap();
+                    let at = format!("seed {seed}, {sharing:?}, boundary {b}");
+                    // Each cached tree's holders, and the trees queries own.
+                    let mut holders: Vec<(TreeHandle, u32)> = Vec::new();
+                    let mut owned = 0;
+                    for aq in sim.standing_queries() {
+                        match aq.tree {
+                            QueryTree::Shared(handle) => {
+                                match holders.iter_mut().find(|(h, _)| *h == handle) {
+                                    Some((_, n)) => *n += 1,
+                                    None => holders.push((handle, 1)),
+                                }
+                            }
+                            QueryTree::Naive(_) => owned += 1,
+                        }
+                    }
+                    let cache = &sim.trees.cache;
+                    for &(handle, n) in &holders {
+                        assert_eq!(cache.refs(handle), n, "{at}: refcount against holders");
+                    }
+                    // Every held handle is live, so equal counts leave no
+                    // cached tree without a holder.
+                    assert_eq!(cache.live_trees(), holders.len(), "{at}: unheld tree");
+                    assert_eq!(
+                        sim.trees.standing(),
+                        cache.live_trees() + owned,
+                        "{at}: standing trees against cached plus owned"
+                    );
+                }
+                sim.finish();
+            }
+        }
+    }
 
     #[test]
     fn the_memo_holds_only_install_keys_of_the_current_epoch() {

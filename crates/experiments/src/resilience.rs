@@ -20,7 +20,7 @@ use crate::scale::scale_scenario;
 use crate::{best_of, round2, ExperimentConfig, Report};
 use mobiquery::config::{Scenario, Scheme};
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SimOptions, SteppedSim, TreeSharing};
-use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
+use wsn_metrics::{recovery_latency, JsonValue, RecoveryLatency, ResilienceSummary, Table};
 
 /// The loss ladder swept for a top rate `R`: the sweep compares recovery
 /// on/off at `R/4`, `R/2` and `R` so one `--fault-loss` flag yields a
@@ -48,34 +48,14 @@ pub struct ResiliencePoint {
     pub users: usize,
     /// Seed the trial ran under.
     pub seed: u64,
-    /// Fault batches applied (one per boundary).
-    pub batches: usize,
-    /// Node-periods spent with a bad channel.
-    pub link_bad_node_periods: usize,
-    /// Total mid-period crashes.
-    pub crashes: usize,
-    /// Total install transmissions (first attempts and retries).
-    pub install_attempts: u64,
-    /// Install retransmissions beyond each install's first attempt.
-    pub retries: u64,
-    /// Installs abandoned after every attempt — whole periods lost.
-    pub install_failures: u64,
-    /// Poisoned shared trees rebuilt around crashed nodes.
-    pub trees_rebuilt: u64,
-    /// Poisoned trees degraded to per-user naive trees.
-    pub naive_fallbacks: u64,
-    /// Energy drained by retransmissions, in joules.
-    pub retry_energy_j: f64,
+    /// The run's fault log, folded: what the faults struck and what
+    /// recovery did about it.
+    pub faults: ResilienceSummary,
     /// Query results delivered by their deadline across the fleet.
     pub delivered: usize,
-    /// Retransmissions paid per delivered result.
-    pub retries_per_delivered: f64,
-    /// Outages: maximal streaks of undelivered periods across users.
-    pub outages: usize,
-    /// Mean outage length in periods (recovery latency).
-    pub mean_outage_periods: f64,
-    /// Longest outage in periods.
-    pub max_outage_periods: u64,
+    /// Outages, maximal streaks of undelivered periods across users, and
+    /// their lengths (the recovery latency).
+    pub latency: RecoveryLatency,
     /// Fleet-mean paper success ratio (deadline + 95% fidelity).
     pub mean_success_ratio: f64,
     /// Fleet-mean per-query fidelity.
@@ -108,7 +88,7 @@ fn mean_delivery(out: &MultiUserOutput) -> f64 {
 /// failure here is a programming error, not user input.
 pub fn run_point(scenario: Scenario, fault: FaultConfig, users: usize) -> ResiliencePoint {
     let (nodes, seed) = (scenario.node_count, scenario.seed);
-    let ((summary, out), elapsed_ms) = best_of(
+    let ((faults, out), elapsed_ms) = best_of(
         1,
         || (scenario.clone(), QuerySet::generate(&scenario, users)),
         |(scenario, set)| {
@@ -119,8 +99,8 @@ pub fn run_point(scenario: Scenario, fault: FaultConfig, users: usize) -> Resili
             let mut sim = SteppedSim::with_options(scenario, set, TreeSharing::Shared, options)
                 .expect("resilience fault configs are valid by construction");
             sim.run_to_end().expect("fault walks complete");
-            let summary = ResilienceSummary::from_batches(sim.fault_log());
-            (summary, sim.finish())
+            let faults = ResilienceSummary::from_batches(sim.fault_log());
+            (faults, sim.finish())
         },
     );
     let delivered: usize = out
@@ -129,7 +109,6 @@ pub fn run_point(scenario: Scenario, fault: FaultConfig, users: usize) -> Resili
         .flat_map(|log| log.records())
         .filter(|r| r.met_deadline())
         .count();
-    let latency = recovery_latency(&out.logs);
     ResiliencePoint {
         nodes,
         loss: fault.loss,
@@ -138,20 +117,9 @@ pub fn run_point(scenario: Scenario, fault: FaultConfig, users: usize) -> Resili
         recovery: fault.recovery,
         users,
         seed,
-        batches: summary.batches,
-        link_bad_node_periods: summary.link_bad_node_periods,
-        crashes: summary.crashes,
-        install_attempts: summary.install_attempts,
-        retries: summary.retries,
-        install_failures: summary.install_failures,
-        trees_rebuilt: summary.trees_rebuilt,
-        naive_fallbacks: summary.naive_fallbacks,
-        retry_energy_j: summary.retry_energy_j,
+        faults,
         delivered,
-        retries_per_delivered: summary.retries_per_delivered(delivered),
-        outages: latency.outages,
-        mean_outage_periods: latency.mean_periods,
-        max_outage_periods: latency.max_periods,
+        latency: recovery_latency(&out.logs),
         mean_success_ratio: out.mean_success_ratio(),
         mean_fidelity: out.mean_fidelity(),
         mean_delivery_ratio: mean_delivery(&out),
@@ -198,15 +166,16 @@ fn table_from_points(points: &[ResiliencePoint]) -> Table {
         ],
     );
     for p in points {
+        let f = &p.faults;
         table.push_row(vec![
             p.nodes.to_string(),
             format!("{:.4}", p.loss),
             if p.recovery { "on" } else { "off" }.to_string(),
-            p.crashes.to_string(),
-            p.retries.to_string(),
-            p.install_failures.to_string(),
-            p.trees_rebuilt.to_string(),
-            p.naive_fallbacks.to_string(),
+            f.crashes.to_string(),
+            f.retries.to_string(),
+            f.install_failures.to_string(),
+            f.trees_rebuilt.to_string(),
+            f.naive_fallbacks.to_string(),
             format!("{:.3}", p.mean_delivery_ratio),
             format!("{:.3}", p.mean_fidelity),
         ]);
@@ -216,6 +185,7 @@ fn table_from_points(points: &[ResiliencePoint]) -> Table {
 
 /// The deterministic JSON view of one point: every field except wall-clock.
 fn point_json(p: &ResiliencePoint) -> JsonValue {
+    let f = &p.faults;
     JsonValue::object()
         .with("nodes", p.nodes)
         .with("loss", p.loss)
@@ -224,20 +194,23 @@ fn point_json(p: &ResiliencePoint) -> JsonValue {
         .with("recovery", p.recovery)
         .with("users", p.users)
         .with("seed", p.seed)
-        .with("batches", p.batches)
-        .with("link_bad_node_periods", p.link_bad_node_periods)
-        .with("crashes", p.crashes)
-        .with("install_attempts", p.install_attempts as usize)
-        .with("retries", p.retries as usize)
-        .with("install_failures", p.install_failures as usize)
-        .with("trees_rebuilt", p.trees_rebuilt as usize)
-        .with("naive_fallbacks", p.naive_fallbacks as usize)
-        .with("retry_energy_j", p.retry_energy_j)
+        .with("batches", f.batches)
+        .with("link_bad_node_periods", f.link_bad_node_periods)
+        .with("crashes", f.crashes)
+        .with("install_attempts", f.install_attempts as usize)
+        .with("retries", f.retries as usize)
+        .with("install_failures", f.install_failures as usize)
+        .with("trees_rebuilt", f.trees_rebuilt as usize)
+        .with("naive_fallbacks", f.naive_fallbacks as usize)
+        .with("retry_energy_j", f.retry_energy_j)
         .with("delivered", p.delivered)
-        .with("retries_per_delivered", p.retries_per_delivered)
-        .with("outages", p.outages)
-        .with("mean_outage_periods", p.mean_outage_periods)
-        .with("max_outage_periods", p.max_outage_periods as usize)
+        .with(
+            "retries_per_delivered",
+            f.retries_per_delivered(p.delivered),
+        )
+        .with("outages", p.latency.outages)
+        .with("mean_outage_periods", p.latency.mean_periods)
+        .with("max_outage_periods", p.latency.max_periods as usize)
         .with("mean_success_ratio", p.mean_success_ratio)
         .with("mean_fidelity", p.mean_fidelity)
         .with("mean_delivery_ratio", p.mean_delivery_ratio)
@@ -298,12 +271,12 @@ mod tests {
             FaultConfig::new(0.3),
             2,
         );
-        assert!(p.batches > 0);
+        assert!(p.faults.batches > 0);
         assert!(
-            p.link_bad_node_periods > 0,
+            p.faults.link_bad_node_periods > 0,
             "30% loss must mark channels bad"
         );
-        assert!(p.install_attempts > 0);
+        assert!(p.faults.install_attempts > 0);
         assert!(p.recovery);
         assert!(p.mean_delivery_ratio > 0.0 && p.mean_delivery_ratio <= 1.0);
     }
@@ -313,8 +286,11 @@ mod tests {
         let scenario = scale_scenario(200, Scheme::JustInTime, 11);
         let on = run_point(scenario.clone(), FaultConfig::new(0.3), 3);
         let off = run_point(scenario, FaultConfig::new(0.3).with_recovery(false), 3);
-        assert!(on.retries > 0, "recovery must actually retry under loss");
-        assert_eq!(off.retries, 0, "no retries with recovery off");
+        assert!(
+            on.faults.retries > 0,
+            "recovery must actually retry under loss"
+        );
+        assert_eq!(off.faults.retries, 0, "no retries with recovery off");
         assert!(
             on.mean_delivery_ratio > off.mean_delivery_ratio,
             "retries must buy delivery: on={} off={}",

@@ -9,7 +9,7 @@
 //! 2. **Success ratio** — the fraction of queries that meet their deadline
 //!    *and* reach a fidelity threshold (95 % in the paper).
 //! 3. **Power consumption** — average power per sleeping node (computed by
-//!    [`wsn_power::EnergyLedger`](https://docs.rs) in the power crate; this
+//!    `wsn_power::EnergyLedger` in the power crate; this
 //!    crate only aggregates the resulting numbers).
 //!
 //! [`QueryRecord`]/[`QueryLog`] capture per-query outcomes, [`Series`] holds

@@ -52,8 +52,6 @@ pub struct ResilienceSummary {
     pub link_bad_node_periods: usize,
     /// Total mid-period crashes across the run.
     pub crashes: usize,
-    /// Boundaries covered by a blackout window.
-    pub blackout_boundaries: usize,
     /// Total install transmissions.
     pub install_attempts: u64,
     /// Total install retransmissions.
@@ -75,7 +73,6 @@ impl ResilienceSummary {
             batches: batches.len(),
             link_bad_node_periods: batches.iter().map(|b| b.link_bad).sum(),
             crashes: batches.iter().map(|b| b.crashes).sum(),
-            blackout_boundaries: batches.iter().filter(|b| b.blackout).count(),
             install_attempts: batches.iter().map(|b| b.install_attempts).sum(),
             retries: batches.iter().map(|b| b.retries).sum(),
             install_failures: batches.iter().map(|b| b.install_failures).sum(),
@@ -175,7 +172,6 @@ mod tests {
         assert_eq!(s.batches, 2);
         assert_eq!(s.link_bad_node_periods, 6);
         assert_eq!(s.crashes, 5);
-        assert_eq!(s.blackout_boundaries, 1);
         assert_eq!(s.install_attempts, 30);
         assert_eq!(s.retries, 10);
         assert_eq!(s.install_failures, 2);

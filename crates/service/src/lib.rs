@@ -19,7 +19,7 @@
 //!   installs already standing in the network still resolve.
 //! * [`ServiceSim::step_period`] advances one period boundary; admissions
 //!   and retirements take effect exactly at boundaries, mapping one-to-one
-//!   onto [`wsn_net::TreeCache`](https://docs.rs) refcount acquire/release.
+//!   onto `wsn_net::TreeCache` refcount acquire/release.
 //!
 //! Everything stays deterministic: client `n` maps to fleet index `n`, so a
 //! service run is bit-identical to the same schedule replayed as a static
@@ -72,7 +72,7 @@ impl fmt::Display for QueryId {
 ///
 /// Client mistakes (an unknown id, a double retire) are plain error values —
 /// the daemon answers them and keeps serving; they never reach the tree
-/// cache, whose own [`wsn_net::TreeCacheError`](https://docs.rs) now also
+/// cache, whose own `wsn_net::TreeCacheError` now also
 /// surfaces as an error instead of aborting the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
@@ -175,7 +175,7 @@ fn service_user(scenario: &Scenario, index: usize, first_k: u64, last_k: u64) ->
 /// the next fleet index — so a finished service run equals a batch
 /// [`SteppedSim`] walk over [`ServiceSim::query_set`] — and
 /// each [`ServiceSim::step_period`] installs the next period's trees
-/// (acquiring [`wsn_net::TreeCache`](https://docs.rs) references) and
+/// (acquiring `wsn_net::TreeCache` references) and
 /// resolves the previous period's queries (releasing them).
 #[derive(Debug)]
 pub struct ServiceSim {
@@ -270,7 +270,10 @@ impl ServiceSim {
             return Err(ServiceError::HorizonExhausted);
         }
         let lifetime_periods = spec.lifetime.as_micros() / spec.period.as_micros();
-        let last_k = (first_k + lifetime_periods - 1).min(self.stepped.max_k());
+        // At least one period (validated); a longer lifetime saturates.
+        let last_k = first_k
+            .saturating_add(lifetime_periods - 1)
+            .min(self.stepped.max_k());
 
         let index = self.retired.len();
         let user = service_user(self.stepped.scenario(), index, first_k, last_k);
@@ -556,5 +559,26 @@ mod tests {
         }
         let results = svc.poll(id).unwrap();
         assert_eq!(results.len() as u64, svc.max_k(), "clamped to the horizon");
+
+        // A 1 µs period makes the longest lifetime nearly `u64::MAX` periods,
+        // so the window's end must saturate, not overflow.
+        let mut scenario = small_scenario(4);
+        scenario.query.period = Duration::from_micros(1);
+        scenario.query.freshness = Duration::from_micros(1);
+        scenario.query.lifetime = Duration::from_micros(8);
+        let mut svc = ServiceSim::new(scenario.clone(), TreeSharing::Shared).unwrap();
+        svc.step_period().unwrap();
+        let mut spec = scenario.query.clone();
+        spec.lifetime = Duration::MAX;
+        let id = svc.submit(&spec).unwrap();
+        while !svc.is_finished() {
+            svc.step_period().unwrap();
+        }
+        let periods: Vec<u64> = svc.poll(id).unwrap().iter().map(|r| r.period).collect();
+        assert_eq!(
+            periods,
+            (2..=8).collect::<Vec<_>>(),
+            "clamped to the horizon"
+        );
     }
 }

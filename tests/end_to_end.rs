@@ -89,9 +89,11 @@ fn jit_storage_respects_equation_12_and_greedy_does_not() {
         .run();
     let params = scenario(Scheme::JustInTime, 9.0, 7).analysis_params();
     let bound = analysis::prefetch_length_jit(&params) as usize;
+    // Eq. 12 bounds the trees standing at once, the current query's
+    // included, so at most PLjit − 1 stand ahead of it.
     assert!(
-        jit.max_prefetch_length <= bound + 1,
-        "JIT prefetch length {} must respect the Eq. 12 bound {}",
+        jit.max_prefetch_length < bound,
+        "JIT prefetch length {} must stay below the Eq. 12 bound {}",
         jit.max_prefetch_length,
         bound
     );

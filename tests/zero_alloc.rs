@@ -5,12 +5,13 @@
 //! through `TreeCache` / `FloodScratch`, the resolve scratch on `SteppedSim`
 //! (the nodes in the scored area and the relay index over the tree's
 //! members), query logs reserved at admission (a batch user's whole window,
-//! a service user's one record, drained after every boundary), and hash maps
-//! (standing queries, memoised tree costs) that keep their capacity once
-//! warm. These tests step steady workloads (see `mobiquery_repro::steady`)
-//! with a counting `#[global_allocator]` installed and assert the warm
-//! loop's heap-allocation delta is exactly zero per period boundary — not
-//! "small", zero. Any new allocation on the hot path fails CI by name.
+//! a service user's one record, drained after every boundary), standing
+//! queries kept in fixed slots on their user's row, and the memo of tree
+//! costs, a hash map that keeps its capacity once warm. These tests step
+//! steady workloads (see `mobiquery_repro::steady`) with a counting
+//! `#[global_allocator]` installed and assert the warm loop's
+//! heap-allocation delta is exactly zero per period boundary — not "small",
+//! zero. Any new allocation on the hot path fails CI by name.
 //!
 //! The allocator also tracks the bytes live on the heap, so a third test
 //! holds a resident service to what it promises: once its queries have
